@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .itq import DEFAULT_ITERS, DEFAULT_TOL, itq_train
+from .itq import DEFAULT_ITERS, itq_train
 from .model import CenteringInfo, HashModel, LinearProjection, default_hyperparams
 from .preprocess import cca_fit, project
 
@@ -31,7 +31,7 @@ def lsh_fit(d: int, c: int, seed=0) -> HashModel:
 
 
 def cca_itq_fit(x_t, x_sc, c: int, iters: int = DEFAULT_ITERS, seed=0, *,
-                ridge: float | None = None, tol: float = DEFAULT_TOL) -> HashModel:
+                ridge: float | None = None) -> HashModel:
     """Quantization on the target-side canonical projection of paired views.
 
     Fits CCA on the centered correspondence pairs, projects the target view
@@ -43,7 +43,7 @@ def cca_itq_fit(x_t, x_sc, c: int, iters: int = DEFAULT_ITERS, seed=0, *,
     x_sc = np.asarray(x_sc, dtype=np.float64)
     left, _, _ = cca_fit(x_t, x_sc, c, ridge)
     projected = project(x_t, left)
-    _, rotation, _ = itq_train(projected, c, iters, seed, tol=tol)
+    _, rotation, _ = itq_train(projected, c, iters, seed)
     return HashModel(
         method="cca-itq",
         centering=CenteringInfo(np.zeros(x_t.shape[1])),

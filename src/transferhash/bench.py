@@ -39,8 +39,7 @@ class FitResult:
 def fit_model(method: str, target_train, source_corr=None, source_extra=None, *,
               bits: int, lambda1: float = 0.01, lambda2: float = 0.01,
               k_graph: int = 5, iters: int = 150, seed: int = 0,
-              pca_energy: float | None = None, tol: float = 1e-6,
-              rebalance: bool = False, want_graph: bool = False) -> FitResult:
+              pca_energy: float | None = None, want_graph: bool = False) -> FitResult:
     """Train one hashing method on raw (uncentered) matrices.
 
     Target rows are centered on their own mean; source rows are centered on
@@ -69,41 +68,32 @@ def fit_model(method: str, target_train, source_corr=None, source_extra=None, *,
     if pca_energy is not None and method != "cca-itq":
         preprocessing = pca_fit(centered_t, pca_energy)
         trainer_input = project(centered_t, preprocessing)
+    # cca-itq keeps the canonical projection its trainer fitted
+    projection = None if method == "cca-itq" else _proj_for(preprocessing, trainer_input)
 
-    if method == "itq":
-        _, rotation, trace = itq_train(trainer_input, bits, iters, seed, tol=tol)
-        model = HashModel("itq", centering, _proj_for(preprocessing, trainer_input),
-                          rotation, bits,
-                          default_hyperparams(iters=iters, seed=seed))
-        return FitResult(model, trace)
-
-    if method == "lsh":
-        model = lsh_fit(trainer_input.shape[1], bits, seed)
-        model = with_pipeline(model, centering, _proj_for(preprocessing, trainer_input))
-        return FitResult(model, [])
-
-    if method in ("itq+", "lapitq+") and x_sc is None:
+    if method in ("itq+", "lapitq+", "cca-itq") and x_sc is None:
         raise ConfigError(f"method {method} needs source correspondence data")
-    if method == "cca-itq":
-        if x_sc is None:
-            raise ConfigError("method cca-itq needs source correspondence data")
-        model = cca_itq_fit(centered_t, x_sc, bits, iters, seed, tol=tol)
-        return FitResult(with_pipeline(model, centering), [])
-
-    if method == "itq+":
-        model, state = itq_plus_train(trainer_input, x_sc, bits, lambda1, iters,
-                                      seed, tol=tol)
-        model = with_pipeline(model, centering, _proj_for(preprocessing, trainer_input))
-        return FitResult(model, state.objective_trace)
-
-    if method == "lapitq+":
+    trace, graph = [], None
+    if method == "itq":
+        _, rotation, trace = itq_train(trainer_input, bits, iters, seed)
+        model = HashModel("itq", centering, projection, rotation, bits,
+                          default_hyperparams(iters=iters, seed=seed))
+    elif method == "lsh":
+        model = lsh_fit(trainer_input.shape[1], bits, seed)
+    elif method == "cca-itq":
+        model = cca_itq_fit(centered_t, x_sc, bits, iters, seed)
+    elif method == "itq+":
+        model, state = itq_plus_train(trainer_input, x_sc, bits, lambda1, iters, seed)
+        trace = state.objective_trace
+    elif method == "lapitq+":
         model, state, graph = lap_itq_plus_train(
             trainer_input, x_sc, x_su, bits, lambda1, lambda2, k_graph,
-            iters, seed, tol=tol, rebalance=rebalance, return_graph=True)
-        model = with_pipeline(model, centering, _proj_for(preprocessing, trainer_input))
-        return FitResult(model, state.objective_trace, graph if want_graph else None)
-
-    raise ConfigError(f"unknown method {method!r}")
+            iters, seed, return_graph=True)
+        trace = state.objective_trace
+    else:
+        raise ConfigError(f"unknown method {method!r}")
+    return FitResult(with_pipeline(model, centering, projection), trace,
+                     graph if want_graph else None)
 
 
 def _proj_for(preprocessing, trainer_input):

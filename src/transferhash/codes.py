@@ -65,15 +65,8 @@ class BinaryCodeMatrix:
     def bits(self) -> int:
         return self.signs.shape[1]
 
-    def subset(self, index) -> "BinaryCodeMatrix":
-        return BinaryCodeMatrix(self.signs[index])
-
     def __eq__(self, other):
         return isinstance(other, BinaryCodeMatrix) and np.array_equal(
             self.signs, other.signs
         )
 
-
-def from_scores(scores) -> BinaryCodeMatrix:
-    """Binarize a real score matrix by sign (ties at zero go to +1)."""
-    return BinaryCodeMatrix(sgn(scores))

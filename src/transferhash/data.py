@@ -266,20 +266,35 @@ def load_model(path) -> HashModel:
     if missing:
         raise ParseError(f"{path}: missing record tags {missing}")
 
+    bits_payload = fields[_TAG_BITS]
+    if len(bits_payload) != 4:
+        raise ParseError(f"{path}: bits record is {len(bits_payload)} bytes, expected 4")
     mean_payload = fields[_TAG_MEAN]
+    if len(mean_payload) < 4:
+        raise ParseError(f"{path}: truncated mean record")
     (mean_len,) = struct.unpack_from("<I", mean_payload, 0)
     if len(mean_payload) != 4 + 8 * mean_len:
         raise ParseError(f"{path}: mean record length mismatch")
     mean = np.frombuffer(mean_payload, dtype="<f8", offset=4).copy()
+    preprocessing_matrix = _parse_matrix_payload(fields[_TAG_PREPROC_MATRIX], str(path))
+    rotation = _parse_matrix_payload(fields[_TAG_ROTATION], str(path))
+    if preprocessing_matrix.shape[0] != mean.size:
+        raise ParseError(f"{path}: mean length {mean.size} does not match the projection")
 
-    return HashModel(
-        method=fields[_TAG_METHOD].decode("utf-8"),
-        centering=CenteringInfo(mean),
-        preprocessing=LinearProjection(
-            _parse_matrix_payload(fields[_TAG_PREPROC_MATRIX], str(path)),
-            fields[_TAG_PREPROC_KIND].decode("utf-8"),
-        ),
-        rotation=_parse_matrix_payload(fields[_TAG_ROTATION], str(path)),
-        bits=struct.unpack("<I", fields[_TAG_BITS])[0],
-        hyperparams=json.loads(fields[_TAG_HYPERPARAMS].decode("utf-8")),
-    )
+    # bad UTF-8 or JSON, an unknown method or projection kind, and
+    # inconsistent dimensions all surface as ValueError
+    try:
+        hyperparams = json.loads(fields[_TAG_HYPERPARAMS].decode("utf-8"))
+        if not isinstance(hyperparams, dict):
+            raise ParseError(f"{path}: hyperparameter record is not a JSON object")
+        return HashModel(
+            method=fields[_TAG_METHOD].decode("utf-8"),
+            centering=CenteringInfo(mean),
+            preprocessing=LinearProjection(
+                preprocessing_matrix, fields[_TAG_PREPROC_KIND].decode("utf-8")),
+            rotation=rotation,
+            bits=struct.unpack("<I", bits_payload)[0],
+            hyperparams=hyperparams,
+        )
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None

@@ -30,6 +30,8 @@ def encode(model: HashModel, x) -> BinaryCodeMatrix:
             f"encode: input has {x.shape[1] if x.ndim == 2 else '?'} columns, "
             f"model expects {model.input_dim}"
         )
+    if not np.isfinite(x).all():
+        raise DataError("encode: input contains non-finite values")
     z = model.centering.apply(x)
     z = z @ model.preprocessing.matrix
     return BinaryCodeMatrix(sgn(z @ model.rotation))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codes import BinaryCodeMatrix, sgn
+from .codes import BinaryCodeMatrix
 from .errors import NumericalError
 
 DEFAULT_ITERS = 150
@@ -35,15 +35,9 @@ def is_orthonormal(r, tol: float = 1e-8) -> bool:
 
 
 def _polar(w) -> np.ndarray:
-    """Orthonormal polar factor U V^T, the Stiefel maximizer of tr(R^T W).
-
-    Column signs follow the convention that the largest-magnitude component
-    of each left singular vector is positive (the product is unaffected for
-    non-degenerate spectra; the convention pins the degenerate cases).
-    """
+    """Orthonormal polar factor U V^T, the Stiefel maximizer of tr(R^T W)."""
     u, _, vt = np.linalg.svd(w, full_matrices=False)
-    flips = np.where(u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])] >= 0, 1.0, -1.0)
-    return (u * flips) @ (flips[:, None] * vt)
+    return u @ vt
 
 
 def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13) -> np.ndarray:
@@ -132,9 +126,12 @@ def balanced_signs(scores) -> np.ndarray:
 
 
 def itq_train(x, c: int, iters: int = DEFAULT_ITERS, seed=0, *,
-              tol: float = DEFAULT_TOL, r0=None, balanced: bool = False,
-              step_iters: int = DEFAULT_STEP_ITERS):
+              tol: float = DEFAULT_TOL, r0=None, balanced: bool = False):
     """Alternating minimization of ||B - X R||_F^2 over sign codes and rotations.
+
+    This is the shared alternating solve of itq_plus run with no privileged
+    view: the code step reads B off X R, and the rotation step is the
+    procrustes fit of X R to B.
 
     Parameters
     ----------
@@ -145,30 +142,13 @@ def itq_train(x, c: int, iters: int = DEFAULT_ITERS, seed=0, *,
     tol : relative-change early stop; 0 disables
     r0 : optional explicit starting rotation
     balanced : use the balanced (half +1 per column) code step instead of sgn
-    step_iters : refinement cap per rotation step (inexact steps stay
-        monotone because the step never returns worse than its warm start)
 
     Returns (codes, rotation, losses) with one loss per executed iteration;
     the loss sequence is non-increasing.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n, d = x.shape
-    if d < c:
-        raise ValueError(f"data dimension {d} smaller than code length {c}")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    rotation = random_orthonormal(d, c, seed) if r0 is None else np.asarray(r0, dtype=np.float64)
+    from .itq_plus import CODE_STEPS, alternating_solve  # itq_plus builds on this module
 
-    codes = None
-    losses: list[float] = []
-    for _ in range(iters):
-        projected = x @ rotation
-        signs = balanced_signs(projected) if balanced else sgn(projected)
-        codes = BinaryCodeMatrix(signs)
-        rotation = procrustes(signs.astype(np.float64), x, rotation, max_iter=step_iters)
-        losses.append(quantization_loss(codes, x, rotation))
-        if tol > 0 and len(losses) >= 2:
-            prev, cur = losses[-2], losses[-1]
-            if abs(prev - cur) < tol * max(prev, 1e-30):
-                break
+    code_step = CODE_STEPS["balanced" if balanced else "sign"]
+    codes, rotation, _, losses = alternating_solve(
+        x, None, c, 0.0, iters, seed, code_step, tol=tol, r0=r0)
     return codes, rotation, losses

@@ -1,8 +1,10 @@
 """Privileged-information quantization: codes regularized by a source-side slack.
 
-The trainer alternates three block updates: a balanced code step driven by
-blended target/source scores, a target rotation step, and a slack rotation
-step fitting the quantization error from the privileged view.
+Home of the alternating solve shared by every trainer.  Each sweep runs a
+code step on the blended target/source scores, a target rotation step,
+and a slack rotation step fitting the quantization error from the
+privileged view.  itq is the solve with no privileged view, itq+ uses the
+balanced or sign code step, and lapitq+ a graph-regularized relaxed one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .itq import (
 from .model import CenteringInfo, HashModel, LinearProjection, default_hyperparams
 
 DEFAULT_LAMBDA1 = 0.01
-LAMBDA1_GRID = (0.0, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 2.0)
 
 
 @dataclass
@@ -42,16 +43,20 @@ def itq_plus_objective(codes, rotation, slack_rotation, x_t, x_sc, lambda1) -> f
 
     This is the functional every block update is exactly optimal for, so
     the alternating solve descends it monotonically.  At lambda1 = 0 it
-    equals the plain quantization loss.
+    equals the plain quantization loss; x_sc = None (no privileged view)
+    drops the slack term.
     """
     signs = codes.signs if isinstance(codes, BinaryCodeMatrix) else np.asarray(codes)
     x_t = np.asarray(x_t, dtype=np.float64)
-    x_sc = np.asarray(x_sc, dtype=np.float64)
     err = signs - x_t @ rotation
+    loss = float(np.sum(err * err))
+    if x_sc is None:
+        return loss
+    x_sc = np.asarray(x_sc, dtype=np.float64)
     if err.shape != (x_sc.shape[0], np.asarray(slack_rotation).shape[1]):
         raise ValueError("shape mismatch between codes, data, and rotations")
     slack = err - x_sc @ slack_rotation
-    return float(np.sum(err * err)) + float(lambda1) * float(np.sum(slack * slack))
+    return loss + float(lambda1) * float(np.sum(slack * slack))
 
 
 def blend_scores(x_t, rotation, x_sc, slack_rotation, lambda1) -> np.ndarray:
@@ -79,8 +84,7 @@ def update_b_balanced(scores) -> BinaryCodeMatrix:
     return BinaryCodeMatrix(balanced_signs(scores))
 
 
-def update_r(codes, x_t, x_sc, slack_rotation, lambda1, previous=None,
-             step_iters: int = DEFAULT_STEP_ITERS) -> np.ndarray:
+def update_r(codes, x_t, x_sc, slack_rotation, lambda1, previous=None) -> np.ndarray:
     """Target-rotation step: procrustes toward B - lambda1/(lambda1+1) X_sc P."""
     if lambda1 < 0:
         raise ValueError("lambda1 must be >= 0")
@@ -88,11 +92,10 @@ def update_r(codes, x_t, x_sc, slack_rotation, lambda1, previous=None,
     target = signs.astype(np.float64)
     if lambda1 > 0:
         target = target - (lambda1 / (lambda1 + 1.0)) * (np.asarray(x_sc) @ slack_rotation)
-    return procrustes(target, x_t, previous, max_iter=step_iters)
+    return procrustes(target, x_t, previous, max_iter=DEFAULT_STEP_ITERS)
 
 
-def update_p(codes, x_t, rotation, x_sc, previous=None,
-             step_iters: int = DEFAULT_STEP_ITERS) -> np.ndarray:
+def update_p(codes, x_t, rotation, x_sc, previous=None) -> np.ndarray:
     """Slack-rotation step: procrustes fit of the quantization error from X_sc.
 
     When the error matrix or X_sc is numerically zero the SVD target is 0, so
@@ -109,63 +112,102 @@ def update_p(codes, x_t, rotation, x_sc, previous=None,
     cross = x_sc.T @ err
     if previous is not None and not np.any(cross):
         return previous
-    return procrustes(err, x_sc, previous, max_iter=step_iters)
+    return procrustes(err, x_sc, previous, max_iter=DEFAULT_STEP_ITERS)
 
 
-def itq_plus_train(x_t, x_sc, c: int, lambda1: float = DEFAULT_LAMBDA1,
-                   iters: int = DEFAULT_ITERS, seed=0, *,
-                   tol: float = DEFAULT_TOL, b_step: str = "balanced",
-                   step_iters: int = DEFAULT_STEP_ITERS):
-    """Alternating optimization over codes, target rotation, and slack rotation.
+def _sign_step(scores, rotation, slack_rotation):
+    return BinaryCodeMatrix(sgn(scores)), None
 
-    x_t and x_sc are centered, row-aligned views of the n training instances.
-    Updates run in the fixed order code step, rotation step, slack step; the
-    objective is recorded after each full sweep.  b_step selects "balanced"
-    (sorting) or "sign" codes; the latter matches the relaxed trainer at
-    zero graph weight.
 
-    Returns (HashModel, ItqPlusState).
+def _balanced_step(scores, rotation, slack_rotation):
+    return update_b_balanced(scores), None
+
+
+# code steps by name: (scores, rotation, slack rotation) -> (codes, objective
+# recorded for the sweep, or None to record it after the rotation steps)
+CODE_STEPS = {"sign": _sign_step, "balanced": _balanced_step}
+
+
+def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
+                      code_step, *, tol: float, r0=None):
+    """The alternating minimization behind itq, itq+ and lapitq+.
+
+    Each sweep runs the code step on blend_scores, update_r, update_p (only
+    when lambda1 > 0, since the slack cannot move codes or R otherwise),
+    records the objective, and stops once its relative change is below tol
+    (0 disables).  The recorded objective is the one the code step returns,
+    or else itq_plus_objective after the rotation steps.  x_sc = None runs
+    without a privileged view: plain quantization, with lambda1 = 0.
+    The target rotation starts from r0 or a seeded random orthonormal
+    matrix, the slack rotation from a random one with the same seed; a
+    code length above either view's dimension raises ValueError there.
+
+    Returns (codes, rotation, slack_rotation, trace).
     """
     x_t = np.asarray(x_t, dtype=np.float64)
-    x_sc = np.asarray(x_sc, dtype=np.float64)
     n, d_t = x_t.shape
-    if x_sc.shape[0] != n:
-        raise ValueError(f"row mismatch: target {n} vs privileged {x_sc.shape[0]}")
-    if n < 2:
-        raise ValueError("need at least 2 training rows")
-    d_s = x_sc.shape[1]
-    if c > min(d_t, d_s):
-        raise ValueError(f"code length {c} exceeds min dimension {min(d_t, d_s)}")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
     if lambda1 < 0:
         raise ValueError("lambda1 must be >= 0")
-    if b_step not in ("balanced", "sign"):
-        raise ValueError(f"unknown b_step {b_step!r}")
+    if x_sc is None and lambda1 != 0:
+        raise ValueError("lambda1 must be 0 without a privileged view")
+    slack_rotation = None
+    if x_sc is not None:
+        x_sc = np.asarray(x_sc, dtype=np.float64)
+        if x_sc.shape[0] != n:
+            raise ValueError(f"row mismatch: target {n} vs privileged {x_sc.shape[0]}")
+        slack_rotation = random_orthonormal(x_sc.shape[1], c, seed)
+    rotation = random_orthonormal(d_t, c, seed) if r0 is None else np.asarray(r0, dtype=np.float64)
 
-    rotation = random_orthonormal(d_t, c, seed)
-    slack_rotation = random_orthonormal(d_s, c, seed)
-
-    codes = None
     trace: list[float] = []
     for _ in range(iters):
         scores = blend_scores(x_t, rotation, x_sc, slack_rotation, lambda1)
-        codes = update_b_balanced(scores) if b_step == "balanced" else BinaryCodeMatrix(sgn(scores))
-        rotation = update_r(codes, x_t, x_sc, slack_rotation, lambda1,
-                            previous=rotation, step_iters=step_iters)
-        slack_rotation = update_p(codes, x_t, rotation, x_sc,
-                                  previous=slack_rotation, step_iters=step_iters)
-        trace.append(itq_plus_objective(codes, rotation, slack_rotation, x_t, x_sc, lambda1))
+        codes, objective = code_step(scores, rotation, slack_rotation)
+        rotation = update_r(codes, x_t, x_sc, slack_rotation, lambda1, previous=rotation)
+        if lambda1 > 0:
+            slack_rotation = update_p(codes, x_t, rotation, x_sc, previous=slack_rotation)
+        if objective is None:
+            objective = itq_plus_objective(codes, rotation, slack_rotation, x_t, x_sc, lambda1)
+        trace.append(objective)
         if tol > 0 and len(trace) >= 2:
             prev, cur = trace[-2], trace[-1]
             if abs(prev - cur) < tol * max(abs(prev), 1e-30):
                 break
+    return codes, rotation, slack_rotation, trace
 
-    state = ItqPlusState(codes, rotation, slack_rotation, lambda1, trace)
-    model = HashModel(
-        method="itq+",
-        centering=CenteringInfo(np.zeros(d_t)),
-        preprocessing=LinearProjection.identity(d_t),
+
+def identity_model(method: str, rotation, **hyperparams) -> HashModel:
+    """A trained rotation as a HashModel with zero mean and no projection."""
+    d = rotation.shape[0]
+    return HashModel(
+        method=method,
+        centering=CenteringInfo(np.zeros(d)),
+        preprocessing=LinearProjection.identity(d),
         rotation=rotation,
-        bits=c,
-        hyperparams=default_hyperparams(lambda1=lambda1, iters=iters, seed=seed),
+        bits=rotation.shape[1],
+        hyperparams=default_hyperparams(**hyperparams),
     )
+
+
+def itq_plus_train(x_t, x_sc, c: int, lambda1: float = DEFAULT_LAMBDA1,
+                   iters: int = DEFAULT_ITERS, seed=0, *,
+                   tol: float = DEFAULT_TOL, b_step: str = "balanced"):
+    """Alternating optimization over codes, target rotation, and slack rotation.
+
+    x_t and x_sc are centered, row-aligned views of the n training instances.
+    This is alternating_solve with a sorting code step: b_step selects
+    "balanced" or "sign" codes; the latter matches the relaxed trainer at
+    zero graph weight.  The objective is recorded after each full sweep.
+
+    Returns (HashModel, ItqPlusState).
+    """
+    if np.shape(x_t)[0] < 2:
+        raise ValueError("need at least 2 training rows")
+    if b_step not in CODE_STEPS:
+        raise ValueError(f"unknown b_step {b_step!r}")
+    codes, rotation, slack_rotation, trace = alternating_solve(
+        x_t, x_sc, c, lambda1, iters, seed, CODE_STEPS[b_step], tol=tol)
+    state = ItqPlusState(codes, rotation, slack_rotation, lambda1, trace)
+    model = identity_model("itq+", rotation, lambda1=lambda1, iters=iters, seed=seed)
     return model, state

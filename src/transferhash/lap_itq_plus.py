@@ -15,23 +15,14 @@ import numpy as np
 
 from .codes import BinaryCodeMatrix, sgn
 from .errors import NumericalError
-from .itq import (
-    DEFAULT_ITERS,
-    DEFAULT_STEP_ITERS,
-    DEFAULT_TOL,
-    balanced_signs,
-    itq_train,
-    random_orthonormal,
-)
+from .itq import DEFAULT_ITERS, DEFAULT_TOL, itq_train
 from .itq_plus import (
     DEFAULT_LAMBDA1,
     ItqPlusState,
-    blend_scores,
+    alternating_solve,
+    identity_model,
     itq_plus_objective,
-    update_p,
-    update_r,
 )
-from .model import CenteringInfo, HashModel, LinearProjection, default_hyperparams
 
 DEFAULT_LAMBDA2 = 0.01
 DEFAULT_K = 5
@@ -76,10 +67,9 @@ class LaplacianMatrix:
 
 
 def source_codes_offline(x_s, c: int, iters: int = DEFAULT_ITERS, seed=0,
-                         *, tol: float = DEFAULT_TOL,
-                         step_iters: int = DEFAULT_STEP_ITERS) -> BinaryCodeMatrix:
+                         *, tol: float = DEFAULT_TOL) -> BinaryCodeMatrix:
     """Plain quantization codes for the stacked source rows (run offline)."""
-    codes, _, _ = itq_train(x_s, c, iters, seed, tol=tol, step_iters=step_iters)
+    codes, _, _ = itq_train(x_s, c, iters, seed, tol=tol)
     return codes
 
 
@@ -133,19 +123,26 @@ def write_edge_list(graph: AdjacencyGraph, path) -> None:
 def relaxed_objective(b, k_mat, lap: LaplacianMatrix, lambda2: float) -> float:
     """-2 tr(B K) + lambda2 tr(B^T L B) over the box [-1, 1]^(n x c)."""
     b = np.asarray(b, dtype=np.float64)
-    value = -2.0 * float(np.sum(b * k_mat.T))
+    return _relaxed_value(b, lap.matrix @ b if lambda2 != 0.0 else None, k_mat.T, lambda2)
+
+
+def _relaxed_value(b, lap_b, linear, lambda2: float) -> float:
+    """relaxed_objective given the products L B and K^T."""
+    value = -2.0 * float(np.sum(b * linear))
     if lambda2 != 0.0:
-        value += lambda2 * float(np.sum(b * (lap.matrix @ b)))
+        value += lambda2 * float(np.sum(b * lap_b))
     return value
 
 
 def box_qp_minimize(k_mat, lap: LaplacianMatrix, lambda2: float,
-                    inner_iters: int = DEFAULT_INNER_ITERS, start=None):
+                    inner_iters: int = DEFAULT_INNER_ITERS):
     """Projected gradient descent for the relaxed code step.
 
     Gradient -2 K^T + 2 lambda2 L B, Lipschitz step 1/(2 lambda2 lambda_max
     + delta), clipping to the box each step, started from sgn(K^T).
     Returns (relaxed solution, objective trace); the trace is non-increasing.
+    Each step multiplies by L once: the product serves both the trace value
+    of the current iterate and the gradient taken from it.
     """
     k_mat = np.asarray(k_mat, dtype=np.float64)
     if not np.isfinite(k_mat).all():
@@ -153,18 +150,20 @@ def box_qp_minimize(k_mat, lap: LaplacianMatrix, lambda2: float,
     if lambda2 < 0:
         raise ValueError("lambda2 must be >= 0")
     linear = k_mat.T  # n x c
-    b = sgn(linear).astype(np.float64) if start is None else np.asarray(start, dtype=np.float64)
+    b = sgn(linear).astype(np.float64)
     step = 1.0 / (2.0 * lambda2 * lap.lambda_max + _STEP_DELTA)
-    trace = [relaxed_objective(b, k_mat, lap, lambda2)]
+    lap_b = lap.matrix @ b if lambda2 != 0.0 else None
+    trace = [_relaxed_value(b, lap_b, linear, lambda2)]
     for _ in range(inner_iters):
         grad = -2.0 * linear
         if lambda2 != 0.0:
-            grad = grad + (2.0 * lambda2) * (lap.matrix @ b)
+            grad = grad + (2.0 * lambda2) * lap_b
         b_next = np.clip(b - step * grad, -1.0, 1.0)
         if np.array_equal(b_next, b):
             break
         b = b_next
-        trace.append(relaxed_objective(b, k_mat, lap, lambda2))
+        lap_b = lap.matrix @ b if lambda2 != 0.0 else None
+        trace.append(_relaxed_value(b, lap_b, linear, lambda2))
     return b, trace
 
 
@@ -181,18 +180,16 @@ def lap_itq_plus_train(x_t, x_sc, x_su, c: int,
                        k: int = DEFAULT_K,
                        iters: int = DEFAULT_ITERS, seed=0, *,
                        tol: float = DEFAULT_TOL,
-                       inner_iters: int = DEFAULT_INNER_ITERS,
-                       rebalance: bool = False,
-                       offline_iters: int | None = None,
-                       step_iters: int = DEFAULT_STEP_ITERS,
                        return_graph: bool = False):
     """Alternating solve with the graph-regularized relaxed code step.
 
     Source codes are learned on stack(x_sc, x_su); the neighbor graph uses
     only the first n rows (the ones aligned with target instances).  The
-    objective trace records the full regularized objective at the relaxed
-    codes of each sweep, before binarization.  rebalance applies the
-    balanced projection to the relaxed scores instead of plain sgn.
+    run is alternating_solve with a code step that minimizes the box QP on
+    the blended scores and takes signs.  The objective trace records the
+    full regularized objective at the relaxed codes of each sweep, before
+    binarization and the rotation steps, so unlike the itq and itq+ traces
+    it can rise from one sweep to the next.
 
     Returns (HashModel, ItqPlusState).
     """
@@ -213,47 +210,21 @@ def lap_itq_plus_train(x_t, x_sc, x_su, c: int,
         raise ValueError(f"k={k} out of range for {n} correspondence rows")
 
     x_stack = np.vstack([x_sc, x_su]) if x_su.size else x_sc
-    source_codes = source_codes_offline(
-        x_stack, c, iters if offline_iters is None else offline_iters, seed,
-        tol=tol, step_iters=step_iters,
-    )
-    graph = knn_hamming_graph(source_codes.subset(slice(0, n)), k)
+    source_codes = source_codes_offline(x_stack, c, iters, seed, tol=tol)
+    graph = knn_hamming_graph(BinaryCodeMatrix(source_codes.signs[:n]), k)
     lap = laplacian(graph)
 
-    rotation = random_orthonormal(d_t, c, seed)
-    slack_rotation = random_orthonormal(d_s, c, seed)
+    def relaxed_step(scores, rotation, slack_rotation):
+        relaxed, _ = box_qp_minimize(scores.T, lap, lambda2, DEFAULT_INNER_ITERS)
+        objective = (itq_plus_objective(relaxed, rotation, slack_rotation, x_t, x_sc, lambda1)
+                     + lambda2 * float(np.sum(relaxed * (lap.matrix @ relaxed))))
+        return BinaryCodeMatrix(sgn(relaxed)), objective
 
-    codes = None
-    trace: list[float] = []
-    for _ in range(iters):
-        scores = blend_scores(x_t, rotation, x_sc, slack_rotation, lambda1)
-        relaxed, _ = box_qp_minimize(scores.T, lap, lambda2, inner_iters)
-        trace.append(
-            itq_plus_objective(relaxed, rotation, slack_rotation, x_t, x_sc, lambda1)
-            + lambda2 * float(np.sum(relaxed * (lap.matrix @ relaxed)))
-        )
-        signs = balanced_signs(relaxed) if rebalance else sgn(relaxed)
-        codes = BinaryCodeMatrix(signs)
-        rotation = update_r(codes, x_t, x_sc, slack_rotation, lambda1,
-                            previous=rotation, step_iters=step_iters)
-        slack_rotation = update_p(codes, x_t, rotation, x_sc,
-                                  previous=slack_rotation, step_iters=step_iters)
-        if tol > 0 and len(trace) >= 2:
-            prev, cur = trace[-2], trace[-1]
-            if abs(prev - cur) < tol * max(abs(prev), 1e-30):
-                break
-
+    codes, rotation, slack_rotation, trace = alternating_solve(
+        x_t, x_sc, c, lambda1, iters, seed, relaxed_step, tol=tol)
     state = ItqPlusState(codes, rotation, slack_rotation, lambda1, trace)
-    model = HashModel(
-        method="lapitq+",
-        centering=CenteringInfo(np.zeros(d_t)),
-        preprocessing=LinearProjection.identity(d_t),
-        rotation=rotation,
-        bits=c,
-        hyperparams=default_hyperparams(
-            lambda1=lambda1, lambda2=lambda2, k_graph=k, iters=iters, seed=seed
-        ),
-    )
+    model = identity_model("lapitq+", rotation, lambda1=lambda1, lambda2=lambda2,
+                           k_graph=k, iters=iters, seed=seed)
     if return_graph:
         return model, state, graph
     return model, state

@@ -1,6 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from transferhash.cli import main
 from transferhash.data import (
     MAGIC,
     load_matrix,
@@ -216,3 +221,64 @@ def test_model_wrong_magic(tmp_path):
     path.write_bytes(b"XXXX" + bytes(40))
     with pytest.raises(ParseError, match="magic/version"):
         load_model(path)
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    rng = np.random.default_rng(9)
+    x_t = rng.standard_normal((20, 4)); x_t -= x_t.mean(0)
+    x_s = rng.standard_normal((20, 3)); x_s -= x_s.mean(0)
+    model, _ = itq_plus_train(x_t, x_s, 2, 0.1, iters=3, seed=0)
+    path = tmp_path_factory.mktemp("model") / "saved.model"
+    save_model(model, path)
+    return path
+
+
+def with_record(blob, tag, payload):
+    """The model file bytes with the payload of record `tag` replaced."""
+    out, offset = bytearray(blob[:5]), 5
+    while offset < len(blob):
+        record_tag, length = struct.unpack_from("<BI", blob, offset)
+        body = payload if record_tag == tag else blob[offset + 5:offset + 5 + length]
+        out += struct.pack("<BI", record_tag, len(body)) + body
+        offset += 5 + length
+    return bytes(out)
+
+
+@pytest.mark.parametrize("tag, payload", [
+    (2, b"\x02\x00"),  # short bits record
+    (3, b"\x01"),  # short mean record
+    (7, b"{not json"),
+    (7, b"\xff\xfe"),  # not UTF-8
+    (7, b"[1, 2]"),  # JSON, but not an object
+    (1, b"nope"),  # unknown method
+    (1, b"\xff"),
+    (4, b"weird"),  # unknown projection kind
+    (2, struct.pack("<I", 3)),  # bits disagree with the rotation
+    (3, struct.pack("<I", 1) + bytes(8)),  # mean disagrees with the projection
+])
+def test_model_bad_record_is_parse_error(tmp_path, model_file, tag, payload):
+    path = tmp_path / "bad.model"
+    path.write_bytes(with_record(model_file.read_bytes(), tag, payload))
+    with pytest.raises(ParseError):
+        load_model(path)
+    assert main(["inspect-model", "--model", str(path)]) == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_model_loads_or_raises_parse_error(model_file, data):
+    blob = model_file.read_bytes()
+    offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    flip = data.draw(st.integers(0, 255), label="xor (0 truncates)")
+    if flip:
+        mutated = blob[:offset] + bytes([blob[offset] ^ flip]) + blob[offset + 1:]
+    else:
+        mutated = blob[:offset]
+    path = model_file.with_name("mutated.model")
+    path.write_bytes(mutated)
+    try:
+        load_model(path)
+    except ParseError:
+        pass
+    assert main(["inspect-model", "--model", str(path)]) in (0, 3)

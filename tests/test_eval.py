@@ -76,6 +76,15 @@ def test_encode_dimension_mismatch():
         encode(model, np.zeros((3, 5)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_encode_rejects_non_finite_rows(bad):
+    model = simple_model(np.eye(4)[:, :2])
+    x = np.ones((3, 4))
+    x[1] = bad
+    with pytest.raises(DataError):
+        encode(model, x)
+
+
 def test_hamming_identical_and_complement():
     rng = np.random.default_rng(2)
     signs = sgn(rng.standard_normal((1, 32)))
