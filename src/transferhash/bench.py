@@ -48,6 +48,8 @@ def fit_model(method: str, target_train, source_corr=None, source_extra=None, *,
     set, the target side is reduced before rotation learning (cca-itq uses
     its canonical projection instead).
     """
+    if bits < 1:
+        raise ConfigError(f"bits must be positive, got {bits}")
     target_train = np.asarray(target_train, dtype=np.float64)
     centered_t, centering = zero_center(target_train)
 

@@ -108,6 +108,10 @@ def ground_truth(database_features, query_features, r: int = DEFAULT_GT_RANK,
     queries = np.asarray(query_features, dtype=np.float64)
     if db.shape[0] < 2:
         raise DataError("ground_truth: need at least 2 database points")
+    if db.ndim != 2 or queries.ndim != 2 or queries.shape[1] != db.shape[1]:
+        raise DataError(
+            f"ground_truth: queries of shape {queries.shape} and a database of "
+            f"shape {db.shape} differ in column count")
     if average_over not in ("database", "queries"):
         raise ValueError(f"unknown average_over {average_over!r}")
 

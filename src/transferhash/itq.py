@@ -6,6 +6,8 @@ loss used by every trainer in the package.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .codes import BinaryCodeMatrix
@@ -14,6 +16,12 @@ from .errors import NumericalError
 DEFAULT_ITERS = 150
 DEFAULT_TOL = 1e-6
 DEFAULT_STEP_ITERS = 60  # rotation-step refinement cap inside trainers
+
+# Newton-Schulz in _polar: a step cap (from any start it converges from,
+# c <= 64 needs at most 11 steps), and the ||I - X^T X||_F below which one
+# more step leaves an error at rounding level (each step maps e to ~3e^2/4)
+_NS_MAX_STEPS = 16
+_NS_LAST_STEP = 1e-8
 
 
 def random_orthonormal(d: int, c: int, seed) -> np.ndarray:
@@ -35,7 +43,28 @@ def is_orthonormal(r, tol: float = 1e-8) -> bool:
 
 
 def _polar(w) -> np.ndarray:
-    """Orthonormal polar factor U V^T, the Stiefel maximizer of tr(R^T W)."""
+    """Orthonormal polar factor U V^T, the Stiefel maximizer of tr(R^T W).
+
+    Scaled to unit RMS singular value, a nearly orthonormal w (the usual
+    input inside the procrustes loop) converges to U V^T under the
+    Newton-Schulz iteration X <- X + X (I - X^T X) / 2 in a few d x c
+    products.  It converges whenever ||I - X^T X||_F < 1 at the start;
+    otherwise (an ill-conditioned, rank-deficient or zero w), or when it
+    has not converged within _NS_MAX_STEPS, the SVD gives the factor.
+    """
+    c = w.shape[1]
+    sq_norm = float(np.vdot(w, w))
+    if sq_norm > 0.0:
+        x = w * math.sqrt(c / sq_norm)
+        eye = np.eye(c)
+        for _ in range(_NS_MAX_STEPS):
+            resid = eye - x.T @ x
+            err2 = float(np.vdot(resid, resid))
+            if err2 >= 1.0:
+                break
+            x = x @ (eye + 0.5 * resid)
+            if err2 <= _NS_LAST_STEP**2:
+                return x  # the error squares each step: now at rounding level
     u, _, vt = np.linalg.svd(w, full_matrices=False)
     return u @ vt
 
@@ -43,13 +72,19 @@ def _polar(w) -> np.ndarray:
 def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13) -> np.ndarray:
     """Orthonormal d x c matrix R minimizing ||X R - A||_F^2.
 
-    For square R (d == c) the thin-SVD closed form U V^T of X^T A is the
-    exact minimizer.  For d > c the ||X R||^2 term varies over the Stiefel
-    manifold and the closed form only maximizes the cross term, so it is
-    refined by a monotone majorize-minimize loop (each step re-polarizes
-    X^T A + (mu I - X^T X) R with mu the top eigenvalue of X^T X).  Passing
-    r0 adds a warm start; the best iterate ever evaluated is returned, so
-    the result is never worse than r0.
+    For square R (d == c) the closed form, the polar factor U V^T of
+    X^T A, is the exact minimizer.  For d > c the ||X R||^2 term varies
+    over the Stiefel manifold and the closed form only maximizes the cross
+    term, so it is refined by a monotone majorize-minimize loop: each step
+    re-polarizes X^T A + (mu I - G) R, with G = X^T X and mu its top
+    eigenvalue.  The loop works in Gram form, ||A||^2 - 2 <R, X^T A> +
+    <R, G R>, so a step costs O(d^2 c) whatever n is, and its nearly
+    orthonormal input gets its polar factor from the Newton-Schulz
+    iteration of _polar; the SVD stays for an ill-conditioned closed form
+    and as the fallback.  Passing r0 adds a warm start; the best iterate
+    ever evaluated is returned, so the result is never worse than r0.
+    Trainers pass max_iter=DEFAULT_STEP_ITERS: a fixed descent from the
+    warm start, not a solve to convergence.
     """
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -70,23 +105,26 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13) -> np.
 
     gram = x.T @ x
     mu = float(np.linalg.eigvalsh(gram)[-1])
+    a_sq = float(np.vdot(a, a))
 
-    def objective(r):
-        diff = x @ r - a
-        return float(np.sum(diff * diff))
+    def evaluate(r):
+        """||X R - A||^2, and G R, which the next majorizer reuses."""
+        gr = gram @ r
+        return a_sq + float(np.vdot(r, gr - 2.0 * cross)), gr
 
     # descend from the better of {closed form, warm start}; prefer the warm
     # start on ties so a no-improvement step is a no-op
-    best_r, best_f = closed, objective(closed)
+    best_r = closed
+    best_f, best_gr = evaluate(closed)
     if r0 is not None:
         r0 = np.asarray(r0, dtype=np.float64)
-        f0 = objective(r0)
+        f0, gr0 = evaluate(r0)
         if f0 <= best_f:
-            best_r, best_f = r0, f0
-    r, f_cur = best_r, best_f
+            best_r, best_f, best_gr = r0, f0, gr0
+    r, f_cur, gr = best_r, best_f, best_gr
     for _ in range(max_iter):
-        r = _polar(cross + mu * r - gram @ r)
-        f_new = objective(r)
+        r = _polar(cross + mu * r - gr)
+        f_new, gr = evaluate(r)
         if f_new < best_f:
             best_r, best_f = r, f_new
         if abs(f_cur - f_new) <= tol * max(abs(f_cur), 1.0):

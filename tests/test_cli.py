@@ -311,6 +311,30 @@ def test_cli_exit_codes(tmp_path, dataset):
                    "--bits", 8, "--out", tmp_path / "m.model") == 2
 
 
+def test_train_zero_bits_exits_2(tmp_path, dataset):
+    model_path = tmp_path / "m.model"
+    for method in ("itq", "lsh"):
+        assert run_cli("train", "--method", method,
+                       "--target", dataset / "target_train.bin",
+                       "--bits", 0, "--out", model_path) == 2
+    assert not model_path.exists()
+
+
+def test_eval_query_width_mismatch_exits_3(tmp_path, dataset, caplog):
+    model_path = tmp_path / "m.model"
+    assert run_cli("train", "--method", "itq",
+                   "--target", dataset / "target_train.bin",
+                   "--bits", 8, "--iters", 5, "--seed", 0,
+                   "--out", model_path) == 0
+    out = tmp_path / "report"
+    # source rows are 10-d, the database (and model) 12-d
+    assert run_cli("eval", "--model", model_path,
+                   "--database", dataset / "target_train.bin",
+                   "--queries", dataset / "source_corr.bin", "--out", out) == 3
+    assert "(104, 10)" in caplog.text and "(104, 12)" in caplog.text
+    assert not out.exists()
+
+
 def test_inspect_model(tmp_path, dataset, capsys):
     model_path = tmp_path / "m.model"
     assert run_cli("train", "--method", "itq",

@@ -192,6 +192,12 @@ def test_ground_truth_query_averaging_flag():
     assert gt_q.threshold > gt_db.threshold  # shifted queries sit far away
 
 
+def test_ground_truth_rejects_query_width_mismatch():
+    rng = np.random.default_rng(9)
+    with pytest.raises(DataError, match=r"\(6, 4\).*\(20, 3\)"):
+        ground_truth(rng.standard_normal((20, 3)), rng.standard_normal((6, 4)), r=3)
+
+
 def test_average_precision_hand_example():
     # ranking hits at positions 1 and 3, two relevant items
     assert average_precision([10, 11, 12], {10, 12}) == pytest.approx(5.0 / 6.0, abs=1e-15)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transferhash.codes import BinaryCodeMatrix, sgn
 from transferhash.itq import (
+    DEFAULT_STEP_ITERS,
+    _polar,
     balanced_signs,
     is_orthonormal,
     itq_train,
@@ -74,6 +78,85 @@ def test_procrustes_shape_errors():
         procrustes(rng.standard_normal((5, 4)), rng.standard_normal((5, 3)))
     with pytest.raises(Exception):
         procrustes(np.array([[np.nan]]), np.array([[1.0]]))
+
+
+def svd_polar(w):
+    u, _, vt = np.linalg.svd(w, full_matrices=False)
+    return u @ vt
+
+
+@st.composite
+def polar_inputs(draw):
+    """A d x c matrix U diag(s) V^T with c <= d <= 64 and a chosen spectrum."""
+    d = draw(st.integers(1, 64))
+    c = draw(st.integers(1, d))
+    kind = draw(st.sampled_from(["near", "ill", "deficient", "zero"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "near":  # the procrustes loop's inputs: condition ~1.02
+        s = 1.0 + draw(st.floats(0.0, 0.3)) * rng.uniform(-1.0, 1.0, c)
+    elif kind == "ill":  # closed-form starts: condition up to ~5e3
+        s = np.geomspace(1.0, 10.0 ** -draw(st.floats(0.0, 4.0)), c)
+    elif kind == "deficient":
+        s = rng.uniform(0.5, 2.0, c)
+        s[rng.permutation(c)[:draw(st.integers(1, c))]] = 0.0
+    else:
+        s = np.zeros(c)
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    w = (random_orthonormal(d, c, seed) * (scale * s)) @ random_orthonormal(c, c, seed + 1).T
+    return w, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=polar_inputs())
+def test_polar_orthonormal_and_equal_to_svd_factor(case):
+    w, kind = case
+    r = _polar(w)
+    assert r.shape == w.shape
+    assert np.abs(r.T @ r - np.eye(w.shape[1])).max() <= 1e-12
+    if kind in ("near", "ill"):
+        assert np.abs(r - svd_polar(w)).max() <= 1e-12
+
+
+def reference_procrustes(a, x, r0, steps, tol=1e-13):
+    """The MM loop with an SVD polar factor and the direct ||X R - A||^2."""
+    def f(r):
+        return float(np.sum((x @ r - a) ** 2))
+    cross, gram = x.T @ a, x.T @ x
+    mu = np.linalg.eigvalsh(gram)[-1]
+    best = r = min((r0, svd_polar(cross)), key=f)  # r0 first: kept on ties
+    f_cur = f_best = f(r)
+    for _ in range(steps):
+        r = svd_polar(cross + mu * r - gram @ r)
+        f_new = f(r)
+        if f_new < f_best:
+            best, f_best = r, f_new
+        if abs(f_cur - f_new) <= tol * max(abs(f_cur), 1.0):
+            break
+        f_cur = f_new
+    return best
+
+
+@pytest.mark.parametrize("d", [64, 40])
+def test_procrustes_matches_reference_mm_loop(d):
+    rng = np.random.default_rng(d)
+    z = rng.standard_normal((1000, 8))
+    x = z @ rng.standard_normal((8, d)) + 0.5 * rng.standard_normal((1000, d))
+    x -= x.mean(0)
+    r0 = random_orthonormal(d, 32, 0)
+    for _ in range(3):  # warm start from the previous sweep, as trainers do
+        a = sgn(x @ r0).astype(float)
+        r = procrustes(a, x, r0, max_iter=DEFAULT_STEP_ITERS)
+        expected = reference_procrustes(a, x, r0, DEFAULT_STEP_ITERS)
+        assert np.abs(r - expected).max() <= 1e-11
+        r0 = r
+    # short runs from random starts: the objective picks the start and the best step
+    for seed in range(10):
+        a = sgn(x @ random_orthonormal(d, 32, 100 + seed)).astype(float)
+        r0 = random_orthonormal(d, 32, seed)
+        for steps in (0, 1):
+            r = procrustes(a, x, r0, max_iter=steps)
+            assert np.abs(r - reference_procrustes(a, x, r0, steps)).max() <= 1e-11
 
 
 def test_quantization_loss_zero_case():
