@@ -21,7 +21,6 @@ from .data import (
 from .evaluate import (
     EvalReport,
     GroundTruth,
-    HammingIndex,
     average_precision,
     encode,
     evaluate_model,
@@ -60,7 +59,6 @@ __all__ = [
     "CenteringInfo",
     "EvalReport",
     "GroundTruth",
-    "HammingIndex",
     "HashModel",
     "ItqPlusState",
     "LaplacianMatrix",

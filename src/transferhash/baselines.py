@@ -30,8 +30,7 @@ def lsh_fit(d: int, c: int, seed=0) -> HashModel:
     )
 
 
-def cca_itq_fit(x_t, x_sc, c: int, iters: int = DEFAULT_ITERS, seed=0, *,
-                ridge: float | None = None) -> HashModel:
+def cca_itq_fit(x_t, x_sc, c: int, iters: int = DEFAULT_ITERS, seed=0) -> HashModel:
     """Quantization on the target-side canonical projection of paired views.
 
     Fits CCA on the centered correspondence pairs, projects the target view
@@ -41,7 +40,7 @@ def cca_itq_fit(x_t, x_sc, c: int, iters: int = DEFAULT_ITERS, seed=0, *,
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     x_sc = np.asarray(x_sc, dtype=np.float64)
-    left, _, _ = cca_fit(x_t, x_sc, c, ridge)
+    left, _, _ = cca_fit(x_t, x_sc, c)
     projected = project(x_t, left)
     _, rotation, _ = itq_train(projected, c, iters, seed)
     return HashModel(

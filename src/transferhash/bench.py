@@ -104,17 +104,9 @@ def _proj_for(preprocessing, trainer_input):
     return LinearProjection.identity(trainer_input.shape[1])
 
 
-def run_cell(config: RunConfig, target_all, source_all, method: str,
-             bits: int, seed: int, gt=None, split=None) -> EvalReport:
-    """Split, train, and evaluate one (method, bits, seed) cell."""
-    if split is None:
-        split = make_split(target_all, source_all, config.alpha,
-                           config.test_fraction, seed)
-    if split.target_test.shape[0] == 0:
-        raise ConfigError("benchmark needs a nonzero test_fraction")
-    if gt is None:
-        gt = ground_truth(split.target_train, split.target_test,
-                          config.r_groundtruth)
+def run_cell(config: RunConfig, split, gt, method: str, bits: int,
+             seed: int) -> EvalReport:
+    """Train and evaluate one (method, bits, seed) cell on its seed's split."""
     fit = fit_model(method, split.target_train, split.source_corr,
                     split.source_extra, bits=bits,
                     lambda1=config.lambda1, lambda2=config.lambda2,
@@ -153,8 +145,7 @@ def run_bench(config: RunConfig, target_all, source_all, out_dir) -> dict:
     def run_one(cell):
         method, bits, seed = cell
         try:
-            return run_cell(config, target_all, source_all, method, bits, seed,
-                            gt=gts[seed], split=splits[seed])
+            return run_cell(config, splits[seed], gts[seed], method, bits, seed)
         except Exception:
             log.exception("bench cell failed: method=%s bits=%d seed=%d",
                           method, bits, seed)

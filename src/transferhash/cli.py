@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .bench import fit_model, run_bench
-from .config import RunConfig, merge_config, read_config_file
+from .config import PARSERS, RunConfig, merge_config, read_config_file
 from .data import load_matrix, load_model, make_split, save_matrix, save_model
 from .errors import ConfigError, DataError, NumericalError
 from .evaluate import (
@@ -31,12 +31,16 @@ from .synth import write_synth_dataset
 log = logging.getLogger(__name__)
 
 
-def _int_list(raw: str):
-    return tuple(int(part) for part in raw.split(",") if part.strip())
+# flags whose names are not the field name with "-" for "_"
+_FLAGS = {"k_graph": ("--k",), "methods": ("--methods", "--method")}
 
 
-def _str_list(raw: str):
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
+def _settings(parser, *names) -> None:
+    """Declare RunConfig fields as flags; _config_from_args merges exactly these."""
+    for name in names:
+        flags = _FLAGS.get(name, ("--" + name.replace("_", "-"),))
+        parser.add_argument(*flags, dest=name, type=PARSERS[name])
+    parser.set_defaults(settings=names)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,12 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     split = sub.add_parser("split", help="build a partial-correspondence split")
     split.add_argument("--config")
-    split.add_argument("--target")
-    split.add_argument("--source")
-    split.add_argument("--alpha", type=float)
-    split.add_argument("--test-fraction", type=float)
+    _settings(split, "target", "source", "alpha", "test_fraction", "format")
     split.add_argument("--seed", type=int, default=0)
-    split.add_argument("--format", choices=["csv", "thpi-bin"])
     split.add_argument("--header", action="store_true",
                        help="skip the first CSV line")
     split.add_argument("--out", required=True)
@@ -74,18 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train one hashing model")
     train.add_argument("--config")
     train.add_argument("--method", required=True)
-    train.add_argument("--target", required=True, help="target training matrix")
-    train.add_argument("--source", help="source correspondence matrix")
     train.add_argument("--source-extra", help="extra source-only matrix")
-    train.add_argument("--bits", type=int)
-    train.add_argument("--alpha", type=float)
-    train.add_argument("--lambda1", type=float)
-    train.add_argument("--lambda2", type=float)
-    train.add_argument("--k", type=int, dest="k_graph")
-    train.add_argument("--iters", type=int)
+    _settings(train, "target", "source", "bits", "lambda1", "lambda2", "k_graph",
+              "iters", "pca_energy", "format")
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--pca-energy", type=float)
-    train.add_argument("--format", choices=["csv", "thpi-bin"])
     train.add_argument("--header", action="store_true",
                        help="skip the first CSV line")
     train.add_argument("--out", required=True, help="model file")
@@ -95,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     encode_p = sub.add_parser("encode", help="encode a matrix with a trained model")
     encode_p.add_argument("--model", required=True)
     encode_p.add_argument("--input", required=True)
-    encode_p.add_argument("--format", choices=["csv", "thpi-bin"])
+    _settings(encode_p, "format")
     encode_p.add_argument("--header", action="store_true",
                           help="skip the first CSV line")
     encode_p.add_argument("--out", required=True, help="codes written as a +/-1 matrix")
@@ -105,31 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--model", required=True)
     eval_p.add_argument("--database", required=True)
     eval_p.add_argument("--queries", required=True)
-    eval_p.add_argument("--r-groundtruth", type=int)
-    eval_p.add_argument("--ks", type=_int_list)
-    eval_p.add_argument("--format", choices=["csv", "thpi-bin"])
+    _settings(eval_p, "r_groundtruth", "ks", "format")
     eval_p.add_argument("--header", action="store_true",
                         help="skip the first CSV line")
     eval_p.add_argument("--out", required=True, help="report directory")
 
     bench = sub.add_parser("bench", help="full method x bits x seed sweep")
     bench.add_argument("--config")
-    bench.add_argument("--target")
-    bench.add_argument("--source")
-    bench.add_argument("--methods", "--method", dest="methods", type=_str_list)
-    bench.add_argument("--bits", type=_int_list)
-    bench.add_argument("--alpha", type=float)
-    bench.add_argument("--test-fraction", type=float)
-    bench.add_argument("--lambda1", type=float)
-    bench.add_argument("--lambda2", type=float)
-    bench.add_argument("--k", type=int, dest="k_graph")
-    bench.add_argument("--iters", type=int)
-    bench.add_argument("--seeds", type=_int_list)
-    bench.add_argument("--pca-energy", type=float)
-    bench.add_argument("--r-groundtruth", type=int)
-    bench.add_argument("--ks", type=_int_list)
-    bench.add_argument("--workers", type=int)
-    bench.add_argument("--format", choices=["csv", "thpi-bin"])
+    _settings(bench, "target", "source", "methods", "bits", "alpha", "test_fraction",
+              "lambda1", "lambda2", "k_graph", "iters", "seeds", "pca_energy",
+              "r_groundtruth", "ks", "workers", "format")
     bench.add_argument("--header", action="store_true",
                        help="skip the first CSV line")
     bench.add_argument("--out", required=True)
@@ -140,11 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, keys) -> RunConfig:
-    base = RunConfig()
+def _config_from_args(args, base: RunConfig = RunConfig()) -> RunConfig:
+    """Defaults, then the --config file, then the flags the subcommand declared."""
     if getattr(args, "config", None):
         base = merge_config(base, read_config_file(args.config))
-    overrides = {key: getattr(args, key, None) for key in keys}
+    overrides = {name: getattr(args, name) for name in args.settings}
     return merge_config(base, overrides).validate()
 
 
@@ -170,8 +147,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_split(args) -> int:
-    config = _config_from_args(
-        args, ["target", "source", "alpha", "test_fraction", "format"])
+    config = _config_from_args(args)
     if not config.target or not config.source:
         raise ConfigError("split needs --target and --source")
     target = _load(config.target, config.format, args.header)
@@ -202,17 +178,21 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _config_from_args(
-        args, ["lambda1", "lambda2", "k_graph", "iters", "pca_energy", "format"])
-    bits = args.bits if args.bits is not None else 32
-    target = _load(args.target, config.format, args.header)
-    source = _load(args.source, config.format, args.header) if args.source else None
+    config = _config_from_args(args, RunConfig(bits=(32,)))
+    if not config.target:
+        raise ConfigError("train needs --target")
+    if len(config.bits) != 1:
+        raise ConfigError(f"train takes one --bits value, got {config.bits}")
+    if args.dump_graph and args.method != "lapitq+":
+        raise ConfigError("--dump-graph only applies to method lapitq+")
+    target = _load(config.target, config.format, args.header)
+    source = _load(config.source, config.format, args.header) if config.source else None
     extra = _load(args.source_extra, config.format, args.header) if args.source_extra else None
     if source is not None and source.shape[0] != target.shape[0]:
         raise DataError(
             f"target has {target.shape[0]} rows but source has {source.shape[0]}"
         )
-    fit = fit_model(args.method, target, source, extra, bits=bits,
+    fit = fit_model(args.method, target, source, extra, bits=config.bits[0],
                     lambda1=config.lambda1, lambda2=config.lambda2,
                     k_graph=config.k_graph, iters=config.iters,
                     seed=args.seed, pca_energy=config.pca_energy,
@@ -223,16 +203,14 @@ def cmd_train(args) -> int:
         for t, value in enumerate(fit.trace):
             fh.write(f"iter={t} objective={value!r}\n")
     if args.dump_graph:
-        if fit.graph is None:
-            raise ConfigError("--dump-graph only applies to method lapitq+")
         write_edge_list(fit.graph, args.dump_graph)
     print(f"model written to {args.out} ({len(fit.trace)} objective lines logged)")
     return 0
 
 
 def cmd_encode(args) -> int:
+    fmt = _config_from_args(args).format
     model = load_model(args.model)
-    fmt = args.format or "thpi-bin"
     x = _load(args.input, fmt, args.header)
     codes = encode(model, x)
     save_matrix(codes.signs.astype(np.float64), args.out, fmt)
@@ -241,7 +219,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _config_from_args(args, ["r_groundtruth", "ks", "format"])
+    config = _config_from_args(args)
     model = load_model(args.model)
     database = _load(args.database, config.format, args.header)
     queries = _load(args.queries, config.format, args.header)
@@ -258,10 +236,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = _config_from_args(
-        args, ["target", "source", "methods", "bits", "alpha", "test_fraction",
-               "lambda1", "lambda2", "k_graph", "iters", "seeds", "pca_energy",
-               "r_groundtruth", "ks", "workers", "format"])
+    config = _config_from_args(args)
     if not config.target or not config.source:
         raise ConfigError("bench needs --target and --source")
     target = _load(config.target, config.format, args.header)

@@ -34,9 +34,9 @@ def pack_signs(signs):
 def unpack_words(packed, bits):
     """Inverse of pack_signs: recover the {-1,+1} sign matrix."""
     packed = np.asarray(packed, dtype=np.uint64)
-    n = packed.shape[0]
+    n, words = packed.shape
     unpacked = (packed[:, :, None] >> _SHIFTS) & np.uint64(1)
-    flat = unpacked.reshape(n, -1)[:, :bits]
+    flat = unpacked.reshape(n, words * WORD_BITS)[:, :bits]
     return (flat.astype(np.int8) * 2) - 1
 
 

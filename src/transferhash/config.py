@@ -28,7 +28,6 @@ class RunConfig:
     pca_energy: float | None = None
     target: str | None = None
     source: str | None = None
-    out: str | None = None
     format: str = "thpi-bin"
     workers: int = 1
     r_groundtruth: int = 50
@@ -67,43 +66,40 @@ class RunConfig:
         return self
 
 
-_INT_TUPLES = {"bits", "seeds", "ks"}
-_STR_TUPLES = {"methods"}
-_FLOATS = {"alpha", "test_fraction", "lambda1", "lambda2"}
-_OPTIONAL_FLOATS = {"pca_energy"}
-_INTS = {"k_graph", "iters", "workers", "r_groundtruth"}
-_STRINGS = {"format"}
-_OPTIONAL_STRINGS = {"target", "source", "out"}
+def _int_list(raw: str) -> tuple:
+    return tuple(int(part) for part in raw.split(",") if part.strip())
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    try:
-        if key in _STR_TUPLES:
-            return tuple(part.strip() for part in raw.split(",") if part.strip())
-        if key in _INT_TUPLES:
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-        if key in _FLOATS:
-            return float(raw)
-        if key in _OPTIONAL_FLOATS:
-            return None if raw.lower() == "none" else float(raw)
-        if key in _INTS:
-            return int(raw)
-        if key in _STRINGS:
-            return raw
-        if key in _OPTIONAL_STRINGS:
-            return None if raw.lower() == "none" else raw
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
-    raise ConfigError(f"unknown config key {key!r}")
+def _str_list(raw: str) -> tuple:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-def _format_value(key: str, value) -> str:
+# how a RunConfig field is read from a config-file value or a CLI flag
+PARSERS = {
+    "methods": _str_list,
+    "bits": _int_list,
+    "alpha": float,
+    "test_fraction": float,
+    "lambda1": float,
+    "lambda2": float,
+    "k_graph": int,
+    "iters": int,
+    "seeds": _int_list,
+    "pca_energy": float,
+    "target": str,
+    "source": str,
+    "format": str,
+    "workers": int,
+    "r_groundtruth": int,
+    "ks": _int_list,
+}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
+def _format_value(value) -> str:
     if value is None:
         return "none"
-    if key in _STR_TUPLES:
-        return ",".join(value)
-    if key in _INT_TUPLES:
+    if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):
         return repr(value)
@@ -120,15 +116,24 @@ def read_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}: line {lineno}: expected key=value")
-            key, raw = line.split("=", 1)
-            values[key.strip()] = _parse_value(key.strip(), raw)
+            key, raw = (part.strip() for part in line.split("=", 1))
+            if key not in PARSERS:
+                raise ConfigError(f"unknown config key {key!r}")
+            # fields that default to None read "none" as unset
+            if raw.lower() == "none" and _DEFAULTS[key] is None:
+                values[key] = None
+                continue
+            try:
+                values[key] = PARSERS[key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
     return values
 
 
 def write_config_file(config: RunConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for f in fields(config):
-            fh.write(f"{f.name}={_format_value(f.name, getattr(config, f.name))}\n")
+            fh.write(f"{f.name}={_format_value(getattr(config, f.name))}\n")
 
 
 def merge_config(base: RunConfig, overrides: dict) -> RunConfig:

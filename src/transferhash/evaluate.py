@@ -8,7 +8,7 @@ distance is at most the mean distance-to-rth-neighbor over the database.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,38 +46,15 @@ def hamming_distance(a, b) -> int:
     return int(np.bitwise_count(a ^ b).sum())
 
 
-@dataclass(frozen=True, eq=False)
-class HammingIndex:
-    """Immutable packed-code database with original row ids."""
-
-    codes: BinaryCodeMatrix
-    ids: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.ids is None:
-            object.__setattr__(self, "ids", np.arange(self.codes.rows))
-        ids = np.asarray(self.ids)
-        if ids.shape[0] != self.codes.rows:
-            raise ValueError("ids length must match code count")
-        if np.unique(ids).size != ids.size:
-            raise ValueError("ids must be unique")
-        object.__setattr__(self, "ids", ids)
-
-    @property
-    def size(self) -> int:
-        return self.codes.rows
-
-
-def search(index: HammingIndex, query_code) -> np.ndarray:
-    """All database ids by ascending Hamming distance, ties by ascending id."""
-    if index.size == 0:
-        raise ValueError("cannot search an empty index")
+def search(codes: BinaryCodeMatrix, query_code) -> np.ndarray:
+    """All database rows by ascending Hamming distance, ties by ascending row."""
+    if codes.rows == 0:
+        raise ValueError("cannot search an empty code matrix")
     query_code = np.asarray(query_code, dtype=np.uint64).reshape(-1)
-    if query_code.shape[0] != index.codes.packed.shape[1]:
-        raise ValueError("query code width does not match index")
-    dists = np.bitwise_count(index.codes.packed ^ query_code).sum(axis=1)
-    order = np.lexsort((index.ids, dists))
-    return index.ids[order]
+    if query_code.shape[0] != codes.packed.shape[1]:
+        raise ValueError("query code width does not match the database codes")
+    dists = np.bitwise_count(codes.packed ^ query_code).sum(axis=1)
+    return np.argsort(dists, kind="stable")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,13 +73,12 @@ def _pairwise_distances(a, b) -> np.ndarray:
     return np.sqrt(np.clip(sq, 0.0, None))
 
 
-def ground_truth(database_features, query_features, r: int = DEFAULT_GT_RANK,
-                 *, average_over: str = "database") -> GroundTruth:
+def ground_truth(database_features, query_features,
+                 r: int = DEFAULT_GT_RANK) -> GroundTruth:
     """Relevance threshold = mean distance to the r-th nearest neighbor.
 
-    The mean is taken over database points by default (each against the
-    other database points); average_over="queries" switches to the mean
-    over queries of the distance to their r-th nearest database point.
+    The mean is taken over database points, each against the other
+    database points.
     """
     db = np.asarray(database_features, dtype=np.float64)
     queries = np.asarray(query_features, dtype=np.float64)
@@ -112,26 +88,15 @@ def ground_truth(database_features, query_features, r: int = DEFAULT_GT_RANK,
         raise DataError(
             f"ground_truth: queries of shape {queries.shape} and a database of "
             f"shape {db.shape} differ in column count")
-    if average_over not in ("database", "queries"):
-        raise ValueError(f"unknown average_over {average_over!r}")
 
-    if average_over == "database":
-        r_eff = min(r, db.shape[0] - 1)
-        if r_eff < r:
-            log.warning("ground_truth: r=%d clamped to %d (database size %d)",
-                        r, r_eff, db.shape[0])
-        inner = _pairwise_distances(db, db)
-        np.fill_diagonal(inner, np.inf)
-        kth = np.partition(inner, r_eff - 1, axis=1)[:, r_eff - 1]
-        threshold = float(kth.mean())
-    else:
-        r_eff = min(r, db.shape[0])
-        if r_eff < r:
-            log.warning("ground_truth: r=%d clamped to %d (database size %d)",
-                        r, r_eff, db.shape[0])
-        outer = _pairwise_distances(queries, db)
-        kth = np.partition(outer, r_eff - 1, axis=1)[:, r_eff - 1]
-        threshold = float(kth.mean())
+    r_eff = min(r, db.shape[0] - 1)
+    if r_eff < r:
+        log.warning("ground_truth: r=%d clamped to %d (database size %d)",
+                    r, r_eff, db.shape[0])
+    inner = _pairwise_distances(db, db)
+    np.fill_diagonal(inner, np.inf)
+    kth = np.partition(inner, r_eff - 1, axis=1)[:, r_eff - 1]
+    threshold = float(kth.mean())
 
     cross = _pairwise_distances(queries, db)
     relevant = tuple(np.flatnonzero(row <= threshold) for row in cross)
@@ -195,14 +160,20 @@ class EvalReport:
 
 def evaluate_codes(db_codes: BinaryCodeMatrix, query_codes: BinaryCodeMatrix,
                    gt: GroundTruth, ks=DEFAULT_KS, **meta) -> EvalReport:
-    """Rank every query against the database and aggregate MAP/precision@K."""
-    index = HammingIndex(db_codes)
+    """Rank every query against the database and aggregate MAP/precision@K.
+
+    K larger than the database is clamped once here, with one logged warning.
+    """
+    if any(k > db_codes.rows for k in ks):
+        log.warning("evaluate_codes: K=%s clamped to the database size %d",
+                    [k for k in ks if k > db_codes.rows], db_codes.rows)
+        ks = [min(k, db_codes.rows) for k in ks]
     per_ap = []
     curve_acc: dict[int, list[float]] = {}
     for qrow, relevant in zip(query_codes.packed, gt.relevant):
         if len(relevant) == 0:
             continue
-        ranked = search(index, qrow)
+        ranked = search(db_codes, qrow)
         per_ap.append(average_precision(ranked, relevant))
         for k_eff, prec in precision_at_k(ranked, relevant, ks):
             curve_acc.setdefault(k_eff, []).append(prec)
@@ -220,11 +191,10 @@ def evaluate_codes(db_codes: BinaryCodeMatrix, query_codes: BinaryCodeMatrix,
 
 def evaluate_model(model: HashModel, database_features, query_features,
                    r: int = DEFAULT_GT_RANK, ks=DEFAULT_KS, *,
-                   gt: GroundTruth | None = None,
-                   average_over: str = "database", **meta) -> EvalReport:
+                   gt: GroundTruth | None = None, **meta) -> EvalReport:
     """Encode raw features, build ground truth, and score retrieval."""
     if gt is None:
-        gt = ground_truth(database_features, query_features, r, average_over=average_over)
+        gt = ground_truth(database_features, query_features, r)
     db_codes = encode(model, database_features)
     query_codes = encode(model, query_features)
     meta.setdefault("bits", model.bits)

@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from transferhash.cli import main
-from transferhash.config import RunConfig, read_config_file, write_config_file
+from transferhash.cli import _config_from_args, build_parser, main
+from transferhash.config import PARSERS, RunConfig, read_config_file, write_config_file
 from transferhash.data import load_matrix, load_model
 from transferhash.evaluate import encode
 from transferhash.itq import itq_train
@@ -309,6 +311,69 @@ def test_cli_exit_codes(tmp_path, dataset):
     assert run_cli("train", "--method", "itq+",
                    "--target", dataset / "target_train.bin",
                    "--bits", 8, "--out", tmp_path / "m.model") == 2
+
+
+def test_train_dump_graph_rejected_before_training(tmp_path, dataset):
+    model_path = tmp_path / "m.model"
+    assert run_cli("train", "--method", "itq",
+                   "--target", dataset / "target_train.bin",
+                   "--bits", 8, "--iters", 5, "--out", model_path,
+                   "--dump-graph", tmp_path / "g.txt") == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_parsers_cover_run_config_fields():
+    assert set(PARSERS) == {f.name for f in fields(RunConfig)}
+
+
+# a value of each field that validates and differs from its default
+SETTING_VALUES = {"methods": "lsh,itq+", "bits": "12", "alpha": "0.25",
+                  "test_fraction": "0.3", "lambda1": "0.2", "lambda2": "0.3",
+                  "k_graph": "7", "iters": "9", "seeds": "3,4", "pca_energy": "0.8",
+                  "target": "t.bin", "source": "s.bin", "format": "csv",
+                  "workers": "3", "r_groundtruth": "7", "ks": "2,3"}
+
+
+def test_every_settings_flag_reaches_the_config():
+    names = {f.name for f in fields(RunConfig)}
+    assert set(SETTING_VALUES) == names
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    checked = set()
+    for command, sub in subparsers.items():
+        if "--config" not in sub._option_string_actions:
+            continue
+        required = [arg for action in sub._actions if action.required
+                    for arg in (action.option_strings[0], "x")]
+        for action in sub._actions:
+            if action.dest not in names:
+                continue
+            raw = SETTING_VALUES[action.dest]
+            for flag in action.option_strings:
+                args = sub.parse_args(required + [flag, raw])
+                config = _config_from_args(args)
+                assert getattr(config, action.dest) == PARSERS[action.dest](raw), \
+                    (command, flag)
+                assert getattr(config, action.dest) != getattr(RunConfig(), action.dest)
+                checked.add(command)
+    assert checked == {"split", "train", "eval", "bench"}
+
+
+def test_train_alpha_flag_removed(tmp_path, dataset):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", "--method", "itq", "--target", dataset / "target_train.bin",
+                "--bits", 8, "--alpha", 0.3, "--out", tmp_path / "m.model")
+    assert exc.value.code == 2
+
+
+def test_config_out_key_rejected(tmp_path, dataset, caplog):
+    config = tmp_path / "run.cfg"
+    config.write_text("out=x\n")
+    assert run_cli("split", "--config", config,
+                   "--target", dataset / "target_train.bin",
+                   "--source", dataset / "source_corr.bin",
+                   "--out", tmp_path / "split") == 2
+    assert "'out'" in caplog.text
+    assert not (tmp_path / "split").exists()
 
 
 def test_train_zero_bits_exits_2(tmp_path, dataset):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transferhash.codes import BinaryCodeMatrix, pack_signs, sgn, unpack_words
+from transferhash.evaluate import hamming_distance, search
 
 
 def naive_pack(signs):
@@ -49,3 +52,23 @@ def test_code_matrix_agrees_with_signs():
 def test_code_matrix_rejects_non_signs():
     with pytest.raises(ValueError):
         BinaryCodeMatrix(np.array([[1, 0], [-1, 1]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 40), c=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
+def test_code_invariants(n, c, seed):
+    rng = np.random.default_rng(seed)
+    signs = sgn(rng.standard_normal((n, c)))
+    packed = pack_signs(signs)
+    assert np.array_equal(unpack_words(packed, c), signs)
+    query = sgn(rng.standard_normal(c)).astype(int)
+    query_packed = pack_signs(query[None, :])[0]
+    dists = [hamming_distance(row, query_packed) for row in packed]
+    assert [2 * d for d in dists] == [c - int(s @ query) for s in signs.astype(int)]
+    codes = BinaryCodeMatrix(signs)
+    if n == 0:
+        with pytest.raises(ValueError):
+            search(codes, query_packed)
+    else:
+        expected = sorted(range(n), key=lambda i: (dists[i], i))
+        assert list(search(codes, query_packed)) == expected

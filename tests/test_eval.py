@@ -7,7 +7,6 @@ from transferhash.codes import BinaryCodeMatrix, pack_signs, sgn
 from transferhash.data import zero_center
 from transferhash.errors import DataError
 from transferhash.evaluate import (
-    HammingIndex,
     average_precision,
     encode,
     evaluate_codes,
@@ -121,13 +120,13 @@ def test_hamming_metric_axioms():
 def test_search_exact_match_first_and_tie_rule():
     signs = np.array([[1, 1, 1, 1], [1, 1, 1, -1], [-1, 1, 1, 1], [-1, -1, -1, -1]],
                      dtype=np.int8)
-    index = HammingIndex(BinaryCodeMatrix(signs))
-    ranked = search(index, index.codes.packed[1])
+    db = BinaryCodeMatrix(signs)
+    ranked = search(db, db.packed[1])
     assert ranked[0] == 1
-    # ids 0 and 3 tie at distance 2, ids 1 and 2 tie at distance 3
+    # rows 0 and 3 tie at distance 2, rows 1 and 2 tie at distance 3
     query = pack_signs(np.array([[1, -1, -1, 1]], dtype=np.int8))[0]
-    ranked = search(index, query)
-    dists = [hamming_distance(query, index.codes.packed[i]) for i in range(4)]
+    ranked = search(db, query)
+    dists = [hamming_distance(query, db.packed[i]) for i in range(4)]
     assert dists == [2, 3, 3, 2]
     assert list(ranked) == [0, 3, 1, 2]
 
@@ -135,14 +134,13 @@ def test_search_exact_match_first_and_tie_rule():
 def test_search_matches_naive_sort():
     rng = np.random.default_rng(5)
     db = BinaryCodeMatrix(sgn(rng.standard_normal((200, 24))))
-    index = HammingIndex(db)
     for _ in range(10):
         query = pack_signs(sgn(rng.standard_normal((1, 24))))[0]
-        ranked = search(index, query)
+        ranked = search(db, query)
         naive = sorted(range(200),
                        key=lambda i: (hamming_distance(query, db.packed[i]), i))
         assert list(ranked) == naive
-    assert list(search(index, query)) == list(ranked)  # stable rerun
+    assert list(search(db, query)) == list(ranked)  # stable rerun
 
 
 def test_ground_truth_collinear_example():
@@ -181,15 +179,6 @@ def test_ground_truth_permutation_symmetry():
     for rel, rel_perm in zip(gt.relevant, gt_perm.relevant):
         assert set(rel.tolist()) == set(perm[rel_perm].tolist()) or \
             set(rel.tolist()) == {int(perm[i]) for i in rel_perm}
-
-
-def test_ground_truth_query_averaging_flag():
-    rng = np.random.default_rng(8)
-    db = rng.standard_normal((20, 3))
-    queries = rng.standard_normal((6, 3)) + 5.0
-    gt_db = ground_truth(db, queries, r=3, average_over="database")
-    gt_q = ground_truth(db, queries, r=3, average_over="queries")
-    assert gt_q.threshold > gt_db.threshold  # shifted queries sit far away
 
 
 def test_ground_truth_rejects_query_width_mismatch():
@@ -252,6 +241,18 @@ def test_evaluate_codes_map_is_mean_of_per_query():
     assert report.n_evaluated == len(included)
     assert report.map == pytest.approx(
         sum(report.per_query_ap) / len(report.per_query_ap), abs=1e-12)
+
+
+def test_evaluate_clamps_large_k_with_one_warning(caplog):
+    rng = np.random.default_rng(12)
+    db = rng.standard_normal((60, 6))
+    rotation = np.linalg.qr(rng.standard_normal((6, 6)))[0][:, :4]
+    model = simple_model(rotation, db.mean(axis=0))
+    with caplog.at_level(logging.WARNING):
+        report = evaluate_model(model, db, db, r=5, ks=(1, 500))
+    assert [k for k, _ in report.precision_at_k] == [1, 60]
+    assert report.n_evaluated == 60
+    assert sum("clamped" in rec.message for rec in caplog.records) == 1
 
 
 def test_evaluate_model_and_keyvalue_output(tmp_path):
