@@ -37,8 +37,9 @@ class FitResult:
 
 
 def fit_model(method: str, target_train, source_corr=None, source_extra=None, *,
-              bits: int, lambda1: float = 0.01, lambda2: float = 0.01,
-              k_graph: int = 5, iters: int = 150, seed: int = 0,
+              bits: int, lambda1: float = RunConfig.lambda1,
+              lambda2: float = RunConfig.lambda2, k_graph: int = RunConfig.k_graph,
+              iters: int = RunConfig.iters, seed: int = 0,
               pca_energy: float | None = None, want_graph: bool = False) -> FitResult:
     """Train one hashing method on raw (uncentered) matrices.
 

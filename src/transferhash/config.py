@@ -5,32 +5,38 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
+from .evaluate import DEFAULT_GT_RANK, DEFAULT_KS
+from .itq import DEFAULT_ITERS
+from .itq_plus import DEFAULT_LAMBDA1
+from .lap_itq_plus import DEFAULT_K, DEFAULT_LAMBDA2
 from .model import METHODS
 
 DEFAULT_BITS = (8, 16, 32, 64)
 DEFAULT_SEEDS = tuple(range(10))
-DEFAULT_KS = (1, 5, 10, 20, 50, 100)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a benchmark run needs; round-trips through its file format."""
+    """Everything a benchmark run needs; round-trips through its file format.
+
+    Defaults the library also uses are read from the modules that use them.
+    """
 
     methods: tuple = ("itq",)
     bits: tuple = DEFAULT_BITS
     alpha: float = 0.5
     test_fraction: float = 0.1
-    lambda1: float = 0.01
-    lambda2: float = 0.01
-    k_graph: int = 5
-    iters: int = 150
+    lambda1: float = DEFAULT_LAMBDA1
+    lambda2: float = DEFAULT_LAMBDA2
+    k_graph: int = DEFAULT_K
+    iters: int = DEFAULT_ITERS
     seeds: tuple = DEFAULT_SEEDS
     pca_energy: float | None = None
     target: str | None = None
     source: str | None = None
     format: str = "thpi-bin"
     workers: int = 1
-    r_groundtruth: int = 50
+    r_groundtruth: int = DEFAULT_GT_RANK
     ks: tuple = DEFAULT_KS
 
     def validate(self) -> "RunConfig":

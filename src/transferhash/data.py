@@ -8,6 +8,7 @@ version byte 0x02 and a tagged record per field.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 from dataclasses import dataclass
@@ -41,9 +42,18 @@ def _check_matrix(values: np.ndarray, origin: str) -> np.ndarray:
 
 
 def _load_csv(path, skip_header: bool) -> np.ndarray:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = blob.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {lineno}: not UTF-8 text "
+                         f"(byte {exc.start})") from None
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline=None reads \r\n and \r line ends as \n, as text-mode open does
+    with io.StringIO(text, newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             if skip_header and lineno == 1:
                 continue

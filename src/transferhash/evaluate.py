@@ -3,6 +3,9 @@
 Ground truth follows the nearest-neighbor threshold protocol: a database
 point is relevant to a query when their original-feature Euclidean
 distance is at most the mean distance-to-rth-neighbor over the database.
+
+Ground truth and scoring work on blocks of rows against the whole
+database, so peak memory is about _BLOCK_ELEMENTS values, not db x db.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import BinaryCodeMatrix, sgn
+from .codes import WORD_BITS, BinaryCodeMatrix, sgn
 from .errors import DataError
 from .model import HashModel
 
@@ -20,6 +23,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_KS = (1, 5, 10, 20, 50, 100)
 DEFAULT_GT_RANK = 50
+
+# rows per block = _BLOCK_ELEMENTS // database rows (at least one)
+_BLOCK_ELEMENTS = 1 << 21
 
 
 def encode(model: HashModel, x) -> BinaryCodeMatrix:
@@ -46,15 +52,35 @@ def hamming_distance(a, b) -> int:
     return int(np.bitwise_count(a ^ b).sum())
 
 
+def _row_blocks(n: int, width: int) -> list:
+    """(start, stop) of near-equal blocks of n rows, each at most
+    _BLOCK_ELEMENTS // width rows (and at least one)."""
+    blocks = -(-n // max(1, _BLOCK_ELEMENTS // max(1, width)))
+    return [(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
+
+
+def _hamming_order(db_packed, query_packed) -> np.ndarray:
+    """Per query row, every database row by ascending Hamming distance, ties by row.
+
+    Distances are summed per word in the narrowest unsigned type that holds
+    them, which numpy's stable sort orders by radix sort.
+    """
+    words = db_packed.shape[1]
+    dists = np.zeros((query_packed.shape[0], db_packed.shape[0]),
+                     dtype=np.min_scalar_type(words * WORD_BITS))
+    for w in range(words):
+        dists += np.bitwise_count(query_packed[:, w, None] ^ db_packed[:, w])
+    return np.argsort(dists, axis=1, kind="stable")
+
+
 def search(codes: BinaryCodeMatrix, query_code) -> np.ndarray:
     """All database rows by ascending Hamming distance, ties by ascending row."""
     if codes.rows == 0:
         raise ValueError("cannot search an empty code matrix")
-    query_code = np.asarray(query_code, dtype=np.uint64).reshape(-1)
-    if query_code.shape[0] != codes.packed.shape[1]:
+    query_code = np.asarray(query_code, dtype=np.uint64).reshape(1, -1)
+    if query_code.shape[1] != codes.packed.shape[1]:
         raise ValueError("query code width does not match the database codes")
-    dists = np.bitwise_count(codes.packed ^ query_code).sum(axis=1)
-    return np.argsort(dists, kind="stable")
+    return _hamming_order(codes.packed, query_code)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,19 +114,30 @@ def ground_truth(database_features, query_features,
         raise DataError(
             f"ground_truth: queries of shape {queries.shape} and a database of "
             f"shape {db.shape} differ in column count")
+    # |a|^2 + |b|^2 - 2ab must not overflow: each term stays below max/4
+    largest = max(np.abs(db).max(), np.abs(queries).max(initial=0.0))
+    if largest > np.sqrt(np.finfo(np.float64).max / (4 * max(1, db.shape[1]))):
+        raise DataError(f"ground_truth: a feature value of magnitude {largest:.3g} "
+                        f"overflows squared distances")
 
-    r_eff = min(r, db.shape[0] - 1)
+    n = db.shape[0]
+    r_eff = min(r, n - 1)
     if r_eff < r:
         log.warning("ground_truth: r=%d clamped to %d (database size %d)",
-                    r, r_eff, db.shape[0])
-    inner = _pairwise_distances(db, db)
-    np.fill_diagonal(inner, np.inf)
-    kth = np.partition(inner, r_eff - 1, axis=1)[:, r_eff - 1]
+                    r, r_eff, n)
+    kth = np.empty(n)
+    for lo, hi in _row_blocks(n, n):
+        inner = _pairwise_distances(db[lo:hi], db)
+        rows = np.arange(hi - lo)
+        inner[rows, lo + rows] = np.inf
+        kth[lo:hi] = np.partition(inner, r_eff - 1, axis=1)[:, r_eff - 1]
     threshold = float(kth.mean())
 
-    cross = _pairwise_distances(queries, db)
-    relevant = tuple(np.flatnonzero(row <= threshold) for row in cross)
-    return GroundTruth(relevant=relevant, threshold=threshold, r=r_eff)
+    relevant = []
+    for lo, hi in _row_blocks(queries.shape[0], n):
+        cross = _pairwise_distances(queries[lo:hi], db)
+        relevant += [np.flatnonzero(row <= threshold) for row in cross]
+    return GroundTruth(relevant=tuple(relevant), threshold=threshold, r=r_eff)
 
 
 def average_precision(ranked_ids, relevant_set) -> float:
@@ -163,22 +200,60 @@ def evaluate_codes(db_codes: BinaryCodeMatrix, query_codes: BinaryCodeMatrix,
     """Rank every query against the database and aggregate MAP/precision@K.
 
     K larger than the database is clamped once here, with one logged warning.
+    Queries are ranked and scored a block at a time.  A query's AP adds the
+    precision at each hit in rank order, the same terms in the same order
+    as average_precision, so both give the same bits.
     """
-    if any(k > db_codes.rows for k in ks):
+    ks = list(ks)
+    if any(k < 1 for k in ks):
+        raise ValueError(f"K must be >= 1, got {ks}")
+    if query_codes.bits != db_codes.bits:
+        raise ValueError(f"query codes have {query_codes.bits} bits, "
+                         f"database codes {db_codes.bits}")
+    n = db_codes.rows
+    if len(gt.relevant) != query_codes.rows:
+        raise DataError(f"evaluate_codes: ground truth has {len(gt.relevant)} "
+                        f"relevant sets for {query_codes.rows} queries")
+    relevant = [np.asarray(rel, dtype=np.intp).reshape(-1) for rel in gt.relevant]
+    ids = np.concatenate(relevant) if relevant else np.empty(0, dtype=np.intp)
+    if ids.size and not 0 <= ids.min() <= ids.max() < n:
+        raise DataError(f"evaluate_codes: ground truth names rows {ids.min()}.."
+                        f"{ids.max()} of a {n}-row database")
+    if any(k > n for k in ks):
         log.warning("evaluate_codes: K=%s clamped to the database size %d",
-                    [k for k in ks if k > db_codes.rows], db_codes.rows)
-        ks = [min(k, db_codes.rows) for k in ks]
-    per_ap = []
-    curve_acc: dict[int, list[float]] = {}
-    for qrow, relevant in zip(query_codes.packed, gt.relevant):
-        if len(relevant) == 0:
-            continue
-        ranked = search(db_codes, qrow)
-        per_ap.append(average_precision(ranked, relevant))
-        for k_eff, prec in precision_at_k(ranked, relevant, ks):
-            curve_acc.setdefault(k_eff, []).append(prec)
+                    [k for k in ks if k > n], n)
+        ks = [min(k, n) for k in ks]
+    k_values = np.array(sorted(set(ks)), dtype=np.intp)
+
+    # queries with an empty relevant set are not ranked; the ids of the
+    # others are contiguous in `ids`, from bounds[q] to bounds[q + 1]
+    sizes = np.array([rel.size for rel in relevant], dtype=np.intp)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    evaluated = np.flatnonzero(sizes)
+    ranks = np.arange(1, n + 1)
+    ap_blocks, precision_blocks = [], []
+    for lo, hi in _row_blocks(evaluated.size, n):
+        block = evaluated[lo:hi]
+        relevant_mask = np.zeros((block.size, n), dtype=bool)
+        owner = np.repeat(np.arange(block.size), sizes[block])
+        relevant_mask[owner, ids[bounds[block[0]]:bounds[block[-1] + 1]]] = True
+        order = _hamming_order(db_codes.packed, query_codes.packed[block])
+        hits = np.take_along_axis(relevant_mask, order, axis=1)
+        cum = np.cumsum(hits, axis=1)
+        precision_at_hits = np.where(hits, cum / ranks, 0.0)
+        # cum[:, -1] counts distinct relevant ids, as the set in average_precision
+        ap_blocks.append(np.cumsum(precision_at_hits, axis=1)[:, -1] / cum[:, -1])
+        precision_blocks.append(cum[:, k_values - 1] / k_values)
+
+    per_ap = np.concatenate(ap_blocks).tolist() if ap_blocks else []
     mean_ap = sum(per_ap) / len(per_ap) if per_ap else 0.0
-    curve = [(k, sum(v) / len(v)) for k, v in sorted(curve_acc.items())]
+    curve = []
+    if per_ap:
+        precision = np.concatenate(precision_blocks)
+        for j, k in enumerate(k_values.tolist()):
+            # a K listed m times counts each query's precision m times
+            values = np.repeat(precision[:, j], ks.count(k)).tolist()
+            curve.append((k, sum(values) / len(values)))
     return EvalReport(
         map=mean_ap,
         precision_at_k=curve,

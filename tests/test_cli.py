@@ -1,8 +1,10 @@
+import inspect
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from transferhash import bench, evaluate, itq, itq_plus, lap_itq_plus
 from transferhash.cli import _config_from_args, build_parser, main
 from transferhash.config import PARSERS, RunConfig, read_config_file, write_config_file
 from transferhash.data import load_matrix, load_model
@@ -410,3 +412,22 @@ def test_inspect_model(tmp_path, dataset, capsys):
     assert run_cli("inspect-model", "--model", model_path) == 0
     out = capsys.readouterr().out
     assert "method: itq" in out and "bits: 8" in out
+
+
+def test_library_defaults_equal_run_config_defaults():
+    def default(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    config = RunConfig()
+    for name in ("lambda1", "lambda2", "k_graph", "iters"):
+        assert default(bench.fit_model, name) == getattr(config, name)
+    assert default(itq.itq_train, "iters") == config.iters
+    assert default(itq_plus.itq_plus_train, "lambda1") == config.lambda1
+    assert default(itq_plus.itq_plus_train, "iters") == config.iters
+    for name, field in (("lambda1", "lambda1"), ("lambda2", "lambda2"),
+                        ("k", "k_graph"), ("iters", "iters")):
+        assert default(lap_itq_plus.lap_itq_plus_train, name) == getattr(config, field)
+    for func in (evaluate.evaluate_codes, evaluate.evaluate_model):
+        assert default(func, "ks") == config.ks
+    for func in (evaluate.ground_truth, evaluate.evaluate_model):
+        assert default(func, "r") == config.r_groundtruth

@@ -65,6 +65,16 @@ def test_csv_errors_name_location(tmp_path):
     junk.write_text("1,2\n3,oops\n")
     with pytest.raises(ParseError, match="line 2, field 2"):
         load_matrix(junk, "csv")
+    undecodable = tmp_path / "latin1.csv"
+    undecodable.write_bytes(b"1,2\r\n3,\xff\n")
+    with pytest.raises(ParseError, match=r"latin1\.csv: line 2: not UTF-8"):
+        load_matrix(undecodable, "csv")
+
+
+def test_csv_line_ends(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1,2\r\n\r\n3,4\r5,6\n")
+    assert np.array_equal(load_matrix(path, "csv"), [[1, 2], [3, 4], [5, 6]])
 
 
 def test_bin_errors(tmp_path):
@@ -282,3 +292,48 @@ def test_mutated_model_loads_or_raises_parse_error(model_file, data):
     except ParseError:
         pass
     assert main(["inspect-model", "--model", str(path)]) in (0, 3)
+
+
+@pytest.fixture(scope="module")
+def matrix_files(tmp_path_factory):
+    """An itq model over 4 columns plus a database and queries in both formats."""
+    rng = np.random.default_rng(10)
+    database = rng.standard_normal((12, 4))
+    model, _ = itq_plus_train(database - database.mean(0),
+                              rng.standard_normal((12, 3)), 3, 0.1, iters=3, seed=0)
+    model = HashModel("itq", CenteringInfo(database.mean(0)),
+                      LinearProjection.identity(4), model.rotation, 3)
+    root = tmp_path_factory.mktemp("matrices")
+    save_model(model, root / "m.model")
+    paths = {}
+    for fmt in ("csv", "thpi-bin"):
+        paths[fmt] = (root / f"database.{fmt}", root / f"queries.{fmt}")
+        save_matrix(database, paths[fmt][0], fmt)
+        save_matrix(rng.standard_normal((5, 4)), paths[fmt][1], fmt)
+    return root, paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_matrix_loads_or_raises_data_error(matrix_files, data):
+    root, paths = matrix_files
+    fmt = data.draw(st.sampled_from(["csv", "thpi-bin"]), label="format")
+    role = data.draw(st.sampled_from([0, 1]), label="0 database, 1 queries")
+    blob = paths[fmt][role].read_bytes()
+    offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    flip = data.draw(st.integers(0, 255), label="xor (0 truncates)")
+    if flip:
+        mutated = blob[:offset] + bytes([blob[offset] ^ flip]) + blob[offset + 1:]
+    else:
+        mutated = blob[:offset]
+    path = root / f"mutated.{fmt}"
+    path.write_bytes(mutated)
+    try:
+        load_matrix(path, fmt)
+    except DataError:
+        pass
+    files = [str(p) for p in paths[fmt]]
+    files[role] = str(path)
+    assert main(["eval", "--model", str(root / "m.model"), "--database", files[0],
+                 "--queries", files[1], "--format", fmt, "--r-groundtruth", "3",
+                 "--ks", "1,5", "--out", str(root / "eval")]) in (0, 3)

@@ -2,11 +2,15 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from transferhash import evaluate
 from transferhash.codes import BinaryCodeMatrix, pack_signs, sgn
 from transferhash.data import zero_center
 from transferhash.errors import DataError
 from transferhash.evaluate import (
+    GroundTruth,
     average_precision,
     encode,
     evaluate_codes,
@@ -233,8 +237,6 @@ def test_evaluate_codes_map_is_mean_of_per_query():
         np.sort(rng.choice(40, size=rng.integers(0, 6), replace=False))
         for _ in range(12)
     )
-    from transferhash.evaluate import GroundTruth
-
     gt = GroundTruth(relevant=relevant, threshold=1.0, r=3)
     report = evaluate_codes(db, queries, gt, ks=(1, 5))
     included = [rel for rel in relevant if len(rel)]
@@ -269,3 +271,145 @@ def test_evaluate_model_and_keyvalue_output(tmp_path):
     lines = dict(line.split("=", 1) for line in path.read_text().splitlines())
     assert float(lines["map"]) == report.map
     assert int(lines["seed"]) == 3
+
+
+def reference_report(db, queries, gt, ks):
+    """evaluate_codes as a per-query loop over search, average_precision and
+    precision_at_k."""
+    ks = [min(k, db.rows) for k in ks]
+    per_ap, curve = [], {}
+    for qrow, relevant in zip(queries.packed, gt.relevant):
+        if len(relevant) == 0:
+            continue
+        ranked = search(db, qrow)
+        per_ap.append(average_precision(ranked, relevant))
+        for k_eff, prec in precision_at_k(ranked, relevant, ks):
+            curve.setdefault(k_eff, []).append(prec)
+    mean_ap = sum(per_ap) / len(per_ap) if per_ap else 0.0
+    return mean_ap, per_ap, [(k, sum(v) / len(v)) for k, v in sorted(curve.items())]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_evaluate_codes_equals_per_query_loop(monkeypatch, data):
+    bits = data.draw(st.integers(1, 130), label="bits")
+    n = data.draw(st.integers(1, 40), label="database rows")
+    n_queries = data.draw(st.integers(0, 12), label="queries")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # few distinct codes, so most distances tie
+    pool = sgn(rng.standard_normal((data.draw(st.integers(1, 4), label="codes"), bits)))
+    db = BinaryCodeMatrix(pool[rng.integers(0, len(pool), n)])
+    queries = BinaryCodeMatrix(pool[rng.integers(0, len(pool), n_queries)])
+    repeats = data.draw(st.booleans(), label="ids may repeat")
+    relevant = tuple(rng.choice(n, size=rng.integers(0, n + 1), replace=repeats)
+                     for _ in range(n_queries))
+    ks = data.draw(st.lists(st.integers(1, n + 3), min_size=1, max_size=4), label="ks")
+    block = data.draw(st.integers(1, 3 * n), label="block elements")
+    monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", block)
+
+    gt = GroundTruth(relevant=relevant, threshold=1.0, r=1)
+    report = evaluate_codes(db, queries, gt, ks)
+    mean_ap, per_ap, curve = reference_report(db, queries, gt, ks)
+    assert report.map == mean_ap
+    assert report.per_query_ap == per_ap
+    assert report.precision_at_k == curve
+    assert report.n_evaluated == len(per_ap)
+    assert report.n_queries == n_queries
+
+
+def dense_ground_truth(db, queries, r):
+    """The threshold protocol over whole db x db and q x db distance matrices."""
+    def distances(a, b):
+        sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+              - 2.0 * (a @ b.T))
+        return np.sqrt(np.clip(sq, 0.0, None))
+
+    inner = distances(db, db)
+    np.fill_diagonal(inner, np.inf)
+    threshold = float(np.partition(inner, r - 1, axis=1)[:, r - 1].mean())
+    return threshold, [np.flatnonzero(row <= threshold) for row in distances(queries, db)]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_ground_truth_in_blocks_equals_dense_formula(monkeypatch, data):
+    # small integer features keep every product and sum exact, so the
+    # result cannot depend on how BLAS groups the terms of a row block
+    n = data.draw(st.integers(2, 40), label="database rows")
+    d = data.draw(st.integers(1, 6), label="columns")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    db = rng.integers(-3, 4, (n, d)).astype(np.float64)
+    n_queries = data.draw(st.integers(0, 12), label="queries")
+    queries = rng.integers(-3, 4, (n_queries, d)).astype(np.float64)
+    r = data.draw(st.integers(1, n - 1), label="r")
+    block = data.draw(st.integers(1, 3 * n), label="block elements")
+    monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", block)
+
+    gt = ground_truth(db, queries, r)
+    threshold, relevant = dense_ground_truth(db, queries, r)
+    assert gt.threshold == threshold
+    assert len(gt.relevant) == len(relevant)
+    for got, expected in zip(gt.relevant, relevant):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_ground_truth_in_blocks_close_to_dense_on_real_features(monkeypatch):
+    # real-valued products may round differently in a row block than in
+    # the whole matrix: the threshold may move by rounding, and a row may
+    # change sides only within rounding of it
+    rng = np.random.default_rng(13)
+    db = rng.standard_normal((300, 33)) * 4.0
+    queries = rng.standard_normal((70, 33)) * 4.0
+    threshold, relevant = dense_ground_truth(db, queries, 20)
+    monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", 7 * 300)
+    gt = ground_truth(db, queries, 20)
+    assert gt.threshold == pytest.approx(threshold, rel=1e-12)
+    cross = np.sqrt(((queries[:, None, :] - db[None, :, :]) ** 2).sum(axis=2))
+    for q, (got, expected) in enumerate(zip(gt.relevant, relevant)):
+        moved = np.setxor1d(got, expected)
+        assert np.all(np.abs(cross[q, moved] - threshold) <= 1e-9 * threshold)
+
+
+def codes_and_truth(rng, n_db, n_queries, gt_db_rows=None):
+    """Codes of n_db database rows and the queries, with ground truth
+    built on the first gt_db_rows database rows (default n_db)."""
+    features = rng.standard_normal((max(n_db, gt_db_rows or 0), 6))
+    queries = rng.standard_normal((n_queries, 6))
+    model = simple_model(np.linalg.qr(rng.standard_normal((6, 6)))[0][:, :5])
+    gt = ground_truth(features[:gt_db_rows or n_db], queries, 5)
+    return encode(model, features[:n_db]), encode(model, queries), gt
+
+
+def test_evaluate_codes_rejects_truth_for_other_queries():
+    rng = np.random.default_rng(14)
+    db_codes, _, gt = codes_and_truth(rng, 200, 10)
+    queries = BinaryCodeMatrix(sgn(rng.standard_normal((50, 5))))
+    with pytest.raises(DataError, match=r"10 relevant sets for 50 queries"):
+        evaluate_codes(db_codes, queries, gt, ks=(1, 5))
+
+
+def test_evaluate_codes_rejects_truth_for_larger_database():
+    rng = np.random.default_rng(15)
+    db_codes, query_codes, gt = codes_and_truth(rng, 100, 20, gt_db_rows=200)
+    assert max(int(rel.max()) for rel in gt.relevant if rel.size) >= 100
+    with pytest.raises(DataError, match=r"100-row database"):
+        evaluate_codes(db_codes, query_codes, gt, ks=(1, 5))
+
+
+def test_evaluate_codes_keeps_value_errors():
+    rng = np.random.default_rng(16)
+    db_codes, query_codes, gt = codes_and_truth(rng, 30, 4)
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        evaluate_codes(db_codes, query_codes, gt, ks=(5, 0))
+    narrow = BinaryCodeMatrix(query_codes.signs[:, :4])
+    with pytest.raises(ValueError, match="bits"):
+        evaluate_codes(db_codes, narrow, gt, ks=(1,))
+
+
+def test_ground_truth_rejects_values_whose_squares_overflow():
+    db = np.ones((4, 3))
+    db[2, 1] = 1e300
+    with pytest.raises(DataError, match="overflows"):
+        ground_truth(db, np.ones((2, 3)), r=2)
