@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
+from .data import read_text_lines
 from .errors import ConfigError
 from .evaluate import DEFAULT_GT_RANK, DEFAULT_KS
 from .itq import DEFAULT_ITERS
@@ -115,24 +116,23 @@ def _format_value(value) -> str:
 def read_config_file(path) -> dict:
     """Parse a key=value config file (# comments, blank lines ignored)."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected key=value")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in PARSERS:
-                raise ConfigError(f"unknown config key {key!r}")
-            # fields that default to None read "none" as unset
-            if raw.lower() == "none" and _DEFAULTS[key] is None:
-                values[key] = None
-                continue
-            try:
-                values[key] = PARSERS[key](raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
+    for lineno, line in enumerate(read_text_lines(path, ConfigError), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected key=value")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in PARSERS:
+            raise ConfigError(f"unknown config key {key!r}")
+        # fields that default to None read "none" as unset
+        if raw.lower() == "none" and _DEFAULTS[key] is None:
+            values[key] = None
+            continue
+        try:
+            values[key] = PARSERS[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
     return values
 
 

@@ -41,43 +41,51 @@ def _check_matrix(values: np.ndarray, origin: str) -> np.ndarray:
     return values
 
 
-def _load_csv(path, skip_header: bool) -> np.ndarray:
+def read_text_lines(path, error=ParseError) -> list:
+    """The lines of a UTF-8 text file, split as text-mode open splits them.
+
+    Bytes that are not UTF-8 raise `error` naming the path and the line.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = blob.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path}: line {lineno}: not UTF-8 text "
-                         f"(byte {exc.start})") from None
-    rows = []
-    width = None
+        raise error(f"{path}: line {lineno}: not UTF-8 text "
+                    f"(byte {exc.start})") from None
     # newline=None reads \r\n and \r line ends as \n, as text-mode open does
     with io.StringIO(text, newline=None) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if skip_header and lineno == 1:
-                continue
-            line = line.rstrip("\n")
-            if line == "" :
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {width} values, got {len(cells)}"
-                )
-            try:
-                rows.append([float(cell) for cell in cells])
-            except ValueError:
-                for offset, cell in enumerate(cells, start=1):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: line {lineno}, field {offset}: "
-                            f"not a number: {cell.strip()!r}"
-                        ) from None
+        return fh.readlines()
+
+
+def _load_csv(path, skip_header: bool) -> np.ndarray:
+    rows = []
+    width = None
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        if skip_header and lineno == 1:
+            continue
+        line = line.rstrip("\n")
+        if line == "":
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {width} values, got {len(cells)}"
+            )
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError:
+            for offset, cell in enumerate(cells, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: line {lineno}, field {offset}: "
+                        f"not a number: {cell.strip()!r}"
+                    ) from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64)

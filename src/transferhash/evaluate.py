@@ -24,8 +24,14 @@ log = logging.getLogger(__name__)
 DEFAULT_KS = (1, 5, 10, 20, 50, 100)
 DEFAULT_GT_RANK = 50
 
-# rows per block = _BLOCK_ELEMENTS // database rows (at least one)
+# rows per block = element budget // database rows (at least one).  Ground
+# truth's BLAS products run faster on large blocks.  Scoring allocates
+# several temporaries per block: at 2^21 values they take ~20 MB, which the
+# allocator serves from reused heap or from newly faulted pages depending
+# on what the process freed before, so its speed varied from run to run;
+# at 2^17 values they stay near 1 MB each.
 _BLOCK_ELEMENTS = 1 << 21
+_SCORE_BLOCK_ELEMENTS = 1 << 17
 
 
 def encode(model: HashModel, x) -> BinaryCodeMatrix:
@@ -52,10 +58,10 @@ def hamming_distance(a, b) -> int:
     return int(np.bitwise_count(a ^ b).sum())
 
 
-def _row_blocks(n: int, width: int) -> list:
+def _row_blocks(n: int, width: int, elements: int) -> list:
     """(start, stop) of near-equal blocks of n rows, each at most
-    _BLOCK_ELEMENTS // width rows (and at least one)."""
-    blocks = -(-n // max(1, _BLOCK_ELEMENTS // max(1, width)))
+    elements // width rows (and at least one)."""
+    blocks = -(-n // max(1, elements // max(1, width)))
     return [(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
 
 
@@ -126,7 +132,7 @@ def ground_truth(database_features, query_features,
         log.warning("ground_truth: r=%d clamped to %d (database size %d)",
                     r, r_eff, n)
     kth = np.empty(n)
-    for lo, hi in _row_blocks(n, n):
+    for lo, hi in _row_blocks(n, n, _BLOCK_ELEMENTS):
         inner = _pairwise_distances(db[lo:hi], db)
         rows = np.arange(hi - lo)
         inner[rows, lo + rows] = np.inf
@@ -134,7 +140,7 @@ def ground_truth(database_features, query_features,
     threshold = float(kth.mean())
 
     relevant = []
-    for lo, hi in _row_blocks(queries.shape[0], n):
+    for lo, hi in _row_blocks(queries.shape[0], n, _BLOCK_ELEMENTS):
         cross = _pairwise_distances(queries[lo:hi], db)
         relevant += [np.flatnonzero(row <= threshold) for row in cross]
     return GroundTruth(relevant=tuple(relevant), threshold=threshold, r=r_eff)
@@ -232,7 +238,7 @@ def evaluate_codes(db_codes: BinaryCodeMatrix, query_codes: BinaryCodeMatrix,
     evaluated = np.flatnonzero(sizes)
     ranks = np.arange(1, n + 1)
     ap_blocks, precision_blocks = [], []
-    for lo, hi in _row_blocks(evaluated.size, n):
+    for lo, hi in _row_blocks(evaluated.size, n, _SCORE_BLOCK_ELEMENTS):
         block = evaluated[lo:hi]
         relevant_mask = np.zeros((block.size, n), dtype=bool)
         owner = np.repeat(np.arange(block.size), sizes[block])

@@ -54,16 +54,36 @@ class AdjacencyGraph:
         return list(zip(ii.tolist(), jj.tolist()))
 
 
+def _csr_array(*args, **kwargs):
+    import scipy.sparse  # imported at first use: it costs about as much as importing this package
+    return scipy.sparse.csr_array(*args, **kwargs)
+
+
 @dataclass(frozen=True, eq=False)
 class LaplacianMatrix:
-    """L = D - W with the largest eigenvalue cached for step sizing."""
+    """L = D - W with the largest eigenvalue cached for step sizing.
 
-    matrix: np.ndarray
+    `csr` accepts any square matrix, dense or sparse, and holds it as a
+    float64 CSR array, so a product L B costs O(edges * c).
+    """
+
+    csr: object
     lambda_max: float
+
+    def __post_init__(self):
+        csr = _csr_array(self.csr, dtype=np.float64)
+        if csr.ndim != 2 or csr.shape[0] != csr.shape[1]:
+            raise ValueError("laplacian must be square")
+        object.__setattr__(self, "csr", csr)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.csr.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """L as a dense n x n array, built on each access."""
+        return self.csr.toarray()
 
 
 def source_codes_offline(x_s, c: int, iters: int = DEFAULT_ITERS, seed=0,
@@ -96,20 +116,31 @@ def knn_hamming_graph(codes: BinaryCodeMatrix, k: int) -> AdjacencyGraph:
 
 
 def laplacian(graph: AdjacencyGraph) -> LaplacianMatrix:
-    """L = D - W with lambda_max estimated by 50 power-iteration steps."""
-    w = graph.weights.astype(np.float64)
-    lap = np.diag(w.sum(axis=1)) - w
+    """L = D - W with lambda_max estimated by 50 power-iteration steps.
+
+    L is built from the stored entries of W: each row keeps its diagonal
+    D_ii - W_ii and its nonzero W_ij, in ascending column order.
+    """
+    w = graph.weights
+    stored = w != 0
+    np.fill_diagonal(stored, True)
+    rows, cols = np.nonzero(stored)
+    values = -w[rows, cols].astype(np.float64)
+    values[rows == cols] += w.sum(axis=1, dtype=np.float64)  # one diagonal entry per row
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(stored, axis=1))))
+    lap = _csr_array((values, cols, indptr), shape=(graph.n, graph.n))
     rng = np.random.default_rng(0)
     v = rng.standard_normal(graph.n)
     v /= np.linalg.norm(v)
     lam = 0.0
+    lv = lap @ v
     for _ in range(_POWER_STEPS):
-        lv = lap @ v
         norm = np.linalg.norm(lv)
         if norm < 1e-30:
             return LaplacianMatrix(lap, 0.0)
         v = lv / norm
-        lam = float(v @ (lap @ v))
+        lv = lap @ v
+        lam = float(v @ lv)
     return LaplacianMatrix(lap, lam)
 
 
@@ -123,14 +154,15 @@ def write_edge_list(graph: AdjacencyGraph, path) -> None:
 def relaxed_objective(b, k_mat, lap: LaplacianMatrix, lambda2: float) -> float:
     """-2 tr(B K) + lambda2 tr(B^T L B) over the box [-1, 1]^(n x c)."""
     b = np.asarray(b, dtype=np.float64)
-    return _relaxed_value(b, lap.matrix @ b if lambda2 != 0.0 else None, k_mat.T, lambda2)
+    lap_b = lap.csr @ b if lambda2 != 0.0 else None
+    return _relaxed_value(b, lap_b, -2.0 * np.asarray(k_mat, dtype=np.float64).T, lambda2)
 
 
-def _relaxed_value(b, lap_b, linear, lambda2: float) -> float:
-    """relaxed_objective given the products L B and K^T."""
-    value = -2.0 * float(np.sum(b * linear))
+def _relaxed_value(b, lap_b, linear_grad, lambda2: float) -> float:
+    """relaxed_objective given the products L B and -2 K^T."""
+    value = float(np.vdot(b, linear_grad))
     if lambda2 != 0.0:
-        value += lambda2 * float(np.sum(b * lap_b))
+        value += lambda2 * float(np.vdot(b, lap_b))
     return value
 
 
@@ -141,29 +173,29 @@ def box_qp_minimize(k_mat, lap: LaplacianMatrix, lambda2: float,
     Gradient -2 K^T + 2 lambda2 L B, Lipschitz step 1/(2 lambda2 lambda_max
     + delta), clipping to the box each step, started from sgn(K^T).
     Returns (relaxed solution, objective trace); the trace is non-increasing.
-    Each step multiplies by L once: the product serves both the trace value
-    of the current iterate and the gradient taken from it.
+    Each step multiplies by the sparse L once: the product serves both the
+    trace value of the current iterate and the gradient taken from it.
     """
     k_mat = np.asarray(k_mat, dtype=np.float64)
     if not np.isfinite(k_mat).all():
         raise NumericalError("non-finite score matrix in relaxed code step")
     if lambda2 < 0:
         raise ValueError("lambda2 must be >= 0")
-    linear = k_mat.T  # n x c
-    b = sgn(linear).astype(np.float64)
+    linear_grad = np.ascontiguousarray(-2.0 * k_mat.T)  # n x c
+    b = sgn(k_mat.T).astype(np.float64, order="C")
     step = 1.0 / (2.0 * lambda2 * lap.lambda_max + _STEP_DELTA)
-    lap_b = lap.matrix @ b if lambda2 != 0.0 else None
-    trace = [_relaxed_value(b, lap_b, linear, lambda2)]
+    lap_b = lap.csr @ b if lambda2 != 0.0 else None
+    trace = [_relaxed_value(b, lap_b, linear_grad, lambda2)]
     for _ in range(inner_iters):
-        grad = -2.0 * linear
+        grad = linear_grad
         if lambda2 != 0.0:
             grad = grad + (2.0 * lambda2) * lap_b
         b_next = np.clip(b - step * grad, -1.0, 1.0)
         if np.array_equal(b_next, b):
             break
         b = b_next
-        lap_b = lap.matrix @ b if lambda2 != 0.0 else None
-        trace.append(_relaxed_value(b, lap_b, linear, lambda2))
+        lap_b = lap.csr @ b if lambda2 != 0.0 else None
+        trace.append(_relaxed_value(b, lap_b, linear_grad, lambda2))
     return b, trace
 
 
@@ -217,7 +249,7 @@ def lap_itq_plus_train(x_t, x_sc, x_su, c: int,
     def relaxed_step(scores, rotation, slack_rotation):
         relaxed, _ = box_qp_minimize(scores.T, lap, lambda2, DEFAULT_INNER_ITERS)
         objective = (itq_plus_objective(relaxed, rotation, slack_rotation, x_t, x_sc, lambda1)
-                     + lambda2 * float(np.sum(relaxed * (lap.matrix @ relaxed))))
+                     + lambda2 * float(np.vdot(relaxed, lap.csr @ relaxed)))
         return BinaryCodeMatrix(sgn(relaxed)), objective
 
     codes, rotation, slack_rotation, trace = alternating_solve(

@@ -431,3 +431,11 @@ def test_library_defaults_equal_run_config_defaults():
         assert default(func, "ks") == config.ks
     for func in (evaluate.ground_truth, evaluate.evaluate_model):
         assert default(func, "r") == config.r_groundtruth
+
+
+def test_config_file_not_utf8_exits_2(tmp_path, caplog):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"bits=8\nmethods=itq\xff\n")
+    assert run_cli("bench", "--config", config, "--out", tmp_path / "x") == 2
+    assert f"{config}: line 2: not UTF-8 text" in caplog.text
+    assert not (tmp_path / "x").exists()

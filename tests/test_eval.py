@@ -306,7 +306,7 @@ def test_evaluate_codes_equals_per_query_loop(monkeypatch, data):
                      for _ in range(n_queries))
     ks = data.draw(st.lists(st.integers(1, n + 3), min_size=1, max_size=4), label="ks")
     block = data.draw(st.integers(1, 3 * n), label="block elements")
-    monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(evaluate, "_SCORE_BLOCK_ELEMENTS", block)
 
     gt = GroundTruth(relevant=relevant, threshold=1.0, r=1)
     report = evaluate_codes(db, queries, gt, ks)

@@ -1,12 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import transferhash
 from transferhash.codes import BinaryCodeMatrix, sgn
 from transferhash.errors import NumericalError
 from transferhash.itq import itq_train
 from transferhash.itq_plus import itq_plus_train
 from transferhash.lap_itq_plus import (
     AdjacencyGraph,
+    LaplacianMatrix,
     box_qp_minimize,
     knn_hamming_graph,
     lap_itq_plus_train,
@@ -143,8 +152,6 @@ def test_update_b_relaxed_zero_lambda_is_sign():
 def test_update_b_relaxed_zero_laplacian_matches():
     rng = np.random.default_rng(4)
     k_mat = rng.standard_normal((3, 8))
-    from transferhash.lap_itq_plus import LaplacianMatrix
-
     zero_lap = LaplacianMatrix(np.zeros((8, 8)), 0.0)
     result = update_b_relaxed(k_mat, zero_lap, 2.5)
     assert np.array_equal(result.signs, sgn(k_mat.T))
@@ -188,6 +195,114 @@ def test_box_qp_inner_trace_monotone_random():
         k_mat = rng.standard_normal((6, n))
         _, trace = box_qp_minimize(k_mat, lap, 0.5)
         assert np.all(np.diff(trace) <= 1e-9)
+
+
+def draw_graph(data) -> AdjacencyGraph:
+    """A kNN graph over codes with many ties, or a random graph with isolated rows."""
+    n = data.draw(st.integers(2, 60), label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="knn graph"):
+        pool = sgn(rng.standard_normal((data.draw(st.integers(1, n), label="codes"),
+                                        data.draw(st.integers(1, 16), label="bits"))))
+        k = data.draw(st.integers(1, n - 1), label="k")
+        return knn_hamming_graph(BinaryCodeMatrix(pool[rng.integers(0, len(pool), n)]), k)
+    weights = np.triu(rng.random((n, n)) < data.draw(st.floats(0.0, 1.0), label="density"), 1)
+    weights = weights | weights.T
+    isolated = rng.random(n) < 0.3
+    weights[isolated] = False
+    weights[:, isolated] = False
+    return AdjacencyGraph(weights, 1)
+
+
+def dense_laplacian(graph):
+    w = graph.weights.astype(np.float64)
+    return np.diag(w.sum(axis=1)) - w
+
+
+def dense_power_iteration(lap_dense):
+    """lambda_max as laplacian() estimates it, with dense products."""
+    v = np.random.default_rng(0).standard_normal(lap_dense.shape[0])
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(50):
+        lv = lap_dense @ v
+        norm = np.linalg.norm(lv)
+        if norm < 1e-30:
+            return 0.0
+        v = lv / norm
+        lam = float(v @ (lap_dense @ v))
+    return lam
+
+
+def dense_box_qp(k_mat, lap_dense, lambda_max, lambda2, inner_iters):
+    """box_qp_minimize's loop with a dense L and a product per term."""
+    linear = k_mat.T
+    b = sgn(linear).astype(np.float64)
+    step = 1.0 / (2.0 * lambda2 * lambda_max + 1e-12)
+
+    def value(b):
+        return -2.0 * float(np.sum(b * linear)) + lambda2 * float(np.sum(b * (lap_dense @ b)))
+
+    trace = [value(b)]
+    for _ in range(inner_iters):
+        grad = -2.0 * linear + (2.0 * lambda2) * (lap_dense @ b)
+        b_next = np.clip(b - step * grad, -1.0, 1.0)
+        if np.array_equal(b_next, b):
+            break
+        b = b_next
+        trace.append(value(b))
+    return b, trace
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_laplacian_is_degree_minus_adjacency(data):
+    graph = draw_graph(data)
+    lap = laplacian(graph)
+    dense = dense_laplacian(graph)
+    assert lap.matrix.dtype == np.float64 and np.array_equal(lap.matrix, dense)
+    assert lap.lambda_max == pytest.approx(dense_power_iteration(dense), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_box_qp_matches_dense_reference(data):
+    if data.draw(st.booleans(), label="all-zero laplacian"):
+        n = data.draw(st.integers(2, 60), label="rows")
+        lap, dense = LaplacianMatrix(np.zeros((n, n)), 0.0), np.zeros((n, n))
+    else:
+        graph = draw_graph(data)
+        lap, dense = laplacian(graph), dense_laplacian(graph)
+    c = data.draw(st.integers(1, 8), label="code length")
+    lambda2 = data.draw(st.sampled_from([0.0, 0.01, 5.0]), label="lambda2")
+    inner_iters = data.draw(st.integers(0, 100), label="inner iters")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="score seed"))
+    k_mat = rng.standard_normal((c, lap.n))
+
+    relaxed, trace = box_qp_minimize(k_mat, lap, lambda2, inner_iters)
+    expected, expected_trace = dense_box_qp(k_mat, dense, lap.lambda_max, lambda2,
+                                            inner_iters)
+    assert len(trace) == len(expected_trace)
+    assert np.abs(relaxed - expected).max() <= 1e-12
+    clear = np.abs(expected) > 1e-9
+    assert np.array_equal(sgn(relaxed)[clear], sgn(expected)[clear])
+    assert np.allclose(trace, expected_trace, rtol=1e-12, atol=1e-12)
+
+
+def test_laplacian_matrix_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        LaplacianMatrix(np.zeros((2, 3)), 0.0)
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse costs about as much to import as the package itself, so
+    # it loads at the first Laplacian, not with every CLI command
+    probe = ("import sys, transferhash, transferhash.cli; "
+             "print('scipy.sparse' in sys.modules)")
+    src = str(Path(transferhash.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def two_view_instance(n=100, d_t=12, d_s=10, seed=0, noise=0.3):
