@@ -40,7 +40,7 @@ def fit_model(method: str, target_train, source_corr=None, source_extra=None, *,
               bits: int, lambda1: float = RunConfig.lambda1,
               lambda2: float = RunConfig.lambda2, k_graph: int = RunConfig.k_graph,
               iters: int = RunConfig.iters, seed: int = 0,
-              pca_energy: float | None = None, want_graph: bool = False) -> FitResult:
+              pca_energy: float | None = None) -> FitResult:
     """Train one hashing method on raw (uncentered) matrices.
 
     Target rows are centered on their own mean; source rows are centered on
@@ -89,14 +89,12 @@ def fit_model(method: str, target_train, source_corr=None, source_extra=None, *,
         model, state = itq_plus_train(trainer_input, x_sc, bits, lambda1, iters, seed)
         trace = state.objective_trace
     elif method == "lapitq+":
-        model, state, graph = lap_itq_plus_train(
-            trainer_input, x_sc, x_su, bits, lambda1, lambda2, k_graph,
-            iters, seed, return_graph=True)
-        trace = state.objective_trace
+        model, state = lap_itq_plus_train(trainer_input, x_sc, x_su, bits, lambda1,
+                                          lambda2, k_graph, iters, seed)
+        trace, graph = state.objective_trace, state.graph
     else:
         raise ConfigError(f"unknown method {method!r}")
-    return FitResult(with_pipeline(model, centering, projection), trace,
-                     graph if want_graph else None)
+    return FitResult(with_pipeline(model, centering, projection), trace, graph)
 
 
 def _proj_for(preprocessing, trainer_input):

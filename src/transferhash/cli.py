@@ -195,8 +195,7 @@ def cmd_train(args) -> int:
     fit = fit_model(args.method, target, source, extra, bits=config.bits[0],
                     lambda1=config.lambda1, lambda2=config.lambda2,
                     k_graph=config.k_graph, iters=config.iters,
-                    seed=args.seed, pca_energy=config.pca_energy,
-                    want_graph=bool(args.dump_graph))
+                    seed=args.seed, pca_energy=config.pca_energy)
     save_model(fit.model, args.out)
     log_path = args.log if args.log else args.out + ".log"
     with open(log_path, "a", encoding="utf-8") as fh:

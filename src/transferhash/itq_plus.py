@@ -29,13 +29,14 @@ DEFAULT_LAMBDA1 = 0.01
 
 @dataclass
 class ItqPlusState:
-    """Final blocks of the alternating solve plus the per-sweep objective."""
+    """Final blocks of the alternating solve, per-sweep objective, lapitq+'s graph."""
 
     codes: BinaryCodeMatrix
     rotation: np.ndarray
     slack_rotation: np.ndarray
     lambda1: float
     objective_trace: list = field(default_factory=list)
+    graph: object = None
 
 
 def itq_plus_objective(codes, rotation, slack_rotation, x_t, x_sc, lambda1) -> float:

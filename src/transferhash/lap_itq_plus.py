@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import evaluate
 from .codes import BinaryCodeMatrix, sgn
 from .errors import NumericalError
 from .itq import DEFAULT_ITERS, DEFAULT_TOL, itq_train
@@ -31,32 +32,37 @@ _STEP_DELTA = 1e-12
 _POWER_STEPS = 50
 
 
+def _sparse():
+    import scipy.sparse  # imported at first use: it costs about as much as importing this package
+    return scipy.sparse
+
+
 @dataclass(frozen=True, eq=False)
 class AdjacencyGraph:
-    """Symmetric 0/1 neighbor graph without self-loops."""
+    """Symmetric 0/1 neighbor graph without self-loops, held as a uint8 CSR
+    array; `csr` accepts any square matrix, dense or sparse."""
 
-    weights: np.ndarray
-    k: int
+    csr: object
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.uint8)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        csr = _sparse().csr_array(self.csr, dtype=np.uint8)
+        if csr.ndim != 2 or csr.shape[0] != csr.shape[1]:
             raise ValueError("adjacency must be square")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "csr", csr.sorted_indices())
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self.csr.shape[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """W as a dense n x n uint8 array, built on each access."""
+        return self.csr.toarray()
 
     def edges(self):
-        """Undirected edges as (i, j) pairs with i < j."""
-        ii, jj = np.nonzero(np.triu(self.weights, 1))
+        """Undirected edges as (i, j) pairs with i < j, in row-major order."""
+        ii, jj = _sparse().triu(self.csr, 1, format="csr").nonzero()
         return list(zip(ii.tolist(), jj.tolist()))
-
-
-def _csr_array(*args, **kwargs):
-    import scipy.sparse  # imported at first use: it costs about as much as importing this package
-    return scipy.sparse.csr_array(*args, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +77,7 @@ class LaplacianMatrix:
     lambda_max: float
 
     def __post_init__(self):
-        csr = _csr_array(self.csr, dtype=np.float64)
+        csr = _sparse().csr_array(self.csr, dtype=np.float64)
         if csr.ndim != 2 or csr.shape[0] != csr.shape[1]:
             raise ValueError("laplacian must be square")
         object.__setattr__(self, "csr", csr)
@@ -96,39 +102,35 @@ def source_codes_offline(x_s, c: int, iters: int = DEFAULT_ITERS, seed=0,
 def knn_hamming_graph(codes: BinaryCodeMatrix, k: int) -> AdjacencyGraph:
     """Directed k-nearest-neighbors by Hamming distance, symmetrized by union.
 
-    Ties break by ascending index; all edge weights are 1.
+    Rows are ranked a block at a time by the retrieval kernel: ascending
+    distance, ties by ascending index, self excluded.  All edge weights are 1.
     """
     n = codes.rows
     if not 1 <= k < n:
         raise ValueError(f"k={k} out of range for {n} codes")
     packed = codes.packed
-    dists = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        dists[i] = np.bitwise_count(packed ^ packed[i]).sum(axis=1)
-    np.fill_diagonal(dists, codes.bits + 1)  # exclude self from neighbor lists
-    order = np.argsort(dists, axis=1, kind="stable")
-    weights = np.zeros((n, n), dtype=np.uint8)
-    rows = np.repeat(np.arange(n), k)
-    weights[rows, order[:, :k].ravel()] = 1
-    weights = np.maximum(weights, weights.T)
-    np.fill_diagonal(weights, 0)
-    return AdjacencyGraph(weights, k)
+    neighbors = np.empty((n, k), dtype=np.intp)
+    for lo, hi in evaluate._row_blocks(n, n, evaluate._SCORE_BLOCK_ELEMENTS):
+        order = evaluate._hamming_order(packed, packed[lo:hi])[:, :k + 1]
+        keep = order != np.arange(lo, hi)[:, None]
+        # self ranks among its distance-0 duplicates by index; where more
+        # than k of them precede it, the (k + 1)-th entry is dropped instead
+        keep[keep.all(axis=1), k] = False
+        neighbors[lo:hi] = order[keep].reshape(hi - lo, k)
+    directed = _sparse().csr_array(
+        (np.ones(n * k, dtype=np.uint8), neighbors.ravel(), np.arange(0, n * k + 1, k)),
+        shape=(n, n))
+    return AdjacencyGraph(directed.maximum(directed.T))
 
 
 def laplacian(graph: AdjacencyGraph) -> LaplacianMatrix:
-    """L = D - W with lambda_max estimated by 50 power-iteration steps.
+    """L = diag(W 1) - W with lambda_max estimated by 50 power-iteration steps.
 
-    L is built from the stored entries of W: each row keeps its diagonal
-    D_ii - W_ii and its nonzero W_ij, in ascending column order.
+    L is a CSR array with sorted indices; a row stores its nonzero entries.
     """
-    w = graph.weights
-    stored = w != 0
-    np.fill_diagonal(stored, True)
-    rows, cols = np.nonzero(stored)
-    values = -w[rows, cols].astype(np.float64)
-    values[rows == cols] += w.sum(axis=1, dtype=np.float64)  # one diagonal entry per row
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(stored, axis=1))))
-    lap = _csr_array((values, cols, indptr), shape=(graph.n, graph.n))
+    w = graph.csr.astype(np.float64)
+    lap = _sparse().diags_array(w.sum(axis=1)) - w
+    lap.sort_indices()
     rng = np.random.default_rng(0)
     v = rng.standard_normal(graph.n)
     v /= np.linalg.norm(v)
@@ -211,8 +213,7 @@ def lap_itq_plus_train(x_t, x_sc, x_su, c: int,
                        lambda2: float = DEFAULT_LAMBDA2,
                        k: int = DEFAULT_K,
                        iters: int = DEFAULT_ITERS, seed=0, *,
-                       tol: float = DEFAULT_TOL,
-                       return_graph: bool = False):
+                       tol: float = DEFAULT_TOL):
     """Alternating solve with the graph-regularized relaxed code step.
 
     Source codes are learned on stack(x_sc, x_su); the neighbor graph uses
@@ -223,7 +224,7 @@ def lap_itq_plus_train(x_t, x_sc, x_su, c: int,
     binarization and the rotation steps, so unlike the itq and itq+ traces
     it can rise from one sweep to the next.
 
-    Returns (HashModel, ItqPlusState).
+    Returns (HashModel, ItqPlusState); the state holds the neighbor graph.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     x_sc = np.asarray(x_sc, dtype=np.float64)
@@ -254,9 +255,7 @@ def lap_itq_plus_train(x_t, x_sc, x_su, c: int,
 
     codes, rotation, slack_rotation, trace = alternating_solve(
         x_t, x_sc, c, lambda1, iters, seed, relaxed_step, tol=tol)
-    state = ItqPlusState(codes, rotation, slack_rotation, lambda1, trace)
+    state = ItqPlusState(codes, rotation, slack_rotation, lambda1, trace, graph)
     model = identity_model("lapitq+", rotation, lambda1=lambda1, lambda2=lambda2,
                            k_graph=k, iters=iters, seed=seed)
-    if return_graph:
-        return model, state, graph
     return model, state

@@ -26,14 +26,15 @@ def make_two_view_clusters(n_pairs: int, d_target: int, d_source: int,
     Returns (target, source, labels).  noise scales the additive Gaussian
     noise of the target view; source_noise defaults to the same value.
     """
-    if min(n_pairs, d_target, d_source, clusters) < 1:
-        raise ValueError("n_pairs, dimensions, and clusters must be positive")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
     if source_noise is None:
         source_noise = noise
     if latent_dim is None:
         latent_dim = min(d_target, d_source, 16)
+    if min(n_pairs, d_target, d_source, clusters, latent_dim) < 1:
+        raise ValueError("n_pairs, dimensions, clusters, and latent_dim must be positive")
+    if not (np.isfinite([noise, source_noise, center_spread]).all()
+            and min(noise, source_noise) >= 0):
+        raise ValueError("noise and source_noise must be finite and >= 0, center_spread finite")
 
     rng = np.random.default_rng(seed)
     centers = center_spread * rng.standard_normal((clusters, latent_dim))

@@ -36,6 +36,16 @@ def test_synth_deterministic_bytes(tmp_path):
     assert (out_a / "target.bin").read_bytes() != (out_c / "target.bin").read_bytes()
 
 
+@pytest.mark.parametrize("flags", [
+    {"source_noise": -1}, {"noise": "nan"}, {"source_noise": "nan"},
+    {"source_noise": "inf"}, {"center_spread": "inf"}, {"center_spread": "nan"},
+    {"latent_dim": 0, "noise": 0}])
+def test_synth_bad_numeric_flag_exits_2(tmp_path, flags):
+    out = tmp_path / "data"
+    assert run_cli(*synth_args(out, **flags)) == 2
+    assert not out.exists()
+
+
 def test_synth_noiseless_views_are_rank_limited():
     target, source, _ = make_two_view_clusters(200, 12, 10, clusters=1,
                                                noise=0.0, seed=1, latent_dim=5)

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import transferhash
+from transferhash import evaluate
 from transferhash.codes import BinaryCodeMatrix, sgn
 from transferhash.errors import NumericalError
 from transferhash.itq import itq_train
@@ -97,15 +98,65 @@ def test_knn_graph_k_range():
         knn_hamming_graph(codes, 3)
 
 
+def dense_knn_reference(signs, k):
+    """The dense graph algorithm, kept as the reference: an n x n distance table
+    with self at bits + 1, a stable argsort of every row, the union of the
+    directed lists, and L's CSR arrays from the stored entries of W (each
+    row's nonzero W_ij and its diagonal, in ascending column order).
+
+    Returns (W, indptr, indices, data).
+    """
+    codes = BinaryCodeMatrix(signs)
+    n, packed = codes.rows, codes.packed
+    dists = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        dists[i] = np.bitwise_count(packed ^ packed[i]).sum(axis=1)
+    np.fill_diagonal(dists, codes.bits + 1)
+    order = np.argsort(dists, axis=1, kind="stable")
+    w = np.zeros((n, n), dtype=np.uint8)
+    w[np.repeat(np.arange(n), k), order[:, :k].ravel()] = 1
+    w = np.maximum(w, w.T)
+    stored = w != 0
+    np.fill_diagonal(stored, True)
+    rows, cols = np.nonzero(stored)
+    values = -w[rows, cols].astype(np.float64)
+    values[rows == cols] += w.sum(axis=1, dtype=np.float64)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(stored, axis=1))))
+    return w, indptr, cols, values
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_knn_graph_and_laplacian_match_dense_reference(monkeypatch, data):
+    n = data.draw(st.integers(2, 80), label="rows")
+    bits = data.draw(st.sampled_from([1, 64, 65, 130]), label="bits")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # few distinct codes, so duplicates of a row can rank before it
+    pool = sgn(rng.standard_normal((data.draw(st.integers(1, 6), label="codes"), bits)))
+    signs = pool[rng.integers(0, len(pool), n)]
+    k = data.draw(st.integers(1, n - 1), label="k")
+    rows_per_block = data.draw(st.integers(1, n), label="rows per block")
+    monkeypatch.setattr(evaluate, "_SCORE_BLOCK_ELEMENTS", rows_per_block * n)
+
+    graph = knn_hamming_graph(BinaryCodeMatrix(signs), k)
+    lap = laplacian(graph)
+    weights, indptr, indices, values = dense_knn_reference(signs, k)
+    assert np.array_equal(graph.weights, weights)
+    assert np.array_equal(lap.csr.indptr, indptr)
+    assert np.array_equal(lap.csr.indices, indices)
+    assert lap.csr.data.tobytes() == values.tobytes()
+
+
 def test_laplacian_path_graph():
     weights = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.uint8)
-    lap = laplacian(AdjacencyGraph(weights, 1))
+    lap = laplacian(AdjacencyGraph(weights))
     assert np.array_equal(lap.matrix, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
     assert lap.lambda_max == pytest.approx(3.0, rel=1e-6)
 
 
 def test_laplacian_empty_graph():
-    lap = laplacian(AdjacencyGraph(np.zeros((4, 4), dtype=np.uint8), 1))
+    lap = laplacian(AdjacencyGraph(np.zeros((4, 4), dtype=np.uint8)))
     assert np.array_equal(lap.matrix, np.zeros((4, 4)))
     assert lap.lambda_max == 0.0
 
@@ -162,7 +213,7 @@ def test_update_b_relaxed_small_instance_oracle():
     weights = np.zeros((4, 4), dtype=np.uint8)
     weights[0, 1] = weights[1, 0] = 1
     weights[2, 3] = weights[3, 2] = 1
-    lap = laplacian(AdjacencyGraph(weights, 1))
+    lap = laplacian(AdjacencyGraph(weights))
     k_mat = np.array([[0.8, -0.2, 0.5, -0.6]])  # c=1 x n=4
     lambda2 = 0.3
     relaxed, trace = box_qp_minimize(k_mat, lap, lambda2)
@@ -211,7 +262,7 @@ def draw_graph(data) -> AdjacencyGraph:
     isolated = rng.random(n) < 0.3
     weights[isolated] = False
     weights[:, isolated] = False
-    return AdjacencyGraph(weights, 1)
+    return AdjacencyGraph(weights)
 
 
 def dense_laplacian(graph):
@@ -234,6 +285,19 @@ def dense_power_iteration(lap_dense):
     return lam
 
 
+def dense_product(lap_dense, b):
+    """L B summed over the columns of L in ascending order.
+
+    A CSR product adds a row's stored entries in that order; a BLAS product
+    may not, and the last-bit difference can move the step at which the
+    box QP's iterate stops changing, so the gradient takes this product.
+    """
+    out = np.zeros(b.shape)
+    for j in range(lap_dense.shape[1]):
+        out += lap_dense[:, j, None] * b[j]
+    return out
+
+
 def dense_box_qp(k_mat, lap_dense, lambda_max, lambda2, inner_iters):
     """box_qp_minimize's loop with a dense L and a product per term."""
     linear = k_mat.T
@@ -245,7 +309,7 @@ def dense_box_qp(k_mat, lap_dense, lambda_max, lambda2, inner_iters):
 
     trace = [value(b)]
     for _ in range(inner_iters):
-        grad = -2.0 * linear + (2.0 * lambda2) * (lap_dense @ b)
+        grad = -2.0 * linear + (2.0 * lambda2) * dense_product(lap_dense, b)
         b_next = np.clip(b - step * grad, -1.0, 1.0)
         if np.array_equal(b_next, b):
             break
