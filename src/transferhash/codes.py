@@ -45,7 +45,7 @@ class BinaryCodeMatrix:
     """n x c code matrix over {-1,+1} with a packed-bit twin for retrieval."""
 
     signs: np.ndarray
-    packed: np.ndarray = field(default=None)  # type: ignore[assignment]
+    packed: np.ndarray = field(init=False)
 
     def __post_init__(self):
         signs = np.asarray(self.signs, dtype=np.int8)
@@ -54,8 +54,7 @@ class BinaryCodeMatrix:
         if not np.all(np.abs(signs) == 1):
             raise ValueError("code entries must be exactly -1 or +1")
         object.__setattr__(self, "signs", signs)
-        if self.packed is None:
-            object.__setattr__(self, "packed", pack_signs(signs))
+        object.__setattr__(self, "packed", pack_signs(signs))
 
     @property
     def rows(self) -> int:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
-from .data import read_text_lines
+from .data import MATRIX_FORMATS, read_text_lines
 from .errors import ConfigError
 from .evaluate import DEFAULT_GT_RANK, DEFAULT_KS
 from .itq import DEFAULT_ITERS
@@ -52,8 +53,8 @@ class RunConfig:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 <= self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in [0, 1), got {self.test_fraction}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigError("lambda1 and lambda2 must be >= 0")
+        if not (0.0 <= self.lambda1 < math.inf and 0.0 <= self.lambda2 < math.inf):
+            raise ConfigError("lambda1 and lambda2 must be finite and >= 0")
         if self.k_graph < 1:
             raise ConfigError(f"k_graph must be >= 1, got {self.k_graph}")
         if self.iters < 1:
@@ -62,7 +63,7 @@ class RunConfig:
             raise ConfigError("at least one seed is required")
         if self.pca_energy is not None and not 0.0 < self.pca_energy <= 1.0:
             raise ConfigError(f"pca_energy must be in (0, 1], got {self.pca_energy}")
-        if self.format not in ("csv", "thpi-bin"):
+        if self.format not in MATRIX_FORMATS:
             raise ConfigError(f"unknown matrix format {self.format!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")

@@ -36,12 +36,6 @@ def random_orthonormal(d: int, c: int, seed) -> np.ndarray:
     return q * signs
 
 
-def is_orthonormal(r, tol: float = 1e-8) -> bool:
-    r = np.asarray(r)
-    gram = r.T @ r
-    return bool(np.linalg.norm(gram - np.eye(r.shape[1])) <= tol)
-
-
 def _polar(w) -> np.ndarray:
     """Orthonormal polar factor U V^T, the Stiefel maximizer of tr(R^T W).
 

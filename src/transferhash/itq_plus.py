@@ -87,8 +87,8 @@ def update_b_balanced(scores) -> BinaryCodeMatrix:
 
 def update_r(codes, x_t, x_sc, slack_rotation, lambda1, previous=None) -> np.ndarray:
     """Target-rotation step: procrustes toward B - lambda1/(lambda1+1) X_sc P."""
-    if lambda1 < 0:
-        raise ValueError("lambda1 must be >= 0")
+    if not 0.0 <= lambda1 < np.inf:
+        raise ValueError("lambda1 must be finite and >= 0")
     signs = codes.signs if isinstance(codes, BinaryCodeMatrix) else np.asarray(codes)
     target = signs.astype(np.float64)
     if lambda1 > 0:
@@ -149,8 +149,8 @@ def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
     n, d_t = x_t.shape
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if lambda1 < 0:
-        raise ValueError("lambda1 must be >= 0")
+    if not 0.0 <= lambda1 < np.inf:
+        raise ValueError("lambda1 must be finite and >= 0")
     if x_sc is None and lambda1 != 0:
         raise ValueError("lambda1 must be 0 without a privileged view")
     slack_rotation = None

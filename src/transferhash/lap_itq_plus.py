@@ -38,34 +38,6 @@ def _sparse():
 
 
 @dataclass(frozen=True, eq=False)
-class AdjacencyGraph:
-    """Symmetric 0/1 neighbor graph without self-loops, held as a uint8 CSR
-    array; `csr` accepts any square matrix, dense or sparse."""
-
-    csr: object
-
-    def __post_init__(self):
-        csr = _sparse().csr_array(self.csr, dtype=np.uint8)
-        if csr.ndim != 2 or csr.shape[0] != csr.shape[1]:
-            raise ValueError("adjacency must be square")
-        object.__setattr__(self, "csr", csr.sorted_indices())
-
-    @property
-    def n(self) -> int:
-        return self.csr.shape[0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        """W as a dense n x n uint8 array, built on each access."""
-        return self.csr.toarray()
-
-    def edges(self):
-        """Undirected edges as (i, j) pairs with i < j, in row-major order."""
-        ii, jj = _sparse().triu(self.csr, 1, format="csr").nonzero()
-        return list(zip(ii.tolist(), jj.tolist()))
-
-
-@dataclass(frozen=True, eq=False)
 class LaplacianMatrix:
     """L = D - W with the largest eigenvalue cached for step sizing.
 
@@ -82,15 +54,6 @@ class LaplacianMatrix:
             raise ValueError("laplacian must be square")
         object.__setattr__(self, "csr", csr)
 
-    @property
-    def n(self) -> int:
-        return self.csr.shape[0]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """L as a dense n x n array, built on each access."""
-        return self.csr.toarray()
-
 
 def source_codes_offline(x_s, c: int, iters: int = DEFAULT_ITERS, seed=0,
                          *, tol: float = DEFAULT_TOL) -> BinaryCodeMatrix:
@@ -99,11 +62,13 @@ def source_codes_offline(x_s, c: int, iters: int = DEFAULT_ITERS, seed=0,
     return codes
 
 
-def knn_hamming_graph(codes: BinaryCodeMatrix, k: int) -> AdjacencyGraph:
+def knn_hamming_graph(codes: BinaryCodeMatrix, k: int):
     """Directed k-nearest-neighbors by Hamming distance, symmetrized by union.
 
     Rows are ranked a block at a time by the retrieval kernel: ascending
-    distance, ties by ascending index, self excluded.  All edge weights are 1.
+    distance, ties by ascending index, self excluded.  Returns W, the
+    symmetric 0/1 adjacency without self-loops, as an n x n uint8 CSR array
+    with sorted indices.
     """
     n = codes.rows
     if not 1 <= k < n:
@@ -120,19 +85,20 @@ def knn_hamming_graph(codes: BinaryCodeMatrix, k: int) -> AdjacencyGraph:
     directed = _sparse().csr_array(
         (np.ones(n * k, dtype=np.uint8), neighbors.ravel(), np.arange(0, n * k + 1, k)),
         shape=(n, n))
-    return AdjacencyGraph(directed.maximum(directed.T))
+    return directed.maximum(directed.T).sorted_indices()
 
 
-def laplacian(graph: AdjacencyGraph) -> LaplacianMatrix:
+def laplacian(graph) -> LaplacianMatrix:
     """L = diag(W 1) - W with lambda_max estimated by 50 power-iteration steps.
 
-    L is a CSR array with sorted indices; a row stores its nonzero entries.
+    graph is W as a square sparse array.  L is a CSR array with sorted
+    indices; a row stores its nonzero entries.
     """
-    w = graph.csr.astype(np.float64)
+    w = graph.astype(np.float64)
     lap = _sparse().diags_array(w.sum(axis=1)) - w
     lap.sort_indices()
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(graph.n)
+    v = rng.standard_normal(graph.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
     lv = lap @ v
@@ -146,22 +112,16 @@ def laplacian(graph: AdjacencyGraph) -> LaplacianMatrix:
     return LaplacianMatrix(lap, lam)
 
 
-def write_edge_list(graph: AdjacencyGraph, path) -> None:
-    """Debug dump: one `i j` pair per undirected edge."""
+def write_edge_list(graph, path) -> None:
+    """Debug dump of W: one `i j` pair (i < j) per undirected edge, row-major."""
+    ii, jj = _sparse().triu(graph, 1, format="csr").nonzero()
     with open(path, "w", encoding="utf-8") as fh:
-        for i, j in graph.edges():
+        for i, j in zip(ii.tolist(), jj.tolist()):
             fh.write(f"{i} {j}\n")
 
 
-def relaxed_objective(b, k_mat, lap: LaplacianMatrix, lambda2: float) -> float:
-    """-2 tr(B K) + lambda2 tr(B^T L B) over the box [-1, 1]^(n x c)."""
-    b = np.asarray(b, dtype=np.float64)
-    lap_b = lap.csr @ b if lambda2 != 0.0 else None
-    return _relaxed_value(b, lap_b, -2.0 * np.asarray(k_mat, dtype=np.float64).T, lambda2)
-
-
 def _relaxed_value(b, lap_b, linear_grad, lambda2: float) -> float:
-    """relaxed_objective given the products L B and -2 K^T."""
+    """-2 tr(B K) + lambda2 tr(B^T L B), given the products L B and -2 K^T."""
     value = float(np.vdot(b, linear_grad))
     if lambda2 != 0.0:
         value += lambda2 * float(np.vdot(b, lap_b))
@@ -181,8 +141,8 @@ def box_qp_minimize(k_mat, lap: LaplacianMatrix, lambda2: float,
     k_mat = np.asarray(k_mat, dtype=np.float64)
     if not np.isfinite(k_mat).all():
         raise NumericalError("non-finite score matrix in relaxed code step")
-    if lambda2 < 0:
-        raise ValueError("lambda2 must be >= 0")
+    if not 0.0 <= lambda2 < np.inf:
+        raise ValueError("lambda2 must be finite and >= 0")
     linear_grad = np.ascontiguousarray(-2.0 * k_mat.T)  # n x c
     b = sgn(k_mat.T).astype(np.float64, order="C")
     step = 1.0 / (2.0 * lambda2 * lap.lambda_max + _STEP_DELTA)

@@ -37,17 +37,23 @@ def make_two_view_clusters(n_pairs: int, d_target: int, d_source: int,
         raise ValueError("noise and source_noise must be finite and >= 0, center_spread finite")
 
     rng = np.random.default_rng(seed)
-    centers = center_spread * rng.standard_normal((clusters, latent_dim))
-    labels = rng.integers(0, clusters, size=n_pairs)
-    latent = centers[labels] + rng.standard_normal((n_pairs, latent_dim))
-    map_t = rng.standard_normal((latent_dim, d_target)) / np.sqrt(latent_dim)
-    map_s = rng.standard_normal((latent_dim, d_source)) / np.sqrt(latent_dim)
-    target = latent @ map_t + noise * rng.standard_normal((n_pairs, d_target))
-    source = latent @ map_s + source_noise * rng.standard_normal((n_pairs, d_source))
+    # a huge noise or center_spread overflows somewhere in here; the check
+    # on the mean squares below catches every such case
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = center_spread * rng.standard_normal((clusters, latent_dim))
+        labels = rng.integers(0, clusters, size=n_pairs)
+        latent = centers[labels] + rng.standard_normal((n_pairs, latent_dim))
+        map_t = rng.standard_normal((latent_dim, d_target)) / np.sqrt(latent_dim)
+        map_s = rng.standard_normal((latent_dim, d_source)) / np.sqrt(latent_dim)
+        target = latent @ map_t + noise * rng.standard_normal((n_pairs, d_target))
+        source = latent @ map_s + source_noise * rng.standard_normal((n_pairs, d_source))
+        mean_squares = (target ** 2).mean(), (source ** 2).mean()
+    if not np.isfinite(mean_squares).all():
+        raise ValueError("noise, source_noise or center_spread too large: a view overflows")
     # unit-RMS views keep entries near the +/-1 quantization targets, so
     # desk-scale hashing runs are well conditioned out of the box
-    target /= np.sqrt((target ** 2).mean())
-    source /= np.sqrt((source ** 2).mean())
+    target /= np.sqrt(mean_squares[0])
+    source /= np.sqrt(mean_squares[1])
     return target, source, labels
 
 

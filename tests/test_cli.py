@@ -46,6 +46,17 @@ def test_synth_bad_numeric_flag_exits_2(tmp_path, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    {"noise": 1e200}, {"source_noise": 1e200}, {"center_spread": 1e200},
+    {"noise": 1e308}])
+def test_synth_overflowing_scale_exits_2(tmp_path, flags):
+    # the unit-RMS scaling would divide by an infinite mean square and
+    # write all-zero views
+    out = tmp_path / "data"
+    assert run_cli(*synth_args(out, **flags)) == 2
+    assert not out.exists()
+
+
 def test_synth_noiseless_views_are_rank_limited():
     target, source, _ = make_two_view_clusters(200, 12, 10, clusters=1,
                                                noise=0.0, seed=1, latent_dim=5)
@@ -323,6 +334,18 @@ def test_cli_exit_codes(tmp_path, dataset):
     assert run_cli("train", "--method", "itq+",
                    "--target", dataset / "target_train.bin",
                    "--bits", 8, "--out", tmp_path / "m.model") == 2
+
+
+@pytest.mark.parametrize("command", [
+    ("train", "--method", "itq+", "--lambda1", "nan"),
+    ("train", "--method", "lapitq+", "--lambda2", "inf"),
+    ("bench", "--methods", "itq+", "--lambda1", "nan", "--seeds", "0")])
+def test_non_finite_lambda_exits_2(tmp_path, dataset, command):
+    data_dir = dataset.parent / "data"
+    assert run_cli(*command, "--target", data_dir / "target.bin",
+                   "--source", data_dir / "source.bin",
+                   "--bits", 8, "--iters", 3, "--out", tmp_path / "out") == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_dump_graph_rejected_before_training(tmp_path, dataset):

@@ -8,12 +8,17 @@ from transferhash.itq import (
     DEFAULT_STEP_ITERS,
     _polar,
     balanced_signs,
-    is_orthonormal,
     itq_train,
     procrustes,
     quantization_loss,
     random_orthonormal,
 )
+
+
+def is_orthonormal(r, tol: float = 1e-8) -> bool:
+    r = np.asarray(r)
+    gram = r.T @ r
+    return bool(np.linalg.norm(gram - np.eye(r.shape[1])) <= tol)
 
 
 def frob_objective(x, r, a):

@@ -2,9 +2,17 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transferhash.codes import BinaryCodeMatrix, sgn
-from transferhash.itq import itq_train, procrustes, quantization_loss, random_orthonormal
+from transferhash.itq import (
+    balanced_signs,
+    itq_train,
+    procrustes,
+    quantization_loss,
+    random_orthonormal,
+)
 from transferhash.itq_plus import (
     blend_scores,
     itq_plus_objective,
@@ -97,6 +105,40 @@ def test_update_b_balanced_odd_rows():
     assert np.array_equal(result.signs[:, 0], [1, 1, -1])
     assert result.signs[:, 0].sum() == 1
     assert np.array_equal(result.signs, brute_force_balanced(scores))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_update_b_balanced_properties(data):
+    n = data.draw(st.integers(2, 60), label="rows")
+    c = data.draw(st.integers(1, 70), label="code length")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # a few distinct values, signed zeros among them, so most scores tie
+    pool = np.concatenate(([0.0, -0.0], rng.standard_normal(
+        data.draw(st.integers(0, 3), label="nonzero values"))))
+    scores = rng.choice(pool, (n, c))
+    signs = update_b_balanced(scores).signs
+    sums = signs.sum(axis=0, dtype=np.int64)
+    assert np.abs(sums).max() <= 1
+    if n % 2 == 0:
+        assert not sums.any()
+    # +1 goes to the ceil(n/2) first rows by descending score, then ascending index
+    for j in range(c):
+        order = np.lexsort((np.arange(n), -scores[:, j]))
+        expected = np.full(n, -1)
+        expected[order[:(n + 1) // 2]] = 1
+        assert np.array_equal(signs[:, j], expected)
+    assert np.array_equal(signs, balanced_signs(scores))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_lambda_raises_value_error(value):
+    x_t, x_s = two_view_instance(n=20, d_t=6, d_s=5, seed=9)
+    codes = BinaryCodeMatrix(sgn(x_t[:, :3]))
+    with pytest.raises(ValueError, match="finite"):
+        itq_plus_train(x_t, x_s, 3, value, iters=2)
+    with pytest.raises(ValueError, match="finite"):
+        update_r(codes, x_t, x_s, random_orthonormal(5, 3, 0), value)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

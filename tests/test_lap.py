@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -15,13 +16,12 @@ from transferhash.errors import NumericalError
 from transferhash.itq import itq_train
 from transferhash.itq_plus import itq_plus_train
 from transferhash.lap_itq_plus import (
-    AdjacencyGraph,
     LaplacianMatrix,
+    _relaxed_value,
     box_qp_minimize,
     knn_hamming_graph,
     lap_itq_plus_train,
     laplacian,
-    relaxed_objective,
     source_codes_offline,
     update_b_relaxed,
 )
@@ -56,7 +56,7 @@ def test_knn_graph_duplicate_pair():
     # 0 and 1 pick each other (distance 0); 2 ties between 0 and 1, index rule
     # picks 0, and the union keeps that edge symmetric
     expected = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=np.uint8)
-    assert np.array_equal(graph.weights, expected)
+    assert np.array_equal(graph.toarray(), expected)
     table = hamming_table(codes)
     assert table[0, 1] == 0 and table[0, 2] == 3
 
@@ -69,16 +69,16 @@ def test_knn_graph_total_tie_uses_index_rule():
     expected[0, 1] = expected[1, 0] = 1
     expected[2, 0] = expected[0, 2] = 1
     expected[3, 0] = expected[0, 3] = 1
-    assert np.array_equal(graph.weights, expected)
+    assert np.array_equal(graph.toarray(), expected)
 
 
 def test_knn_graph_symmetric_no_self_loops():
     rng = np.random.default_rng(1)
     codes = BinaryCodeMatrix(sgn(rng.standard_normal((30, 16))))
     graph = knn_hamming_graph(codes, 4)
-    assert np.array_equal(graph.weights, graph.weights.T)
-    assert np.all(np.diag(graph.weights) == 0)
-    assert np.all(graph.weights.sum(axis=1) >= 4)
+    assert np.array_equal(graph.toarray(), graph.toarray().T)
+    assert np.all(np.diag(graph.toarray()) == 0)
+    assert np.all(graph.toarray().sum(axis=1) >= 4)
 
 
 def test_knn_graph_column_permutation_invariant():
@@ -87,7 +87,7 @@ def test_knn_graph_column_permutation_invariant():
     perm = rng.permutation(12)
     g1 = knn_hamming_graph(BinaryCodeMatrix(signs), 3)
     g2 = knn_hamming_graph(BinaryCodeMatrix(signs[:, perm]), 3)
-    assert np.array_equal(g1.weights, g2.weights)
+    assert np.array_equal(g1.toarray(), g2.toarray())
 
 
 def test_knn_graph_k_range():
@@ -142,7 +142,7 @@ def test_knn_graph_and_laplacian_match_dense_reference(monkeypatch, data):
     graph = knn_hamming_graph(BinaryCodeMatrix(signs), k)
     lap = laplacian(graph)
     weights, indptr, indices, values = dense_knn_reference(signs, k)
-    assert np.array_equal(graph.weights, weights)
+    assert np.array_equal(graph.toarray(), weights)
     assert np.array_equal(lap.csr.indptr, indptr)
     assert np.array_equal(lap.csr.indices, indices)
     assert lap.csr.data.tobytes() == values.tobytes()
@@ -150,14 +150,14 @@ def test_knn_graph_and_laplacian_match_dense_reference(monkeypatch, data):
 
 def test_laplacian_path_graph():
     weights = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.uint8)
-    lap = laplacian(AdjacencyGraph(weights))
-    assert np.array_equal(lap.matrix, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
+    lap = laplacian(scipy.sparse.csr_array(weights))
+    assert np.array_equal(lap.csr.toarray(), [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
     assert lap.lambda_max == pytest.approx(3.0, rel=1e-6)
 
 
 def test_laplacian_empty_graph():
-    lap = laplacian(AdjacencyGraph(np.zeros((4, 4), dtype=np.uint8)))
-    assert np.array_equal(lap.matrix, np.zeros((4, 4)))
+    lap = laplacian(scipy.sparse.csr_array(np.zeros((4, 4), dtype=np.uint8)))
+    assert np.array_equal(lap.csr.toarray(), np.zeros((4, 4)))
     assert lap.lambda_max == 0.0
 
 
@@ -171,14 +171,14 @@ def test_laplacian_edge_sum_identity_and_row_sums():
     for seed in range(10):
         graph = random_graph(15, 3, seed)
         lap = laplacian(graph)
-        assert np.abs(lap.matrix.sum(axis=1)).max() < 1e-9
+        assert np.abs(lap.csr.toarray().sum(axis=1)).max() < 1e-9
         rng = np.random.default_rng(seed + 100)
         for _ in range(10):
-            x = rng.standard_normal(graph.n)
-            quad = float(x @ lap.matrix @ x)
+            x = rng.standard_normal(graph.shape[0])
+            quad = float(x @ lap.csr.toarray() @ x)
             edge_sum = 0.5 * sum(
-                graph.weights[i, j] * (x[i] - x[j]) ** 2
-                for i in range(graph.n) for j in range(graph.n)
+                graph.toarray()[i, j] * (x[i] - x[j]) ** 2
+                for i in range(graph.shape[0]) for j in range(graph.shape[0])
             )
             assert quad == pytest.approx(edge_sum, abs=1e-9 * max(1.0, abs(edge_sum)))
             assert quad >= -1e-9
@@ -187,7 +187,7 @@ def test_laplacian_edge_sum_identity_and_row_sums():
 def test_laplacian_lambda_max_close_to_exact():
     for seed in range(5):
         lap = laplacian(random_graph(20, 4, seed))
-        exact = float(np.linalg.eigvalsh(lap.matrix)[-1])
+        exact = float(np.linalg.eigvalsh(lap.csr.toarray())[-1])
         assert lap.lambda_max <= exact + 1e-9
         assert lap.lambda_max >= 0.9 * exact
 
@@ -208,12 +208,19 @@ def test_update_b_relaxed_zero_laplacian_matches():
     assert np.array_equal(result.signs, sgn(k_mat.T))
 
 
+def relaxed_objective(b, k_mat, lap: LaplacianMatrix, lambda2: float) -> float:
+    """-2 tr(B K) + lambda2 tr(B^T L B) over the box [-1, 1]^(n x c)."""
+    b = np.asarray(b, dtype=np.float64)
+    lap_b = lap.csr @ b if lambda2 != 0.0 else None
+    return _relaxed_value(b, lap_b, -2.0 * np.asarray(k_mat, dtype=np.float64).T, lambda2)
+
+
 def test_update_b_relaxed_small_instance_oracle():
     # n=4, c=1, graph with 2 edges: 0-1 and 2-3
     weights = np.zeros((4, 4), dtype=np.uint8)
     weights[0, 1] = weights[1, 0] = 1
     weights[2, 3] = weights[3, 2] = 1
-    lap = laplacian(AdjacencyGraph(weights))
+    lap = laplacian(scipy.sparse.csr_array(weights))
     k_mat = np.array([[0.8, -0.2, 0.5, -0.6]])  # c=1 x n=4
     lambda2 = 0.3
     relaxed, trace = box_qp_minimize(k_mat, lap, lambda2)
@@ -238,6 +245,13 @@ def test_update_b_relaxed_rejects_non_finite():
         update_b_relaxed(np.array([[np.inf] * 5]), lap, 0.1)
 
 
+@pytest.mark.parametrize("lambda2", [np.nan, np.inf])
+def test_box_qp_rejects_non_finite_lambda2(lambda2):
+    lap = laplacian(random_graph(5, 1, 1))
+    with pytest.raises(ValueError, match="finite"):
+        box_qp_minimize(np.ones((2, 5)), lap, lambda2)
+
+
 def test_box_qp_inner_trace_monotone_random():
     rng = np.random.default_rng(5)
     for seed in range(10):
@@ -248,7 +262,7 @@ def test_box_qp_inner_trace_monotone_random():
         assert np.all(np.diff(trace) <= 1e-9)
 
 
-def draw_graph(data) -> AdjacencyGraph:
+def draw_graph(data):
     """A kNN graph over codes with many ties, or a random graph with isolated rows."""
     n = data.draw(st.integers(2, 60), label="rows")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -262,11 +276,11 @@ def draw_graph(data) -> AdjacencyGraph:
     isolated = rng.random(n) < 0.3
     weights[isolated] = False
     weights[:, isolated] = False
-    return AdjacencyGraph(weights)
+    return scipy.sparse.csr_array(weights)
 
 
 def dense_laplacian(graph):
-    w = graph.weights.astype(np.float64)
+    w = graph.toarray().astype(np.float64)
     return np.diag(w.sum(axis=1)) - w
 
 
@@ -324,7 +338,7 @@ def test_laplacian_is_degree_minus_adjacency(data):
     graph = draw_graph(data)
     lap = laplacian(graph)
     dense = dense_laplacian(graph)
-    assert lap.matrix.dtype == np.float64 and np.array_equal(lap.matrix, dense)
+    assert lap.csr.toarray().dtype == np.float64 and np.array_equal(lap.csr.toarray(), dense)
     assert lap.lambda_max == pytest.approx(dense_power_iteration(dense), rel=1e-12, abs=0.0)
 
 
@@ -341,7 +355,7 @@ def test_box_qp_matches_dense_reference(data):
     lambda2 = data.draw(st.sampled_from([0.0, 0.01, 5.0]), label="lambda2")
     inner_iters = data.draw(st.integers(0, 100), label="inner iters")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="score seed"))
-    k_mat = rng.standard_normal((c, lap.n))
+    k_mat = rng.standard_normal((c, lap.csr.shape[0]))
 
     relaxed, trace = box_qp_minimize(k_mat, lap, lambda2, inner_iters)
     expected, expected_trace = dense_box_qp(k_mat, dense, lap.lambda_max, lambda2,
