@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,26 +135,17 @@ def run_bench(config: RunConfig, target_all, source_all, out_dir) -> dict:
                                  splits[seed].target_test,
                                  config.r_groundtruth)
 
-    cells = [(method, bits, seed)
-             for method in config.methods
-             for bits in config.bits
-             for seed in config.seeds]
-
-    def run_one(cell):
-        method, bits, seed = cell
-        try:
-            return run_cell(config, splits[seed], gts[seed], method, bits, seed)
-        except Exception:
-            log.exception("bench cell failed: method=%s bits=%d seed=%d",
-                          method, bits, seed)
-            return None
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            reports = list(pool.map(run_one, cells))
-    else:
-        reports = [run_one(cell) for cell in cells]
-    results = dict(zip(cells, reports))
+    results = {}
+    for method in config.methods:
+        for bits in config.bits:
+            for seed in config.seeds:
+                try:
+                    report = run_cell(config, splits[seed], gts[seed], method, bits, seed)
+                except Exception:
+                    log.exception("bench cell failed: method=%s bits=%d seed=%d",
+                                  method, bits, seed)
+                    report = None
+                results[(method, bits, seed)] = report
 
     _write_results_csv(config, results, os.path.join(out_dir, "bench_results.csv"))
     _write_table_csv(config, results, os.path.join(out_dir, "bench_table.csv"))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import sys
 
 import numpy as np
@@ -31,6 +32,15 @@ from .synth import write_synth_dataset
 log = logging.getLogger(__name__)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads `-1e200`, `-inf` and `-nan` as values, where argparse's own
+    pattern (plain decimals only) takes them for unknown options."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 # flags whose names are not the field name with "-" for "_"
 _FLAGS = {"k_graph": ("--k",), "methods": ("--methods", "--method")}
 
@@ -44,7 +54,7 @@ def _settings(parser, *names) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="transferhash",
         description="Learn binary hash codes with privileged source-domain data "
                     "and benchmark Hamming retrieval.",
@@ -106,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--config")
     _settings(bench, "target", "source", "methods", "bits", "alpha", "test_fraction",
               "lambda1", "lambda2", "k_graph", "iters", "seeds", "pca_energy",
-              "r_groundtruth", "ks", "workers", "format")
+              "r_groundtruth", "ks", "format")
     bench.add_argument("--header", action="store_true",
                        help="skip the first CSV line")
     bench.add_argument("--out", required=True)

@@ -37,7 +37,6 @@ class RunConfig:
     target: str | None = None
     source: str | None = None
     format: str = "thpi-bin"
-    workers: int = 1
     r_groundtruth: int = DEFAULT_GT_RANK
     ks: tuple = DEFAULT_KS
 
@@ -61,12 +60,15 @@ class RunConfig:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        # each (method, bits, seed) cell is run and written once
+        for name in ("methods", "bits", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {values}")
         if self.pca_energy is not None and not 0.0 < self.pca_energy <= 1.0:
             raise ConfigError(f"pca_energy must be in (0, 1], got {self.pca_energy}")
         if self.format not in MATRIX_FORMATS:
             raise ConfigError(f"unknown matrix format {self.format!r}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.r_groundtruth < 1:
             raise ConfigError(f"r_groundtruth must be >= 1, got {self.r_groundtruth}")
         if not self.ks or any(k < 1 for k in self.ks):
@@ -97,7 +99,6 @@ PARSERS = {
     "target": str,
     "source": str,
     "format": str,
-    "workers": int,
     "r_groundtruth": int,
     "ks": _int_list,
 }

@@ -1,8 +1,12 @@
 import inspect
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transferhash import bench, evaluate, itq, itq_plus, lap_itq_plus
 from transferhash.cli import _config_from_args, build_parser, main
@@ -10,6 +14,7 @@ from transferhash.config import PARSERS, RunConfig, read_config_file, write_conf
 from transferhash.data import load_matrix, load_model
 from transferhash.evaluate import encode
 from transferhash.itq import itq_train
+from transferhash.model import METHODS
 from transferhash.synth import make_two_view_clusters
 
 
@@ -48,7 +53,7 @@ def test_synth_bad_numeric_flag_exits_2(tmp_path, flags):
 
 @pytest.mark.parametrize("flags", [
     {"noise": 1e200}, {"source_noise": 1e200}, {"center_spread": 1e200},
-    {"noise": 1e308}])
+    {"noise": 1e308}, {"center_spread": "-1e200"}])
 def test_synth_overflowing_scale_exits_2(tmp_path, flags):
     # the unit-RMS scaling would divide by an infinite mean square and
     # write all-zero views
@@ -288,20 +293,18 @@ def test_bench_failed_cell_recorded_as_missing(tmp_path, dataset):
     assert rows[("cca-itq", "mean")] == ""
 
 
-def test_bench_workers_do_not_change_outputs(tmp_path, dataset):
+@pytest.mark.parametrize("grid", [
+    ("--methods", "itq,itq"), ("--bits", "4,4"), ("--seeds", "0,0,1")])
+def test_bench_repeated_grid_value_exits_2(tmp_path, dataset, grid, caplog):
+    # a repeated cell would be trained again, written again and weighted
+    # twice in the mean
     data_dir = dataset.parent / "data"
-    outputs = []
-    for workers, name in ((1, "serial"), (2, "parallel")):
-        out = tmp_path / name
-        assert run_cli("bench", "--target", data_dir / "target.bin",
-                       "--source", data_dir / "source.bin",
-                       "--methods", "itq,itq+", "--bits", "8",
-                       "--alpha", 0.5, "--test-fraction", 0.2,
-                       "--seeds", "0,1", "--iters", 8,
-                       "--r-groundtruth", 5, "--ks", "1,5",
-                       "--workers", workers, "--out", out) == 0
-        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-    assert outputs[0] == outputs[1]
+    assert run_cli("bench", "--target", data_dir / "target.bin",
+                   "--source", data_dir / "source.bin", "--methods", "itq",
+                   "--bits", "4", "--seeds", "0", "--iters", 3, *grid,
+                   "--out", tmp_path / "bench") == 2
+    assert "must not repeat a value" in caplog.text
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_round_trip_and_override(tmp_path):
@@ -339,7 +342,8 @@ def test_cli_exit_codes(tmp_path, dataset):
 @pytest.mark.parametrize("command", [
     ("train", "--method", "itq+", "--lambda1", "nan"),
     ("train", "--method", "lapitq+", "--lambda2", "inf"),
-    ("bench", "--methods", "itq+", "--lambda1", "nan", "--seeds", "0")])
+    ("bench", "--methods", "itq+", "--lambda1", "nan", "--seeds", "0"),
+    ("train", "--method", "itq+", "--lambda1", "-inf")])
 def test_non_finite_lambda_exits_2(tmp_path, dataset, command):
     data_dir = dataset.parent / "data"
     assert run_cli(*command, "--target", data_dir / "target.bin",
@@ -366,7 +370,7 @@ SETTING_VALUES = {"methods": "lsh,itq+", "bits": "12", "alpha": "0.25",
                   "test_fraction": "0.3", "lambda1": "0.2", "lambda2": "0.3",
                   "k_graph": "7", "iters": "9", "seeds": "3,4", "pca_energy": "0.8",
                   "target": "t.bin", "source": "s.bin", "format": "csv",
-                  "workers": "3", "r_groundtruth": "7", "ks": "2,3"}
+                  "r_groundtruth": "7", "ks": "2,3"}
 
 
 def test_every_settings_flag_reaches_the_config():
@@ -394,20 +398,24 @@ def test_every_settings_flag_reaches_the_config():
 
 
 def test_train_alpha_flag_removed(tmp_path, dataset):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("train", "--method", "itq", "--target", dataset / "target_train.bin",
-                "--bits", 8, "--alpha", 0.3, "--out", tmp_path / "m.model")
-    assert exc.value.code == 2
+    for command in (("train", "--method", "itq", "--bits", 8, "--alpha", 0.3),
+                    ("bench", "--workers", 2)):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command, "--target", dataset / "target_train.bin",
+                    "--out", tmp_path / "out")
+        assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_out_key_rejected(tmp_path, dataset, caplog):
     config = tmp_path / "run.cfg"
-    config.write_text("out=x\n")
-    assert run_cli("split", "--config", config,
-                   "--target", dataset / "target_train.bin",
-                   "--source", dataset / "source_corr.bin",
-                   "--out", tmp_path / "split") == 2
-    assert "'out'" in caplog.text
+    for line, key in (("out=x", "'out'"), ("workers=2", "'workers'")):
+        config.write_text(line + "\n")
+        assert run_cli("split", "--config", config,
+                       "--target", dataset / "target_train.bin",
+                       "--source", dataset / "source_corr.bin",
+                       "--out", tmp_path / "split") == 2
+        assert key in caplog.text
     assert not (tmp_path / "split").exists()
 
 
@@ -472,3 +480,65 @@ def test_config_file_not_utf8_exits_2(tmp_path, caplog):
     assert run_cli("bench", "--config", config, "--out", tmp_path / "x") == 2
     assert f"{config}: line 2: not UTF-8 text" in caplog.text
     assert not (tmp_path / "x").exists()
+
+
+# flags that take a number or a number list, per subcommand
+NUMERIC_FLAGS = {
+    command: [action.option_strings[0] for action in sub._actions
+              if action.type in (int, float, PARSERS["bits"])]
+    for command, sub in build_parser()._subparsers._group_actions[0].choices.items()}
+# half the drawn numbers are values most flags accept, so that runs get
+# past validation; no integer is large enough to ask for much memory
+VALID_TOKENS = ("1", "2", "3", "8", "0.5")
+EDGE_TOKENS = ("0", "-1", "-3", "-0.5", "1e200", "-1e200", "inf", "-inf", "nan")
+
+
+@pytest.fixture(scope="module")
+def base_argv(dataset):
+    """Valid arguments of each subcommand with numeric flags, on small inputs."""
+    data = dataset.parent / "data"
+    model = dataset.parent / "argv.model"
+    assert run_cli("train", "--method", "itq", "--target", dataset / "target_train.bin",
+                   "--bits", 8, "--iters", 3, "--out", model) == 0
+    return {
+        "synth": ("--n-pairs", 40, "--d-target", 6, "--d-source", 5, "--clusters", 2),
+        "split": ("--target", data / "target.bin", "--source", data / "source.bin"),
+        "train": ("--target", dataset / "target_train.bin",
+                  "--source", dataset / "source_corr.bin",
+                  "--source-extra", dataset / "source_extra.bin",
+                  "--bits", 4, "--iters", 3),
+        "eval": ("--model", model, "--database", dataset / "target_train.bin",
+                 "--queries", dataset / "target_test.bin"),
+        "bench": ("--target", data / "target.bin", "--source", data / "source.bin",
+                  "--bits", 4, "--seeds", 0, "--iters", 3, "--ks", "1,5"),
+    }
+
+
+_number = st.one_of(st.sampled_from(VALID_TOKENS), st.sampled_from(EDGE_TOKENS))
+_token = st.one_of(_number, st.lists(_number, min_size=2, max_size=2).map(",".join))
+
+
+@st.composite
+def generated_argv(draw):
+    command = draw(st.sampled_from(sorted(c for c, flags in NUMERIC_FLAGS.items() if flags)))
+    method = ("--method", draw(st.sampled_from(METHODS)))
+    flags = draw(st.lists(st.tuples(st.sampled_from(NUMERIC_FLAGS[command]), _token),
+                          max_size=3))
+    return command, method, [part for flag in flags for part in flag]
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=generated_argv())
+def test_cli_exit_codes_hold_for_generated_argv(base_argv, tmp_path_factory, argv):
+    command, method, flags = argv
+    out = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp())) / "out"
+    extra = method if command in ("train", "bench") else ()
+    try:
+        code = run_cli(command, *base_argv[command], *extra, *flags, "--out", out)
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
+    assert code in (0, 2, 3, 4)
+    if command == "bench" and code == 0:
+        # one row per (method, bits, seed) cell and per mean
+        rows = (out / "bench_results.csv").read_text().splitlines()
+        assert len(rows) == len(set(rows))
