@@ -63,7 +63,18 @@ def _polar(w) -> np.ndarray:
     return u @ vt
 
 
-def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13) -> np.ndarray:
+def gram_bound(x) -> tuple[np.ndarray, float]:
+    """G = X^T X and mu = lambda_max(G), the majorizer procrustes builds from X.
+
+    A trainer holds X fixed for a whole fit, so it computes these once and
+    passes them to every procrustes call as gram=.
+    """
+    gram = x.T @ x
+    return gram, float(np.linalg.eigvalsh(gram)[-1])
+
+
+def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
+               gram=None) -> np.ndarray:
     """Orthonormal d x c matrix R minimizing ||X R - A||_F^2.
 
     For square R (d == c) the closed form, the polar factor U V^T of
@@ -78,7 +89,9 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13) -> np.
     and as the fallback.  Passing r0 adds a warm start; the best iterate
     ever evaluated is returned, so the result is never worse than r0.
     Trainers pass max_iter=DEFAULT_STEP_ITERS: a fixed descent from the
-    warm start, not a solve to convergence.
+    warm start, not a solve to convergence.  They also pass
+    gram=gram_bound(x), computed once per fit since X does not change
+    between calls; without it G and mu are computed here, once per call.
     """
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -97,8 +110,7 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13) -> np.
     if d == c:
         return closed
 
-    gram = x.T @ x
-    mu = float(np.linalg.eigvalsh(gram)[-1])
+    gram, mu = gram_bound(x) if gram is None else gram
     a_sq = float(np.vdot(a, a))
 
     def evaluate(r):

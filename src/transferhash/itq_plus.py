@@ -19,6 +19,7 @@ from .itq import (
     DEFAULT_STEP_ITERS,
     DEFAULT_TOL,
     balanced_signs,
+    gram_bound,
     procrustes,
     random_orthonormal,
 )
@@ -85,19 +86,25 @@ def update_b_balanced(scores) -> BinaryCodeMatrix:
     return BinaryCodeMatrix(balanced_signs(scores))
 
 
-def update_r(codes, x_t, x_sc, slack_rotation, lambda1, previous=None) -> np.ndarray:
-    """Target-rotation step: procrustes toward B - lambda1/(lambda1+1) X_sc P."""
+def update_r(codes, x_t, x_sc, slack_rotation, lambda1, previous=None, *,
+             gram=None) -> np.ndarray:
+    """Target-rotation step: procrustes toward B - lambda1/(lambda1+1) X_sc P.
+
+    gram is gram_bound(x_t) when the caller holds x_t fixed, else None.
+    """
     if not 0.0 <= lambda1 < np.inf:
         raise ValueError("lambda1 must be finite and >= 0")
     signs = codes.signs if isinstance(codes, BinaryCodeMatrix) else np.asarray(codes)
     target = signs.astype(np.float64)
     if lambda1 > 0:
         target = target - (lambda1 / (lambda1 + 1.0)) * (np.asarray(x_sc) @ slack_rotation)
-    return procrustes(target, x_t, previous, max_iter=DEFAULT_STEP_ITERS)
+    return procrustes(target, x_t, previous, max_iter=DEFAULT_STEP_ITERS, gram=gram)
 
 
-def update_p(codes, x_t, rotation, x_sc, previous=None) -> np.ndarray:
+def update_p(codes, x_t, rotation, x_sc, previous=None, *, gram=None) -> np.ndarray:
     """Slack-rotation step: procrustes fit of the quantization error from X_sc.
+
+    gram is gram_bound(x_sc) when the caller holds x_sc fixed, else None.
 
     When the error matrix or X_sc is numerically zero the SVD target is 0, so
     the previous rotation (if given) is kept to preserve monotonicity.
@@ -113,7 +120,7 @@ def update_p(codes, x_t, rotation, x_sc, previous=None) -> np.ndarray:
     cross = x_sc.T @ err
     if previous is not None and not np.any(cross):
         return previous
-    return procrustes(err, x_sc, previous, max_iter=DEFAULT_STEP_ITERS)
+    return procrustes(err, x_sc, previous, max_iter=DEFAULT_STEP_ITERS, gram=gram)
 
 
 def _sign_step(scores, rotation, slack_rotation):
@@ -160,14 +167,20 @@ def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
             raise ValueError(f"row mismatch: target {n} vs privileged {x_sc.shape[0]}")
         slack_rotation = random_orthonormal(x_sc.shape[1], c, seed)
     rotation = random_orthonormal(d_t, c, seed) if r0 is None else np.asarray(r0, dtype=np.float64)
+    # X_t and X_sc stay fixed, so each rotation step's majorizer is built
+    # once per fit; a square rotation has a closed form and needs none
+    gram_t = gram_bound(x_t) if d_t > c else None
+    gram_sc = gram_bound(x_sc) if lambda1 > 0 and x_sc.shape[1] > c else None
 
     trace: list[float] = []
     for _ in range(iters):
         scores = blend_scores(x_t, rotation, x_sc, slack_rotation, lambda1)
         codes, objective = code_step(scores, rotation, slack_rotation)
-        rotation = update_r(codes, x_t, x_sc, slack_rotation, lambda1, previous=rotation)
+        rotation = update_r(codes, x_t, x_sc, slack_rotation, lambda1,
+                            previous=rotation, gram=gram_t)
         if lambda1 > 0:
-            slack_rotation = update_p(codes, x_t, rotation, x_sc, previous=slack_rotation)
+            slack_rotation = update_p(codes, x_t, rotation, x_sc,
+                                      previous=slack_rotation, gram=gram_sc)
         if objective is None:
             objective = itq_plus_objective(codes, rotation, slack_rotation, x_t, x_sc, lambda1)
         trace.append(objective)
