@@ -92,6 +92,8 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
     warm start, not a solve to convergence.  They also pass
     gram=gram_bound(x), computed once per fit since X does not change
     between calls; without it G and mu are computed here, once per call.
+    With r0 given and X^T A = 0 (say, a zero target or zero data) there is
+    no direction to follow, and r0 itself is returned.
     """
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -105,6 +107,8 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
         raise NumericalError("non-finite values in procrustes inputs")
 
     cross = x.T @ a
+    if r0 is not None and not np.any(cross):
+        return r0
     closed = _polar(cross)
     d, c = closed.shape
     if d == c:

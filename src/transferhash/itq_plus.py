@@ -105,9 +105,7 @@ def update_p(codes, x_t, rotation, x_sc, previous=None, *, gram=None) -> np.ndar
     """Slack-rotation step: procrustes fit of the quantization error from X_sc.
 
     gram is gram_bound(x_sc) when the caller holds x_sc fixed, else None.
-
-    When the error matrix or X_sc is numerically zero the SVD target is 0, so
-    the previous rotation (if given) is kept to preserve monotonicity.
+    When X_sc^T E is zero, procrustes keeps the previous rotation (if given).
     """
     signs = codes.signs if isinstance(codes, BinaryCodeMatrix) else np.asarray(codes)
     x_sc = np.asarray(x_sc, dtype=np.float64)
@@ -117,9 +115,6 @@ def update_p(codes, x_t, rotation, x_sc, previous=None, *, gram=None) -> np.ndar
             f"privileged dimension {x_sc.shape[1]} smaller than code length {c}"
         )
     err = signs - np.asarray(x_t) @ rotation
-    cross = x_sc.T @ err
-    if previous is not None and not np.any(cross):
-        return previous
     return procrustes(err, x_sc, previous, max_iter=DEFAULT_STEP_ITERS, gram=gram)
 
 
