@@ -15,7 +15,7 @@ from .errors import NumericalError
 
 DEFAULT_ITERS = 150
 DEFAULT_TOL = 1e-6
-DEFAULT_STEP_ITERS = 60  # rotation-step refinement cap inside trainers
+DEFAULT_STEP_ITERS = 5  # rotation-step refinement cap inside trainers
 
 # Newton-Schulz in _polar: a step cap (from any start it converges from,
 # c <= 64 needs at most 11 steps), and the ||I - X^T X||_F below which one
@@ -88,8 +88,9 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
     iteration of _polar; the SVD stays for an ill-conditioned closed form
     and as the fallback.  Passing r0 adds a warm start; the best iterate
     ever evaluated is returned, so the result is never worse than r0.
-    Trainers pass max_iter=DEFAULT_STEP_ITERS: a fixed descent from the
-    warm start, not a solve to convergence.  They also pass
+    Trainers pass max_iter=DEFAULT_STEP_ITERS (5): a short descent from
+    the warm start, not a solve to convergence, since the next sweep moves
+    the target and warms the loop again.  They also pass
     gram=gram_bound(x), computed once per fit since X does not change
     between calls; without it G and mu are computed here, once per call.
     With r0 given and X^T A = 0 (say, a zero target or zero data) there is

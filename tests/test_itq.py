@@ -8,6 +8,7 @@ from transferhash.itq import (
     DEFAULT_STEP_ITERS,
     _polar,
     balanced_signs,
+    gram_bound,
     itq_train,
     procrustes,
     quantization_loss,
@@ -162,6 +163,49 @@ def test_procrustes_matches_reference_mm_loop(d):
         for steps in (0, 1):
             r = procrustes(a, x, r0, max_iter=steps)
             assert np.abs(r - reference_procrustes(a, x, r0, steps)).max() <= 1e-11
+
+
+@st.composite
+def procrustes_inputs(draw):
+    """(A, X, r0) with a d x c orthonormal r0: square (d == c) or tall (d > c)."""
+    shape = draw(st.sampled_from(["square", "tall"]))
+    d = draw(st.integers(1 if shape == "square" else 2, 12))
+    c = d if shape == "square" else draw(st.integers(1, d - 1))
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * 10.0 ** draw(st.floats(-2.0, 2.0))
+    a = sgn(rng.standard_normal((n, c))).astype(float)
+    return a, x, random_orthonormal(d, c, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=procrustes_inputs(), warm=st.booleans(),
+       steps=st.sampled_from([0, 1, DEFAULT_STEP_ITERS, 60]))
+def test_procrustes_with_precomputed_gram_is_bit_identical(case, warm, steps):
+    a, x, r0 = case
+    r0 = r0 if warm else None
+    expected = procrustes(a, x, r0, max_iter=steps)
+    assert np.array_equal(procrustes(a, x, r0, max_iter=steps, gram=gram_bound(x)),
+                          expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=procrustes_inputs(), steps=st.sampled_from([0, 1, DEFAULT_STEP_ITERS]))
+def test_procrustes_never_worse_than_warm_start(case, steps):
+    a, x, r0 = case
+    r = procrustes(a, x, r0, max_iter=steps)
+    assert is_orthonormal(r)
+    # procrustes compares candidates in Gram form, so allow its rounding
+    slack = 1e-12 * (float(np.sum(a * a)) + float(np.sum(x * x)) * a.shape[1])
+    assert frob_objective(x, r, a) <= frob_objective(x, r0, a) + slack
+
+
+def test_procrustes_zero_cross_term_keeps_warm_start():
+    x = np.random.default_rng(9).standard_normal((10, 5))
+    r0 = random_orthonormal(5, 2, 0)
+    assert procrustes(np.zeros((10, 2)), x, r0) is r0
+    assert procrustes(np.ones((10, 2)), np.zeros((10, 5)), r0) is r0
 
 
 def test_quantization_loss_zero_case():

@@ -250,6 +250,47 @@ def test_train_trace_monotone():
     assert np.all(np.diff(trace) <= 1e-9)
 
 
+@st.composite
+def two_view_fits(draw):
+    """A generated two-view instance, code length, lambda1 and seed."""
+    d_t, d_s = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    c = draw(st.integers(1, min(d_t, d_s)))
+    x_t, x_s = two_view_instance(draw(st.integers(2, 60)), d_t, d_s,
+                                 seed=draw(st.integers(0, 2**32 - 1)),
+                                 latent=draw(st.integers(1, 6)),
+                                 noise=draw(st.floats(0.0, 2.0)))
+    return x_t, x_s, c, draw(st.floats(0.0, 2.0)), draw(st.integers(0, 1000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=two_view_fits())
+def test_itq_and_itq_plus_traces_never_rise(case):
+    x_t, x_s, c, lam, seed = case
+    _, _, losses = itq_train(x_t, c, iters=8, seed=seed, tol=0)
+    assert np.all(np.diff(losses) <= 1e-9)
+    _, state = itq_plus_train(x_t, x_s, c, lam, iters=8, seed=seed, tol=0)
+    assert np.all(np.diff(state.objective_trace) <= 1e-9)
+
+
+def test_fit_builds_each_gram_once(monkeypatch):
+    # X_t and X_sc are fixed for the fit: one eigvalsh per view, not per sweep
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    x_t, x_s = two_view_instance(120, 14, 11, seed=23)
+    _, state = itq_plus_train(x_t, x_s, 6, 0.1, iters=7, seed=0, tol=0)
+    assert len(state.objective_trace) == 7
+    assert sorted(shapes) == [(11, 11), (14, 14)]
+    shapes.clear()
+    _, _, losses = itq_train(x_t, 6, iters=7, seed=0, tol=0)
+    assert len(losses) == 7 and shapes == [(14, 14)]
+
+
 def test_train_deterministic_per_seed():
     x_t, x_s = two_view_instance(100, 12, 10, seed=20)
     _, state_a = itq_plus_train(x_t, x_s, 8, 0.05, iters=25, seed=4)
