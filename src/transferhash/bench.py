@@ -46,7 +46,8 @@ def fit_model(method: str, target_train, source_corr=None, source_extra=None, *,
     the mean over all available source rows (correspondences plus extras),
     since privileged data never appears at query time.  When pca_energy is
     set, the target side is reduced before rotation learning (cca-itq uses
-    its canonical projection instead).
+    its canonical projection instead); a rotation learned on it needs at
+    least bits components, so keeping fewer raises ConfigError.
     """
     if bits < 1:
         raise ConfigError(f"bits must be positive, got {bits}")
@@ -70,6 +71,9 @@ def fit_model(method: str, target_train, source_corr=None, source_extra=None, *,
     if pca_energy is not None and method != "cca-itq":
         preprocessing = pca_fit(centered_t, pca_energy)
         trainer_input = project(centered_t, preprocessing)
+        if method != "lsh" and trainer_input.shape[1] < bits:
+            raise ConfigError(f"pca_energy={pca_energy} keeps {trainer_input.shape[1]} "
+                              f"components, fewer than bits={bits}")
     # cca-itq keeps the canonical projection its trainer fitted
     projection = None if method == "cca-itq" else _proj_for(preprocessing, trainer_input)
 
@@ -118,7 +122,8 @@ def run_cell(config: RunConfig, split, gt, method: str, bits: int,
 def run_bench(config: RunConfig, target_all, source_all, out_dir) -> dict:
     """Run every (method, bits, seed) cell and write the aggregate CSVs.
 
-    A failed cell is logged and recorded as missing; the run continues.
+    A failed cell is logged and recorded as missing, and the run continues;
+    a ConfigError in a cell is a mistake in the settings and ends the run.
     Returns {(method, bits, seed): EvalReport or None}.
     """
     config.validate()
@@ -141,6 +146,8 @@ def run_bench(config: RunConfig, target_all, source_all, out_dir) -> dict:
             for seed in config.seeds:
                 try:
                     report = run_cell(config, splits[seed], gts[seed], method, bits, seed)
+                except ConfigError:
+                    raise
                 except Exception:
                     log.exception("bench cell failed: method=%s bits=%d seed=%d",
                                   method, bits, seed)

@@ -293,6 +293,19 @@ def test_bench_failed_cell_recorded_as_missing(tmp_path, dataset):
     assert rows[("cca-itq", "mean")] == ""
 
 
+def test_bench_pca_energy_below_bits_exits_2(tmp_path, dataset, caplog):
+    # 4 clusters at noise 0.5: 90% of the energy sits in a few components,
+    # too few for an 8-bit rotation, so no itq cell can be trained
+    data_dir = dataset.parent / "data"
+    assert run_cli("bench", "--target", data_dir / "target.bin",
+                   "--source", data_dir / "source.bin",
+                   "--methods", "lsh,itq", "--bits", "8", "--pca-energy", 0.9,
+                   "--seeds", "0", "--iters", 3, "--r-groundtruth", 5,
+                   "--ks", "1", "--out", tmp_path / "bench") == 2
+    assert "fewer than bits=8" in caplog.text
+    assert not (tmp_path / "bench" / "bench_results.csv").exists()
+
+
 @pytest.mark.parametrize("grid", [
     ("--methods", "itq,itq"), ("--bits", "4,4"), ("--seeds", "0,0,1")])
 def test_bench_repeated_grid_value_exits_2(tmp_path, dataset, grid, caplog):
