@@ -93,8 +93,9 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
     the target and warms the loop again.  They also pass
     gram=gram_bound(x), computed once per fit since X does not change
     between calls; without it G and mu are computed here, once per call.
-    With r0 given and X^T A = 0 (say, a zero target or zero data) there is
-    no direction to follow, and r0 itself is returned.
+    For square R with X^T A = 0 every R scores the same, so a given r0 is
+    returned as is; for d > c the <R, G R> term still varies, and the loop
+    descends from r0 as usual.
     """
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -108,12 +109,11 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
         raise NumericalError("non-finite values in procrustes inputs")
 
     cross = x.T @ a
-    if r0 is not None and not np.any(cross):
-        return r0
-    closed = _polar(cross)
-    d, c = closed.shape
+    d, c = cross.shape
     if d == c:
-        return closed
+        # ||X R||^2 is fixed for square R; a zero X^T A leaves nothing to fit
+        return r0 if r0 is not None and not np.any(cross) else _polar(cross)
+    closed = _polar(cross)
 
     gram, mu = gram_bound(x) if gram is None else gram
     a_sq = float(np.vdot(a, a))

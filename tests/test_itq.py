@@ -201,10 +201,18 @@ def test_procrustes_never_worse_than_warm_start(case, steps):
     assert frob_objective(x, r, a) <= frob_objective(x, r0, a) + slack
 
 
-def test_procrustes_zero_cross_term_keeps_warm_start():
+def test_procrustes_zero_cross_term():
     x = np.random.default_rng(9).standard_normal((10, 5))
+    zero_a = np.zeros((10, 2))
+    # square R: ||X R||^2 is fixed, every R scores the same, r0 is kept
+    square = random_orthonormal(5, 5, 0)
+    assert procrustes(np.zeros((10, 5)), x, square) is square
+    # tall R: <R, G R> still varies, so the loop descends from r0
     r0 = random_orthonormal(5, 2, 0)
-    assert procrustes(np.zeros((10, 2)), x, r0) is r0
+    r = procrustes(zero_a, x, r0, max_iter=DEFAULT_STEP_ITERS)
+    assert is_orthonormal(r)
+    assert frob_objective(x, r, zero_a) < frob_objective(x, r0, zero_a)
+    # zero data: the objective is flat and the warm start wins the tie
     assert procrustes(np.ones((10, 2)), np.zeros((10, 5)), r0) is r0
 
 
