@@ -87,10 +87,10 @@ def update_b_balanced(scores) -> BinaryCodeMatrix:
 
 
 def update_r(codes, x_t, x_sc, slack_rotation, lambda1, previous=None, *,
-             gram=None) -> np.ndarray:
+             gram) -> np.ndarray:
     """Target-rotation step: procrustes toward B - lambda1/(lambda1+1) X_sc P.
 
-    gram is gram_bound(x_t) when the caller holds x_t fixed, else None.
+    gram is gram_bound(x_t), or None for a square rotation, which needs none.
     """
     if not 0.0 <= lambda1 < np.inf:
         raise ValueError("lambda1 must be finite and >= 0")
@@ -101,11 +101,12 @@ def update_r(codes, x_t, x_sc, slack_rotation, lambda1, previous=None, *,
     return procrustes(target, x_t, previous, max_iter=DEFAULT_STEP_ITERS, gram=gram)
 
 
-def update_p(codes, x_t, rotation, x_sc, previous=None, *, gram=None) -> np.ndarray:
+def update_p(codes, x_t, rotation, x_sc, previous=None, *, gram) -> np.ndarray:
     """Slack-rotation step: procrustes fit of the quantization error from X_sc.
 
-    gram is gram_bound(x_sc) when the caller holds x_sc fixed, else None.
-    When X_sc^T E is zero, procrustes keeps the previous rotation (if given).
+    gram is gram_bound(x_sc), or None for a square rotation, which needs none.
+    When the fit is flat (X_sc^T E = 0 with a square P, or X_sc = 0), the
+    previous rotation, if given, is kept.
     """
     signs = codes.signs if isinstance(codes, BinaryCodeMatrix) else np.asarray(codes)
     x_sc = np.asarray(x_sc, dtype=np.float64)

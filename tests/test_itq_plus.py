@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from transferhash.codes import BinaryCodeMatrix, sgn
 from transferhash.itq import (
     balanced_signs,
+    gram_bound,
     itq_train,
     procrustes,
     quantization_loss,
@@ -138,7 +139,8 @@ def test_non_finite_lambda_raises_value_error(value):
     with pytest.raises(ValueError, match="finite"):
         itq_plus_train(x_t, x_s, 3, value, iters=2)
     with pytest.raises(ValueError, match="finite"):
-        update_r(codes, x_t, x_s, random_orthonormal(5, 3, 0), value)
+        update_r(codes, x_t, x_s, random_orthonormal(5, 3, 0), value,
+                 gram=gram_bound(x_t))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -163,10 +165,11 @@ def test_update_r_reduces_to_plain_procrustes():
     p = random_orthonormal(5, 3, 2)
     codes = BinaryCodeMatrix(sgn(np.random.default_rng(6).standard_normal((30, 3))))
     plain = procrustes(codes.signs.astype(float), x_t, max_iter=DEFAULT_STEP_ITERS)
-    assert np.array_equal(update_r(codes, x_t, x_s, p, 0.0), plain)
+    gram = gram_bound(x_t)
+    assert np.array_equal(update_r(codes, x_t, x_s, p, 0.0, gram=gram), plain)
     # vanishing slack image behaves like lambda1 = 0
     zero_side = np.zeros_like(x_s)
-    assert np.array_equal(update_r(codes, x_t, zero_side, p, 3.0), plain)
+    assert np.array_equal(update_r(codes, x_t, zero_side, p, 3.0, gram=gram), plain)
 
 
 def test_update_r_decreases_objective():
@@ -176,7 +179,7 @@ def test_update_r_decreases_objective():
     p = random_orthonormal(7, 4, 3)
     r_old = random_orthonormal(9, 4, 4)
     before = itq_plus_objective(codes, r_old, p, x_t, x_s, lam)
-    r_new = update_r(codes, x_t, x_s, p, lam, previous=r_old)
+    r_new = update_r(codes, x_t, x_s, p, lam, previous=r_old, gram=gram_bound(x_t))
     after = itq_plus_objective(codes, r_new, p, x_t, x_s, lam)
     assert after <= before + 1e-9
 
@@ -188,7 +191,7 @@ def test_update_p_exact_recovery():
     x_t = np.random.default_rng(12).standard_normal((40, 8))
     signs = sgn(x_t @ r + x_s @ q)
     x_t = (signs - x_s @ q) @ r.T  # makes B - X_t R equal X_s Q exactly
-    p = update_p(BinaryCodeMatrix(signs), x_t, r, x_s)
+    p = update_p(BinaryCodeMatrix(signs), x_t, r, x_s, gram=gram_bound(x_s))
     assert np.abs(p - q).max() < 1e-8
 
 
@@ -199,7 +202,7 @@ def test_update_p_decreases_slack_term():
     p_old = random_orthonormal(6, 4, 6)
     err = codes.signs - x_t @ r
     before = float(np.sum((err - x_s @ p_old) ** 2))
-    p_new = update_p(codes, x_t, r, x_s, previous=p_old)
+    p_new = update_p(codes, x_t, r, x_s, previous=p_old, gram=gram_bound(x_s))
     after = float(np.sum((err - x_s @ p_new) ** 2))
     assert after <= before + 1e-9
 
@@ -209,7 +212,7 @@ def test_update_p_beats_random_candidates():
     codes = BinaryCodeMatrix(sgn(np.random.default_rng(16).standard_normal((25, 3))))
     r = random_orthonormal(7, 3, 7)
     err = codes.signs - x_t @ r
-    p = update_p(codes, x_t, r, x_s)
+    p = update_p(codes, x_t, r, x_s, gram=gram_bound(x_s))
     best = float(np.sum((err - x_s @ p) ** 2))
     for i in range(1000):
         cand = random_orthonormal(5, 3, 2000 + i)
@@ -221,14 +224,15 @@ def test_update_p_degenerate_keeps_previous():
     x_s = np.zeros((10, 4))
     codes = BinaryCodeMatrix(np.ones((10, 2), dtype=np.int8))
     prev = random_orthonormal(4, 2, 0)
-    assert update_p(codes, x_t, np.eye(4)[:, :2], x_s, previous=prev) is prev
+    assert update_p(codes, x_t, np.eye(4)[:, :2], x_s, previous=prev,
+                    gram=gram_bound(x_s)) is prev
 
 
 def test_update_p_dimension_error():
     x_t, x_s = two_view_instance(10, 6, 2, seed=17)
     codes = BinaryCodeMatrix(np.ones((10, 4), dtype=np.int8))
     with pytest.raises(ValueError):
-        update_p(codes, x_t, random_orthonormal(6, 4, 0), x_s)
+        update_p(codes, x_t, random_orthonormal(6, 4, 0), x_s, gram=gram_bound(x_s))
 
 
 def test_train_lambda_zero_matches_balanced_itq():
@@ -305,6 +309,7 @@ def test_train_per_block_monotonicity():
     rotation = random_orthonormal(14, 6, 0)
     slack_rot = random_orthonormal(11, 6, 0)
     previous = None
+    gram_t, gram_sc = gram_bound(x_t), gram_bound(x_s)
     for _ in range(25):
         scores = blend_scores(x_t, rotation, x_s, slack_rot, lam)
         codes = update_b_balanced(scores)
@@ -313,10 +318,12 @@ def test_train_per_block_monotonicity():
             after = itq_plus_objective(codes, rotation, slack_rot, x_t, x_s, lam)
             assert after <= before + 1e-9
         mid0 = itq_plus_objective(codes, rotation, slack_rot, x_t, x_s, lam)
-        rotation = update_r(codes, x_t, x_s, slack_rot, lam, previous=rotation)
+        rotation = update_r(codes, x_t, x_s, slack_rot, lam, previous=rotation,
+                            gram=gram_t)
         mid1 = itq_plus_objective(codes, rotation, slack_rot, x_t, x_s, lam)
         assert mid1 <= mid0 + 1e-9
-        slack_rot = update_p(codes, x_t, rotation, x_s, previous=slack_rot)
+        slack_rot = update_p(codes, x_t, rotation, x_s, previous=slack_rot,
+                             gram=gram_sc)
         mid2 = itq_plus_objective(codes, rotation, slack_rot, x_t, x_s, lam)
         assert mid2 <= mid1 + 1e-9
         previous = codes
