@@ -10,10 +10,8 @@ Usage, from anywhere:
 --parent and --change are two source checkouts; each run is
 ``python3 perfbench/run.py --workload W --seed S --seconds N --trace 0`` in
 its own process, from its own checkout.  Per workload and seed the parent
-runs first on odd seeds and the change first on even seeds.  The last JSON
-line of every run is kept under --runs-dir (default: <out>.runs/), and a
-run already there is read back instead of run again, so an interrupted
-series resumes and a finished one can be summarised again with new notes.
+runs first on odd seeds and the change first on even seeds.  Every run is
+made afresh, and parent_commit is the parent checkout's HEAD.
 
 For every end-to-end metric of BENCHMARK.json the file holds both sides'
 runs (in seed order), medians and quartiles, the change's relative median
@@ -58,12 +56,8 @@ def short_commit(checkout: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float,
-             path: str) -> dict:
-    """One perfbench run, read back from path when it was made before."""
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run: its last JSON line, with the environment it printed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -74,8 +68,6 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
     result = json.loads(lines[-1])
     env = [line[4:] for line in lines if line.startswith("env ")]
     result["environment"] = json.loads(env[0]) if env else {}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh)
     return result
 
 
@@ -145,9 +137,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--description", default="", help="what the change does")
-    parser.add_argument("--parent-commit", help="defaults to the parent checkout's HEAD")
     parser.add_argument("--note", action="append", default=[], help="repeatable")
-    parser.add_argument("--runs-dir", help="default: <out>.runs/")
     args = parser.parse_args(argv)
 
     parent, change = os.path.abspath(args.parent), os.path.abspath(args.change)
@@ -155,8 +145,6 @@ def main(argv=None) -> int:
         metrics = json.load(fh)["end_to_end"]
     workloads = args.workloads.split(",")
     seeds = parse_seeds(args.seeds)
-    runs_dir = args.runs_dir or os.path.splitext(args.out)[0] + ".runs"
-    os.makedirs(runs_dir, exist_ok=True)
 
     results = {}
     for workload in workloads:
@@ -164,16 +152,15 @@ def main(argv=None) -> int:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
                 checkout = parent if side == "parent" else change
-                path = os.path.join(runs_dir, f"{workload}-{seed}-{side}.json")
                 results[(workload, seed, side)] = run_once(
-                    checkout, workload, seed, args.seconds, path)
+                    checkout, workload, seed, args.seconds)
                 value = results[(workload, seed, side)]["metrics"].get("wall_s", {})
                 print(f"{workload} seed {seed} {side}: wall_s {value.get('value')}",
                       flush=True)
 
     report = {
         "change": args.description,
-        "parent_commit": args.parent_commit or short_commit(parent),
+        "parent_commit": short_commit(parent),
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
                    f"--seconds {args.seconds:g} --trace 0",
         "pairs": {w: len(seeds) for w in workloads},
