@@ -98,11 +98,13 @@ class GroundTruth:
     r: int
 
 
-def _pairwise_distances(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.sqrt(np.clip(sq, 0.0, None))
+def _squared_distances(a, b, b_norms) -> np.ndarray:
+    """|a|^2 + |b|^2 - 2ab per row pair, given b's squared row norms; may dip below 0."""
+    return np.sum(a * a, axis=1)[:, None] + b_norms[None, :] - 2.0 * (a @ b.T)
+
+
+def _distances(squared):
+    return np.sqrt(np.clip(squared, 0.0, None))
 
 
 def ground_truth(database_features, query_features,
@@ -110,8 +112,10 @@ def ground_truth(database_features, query_features,
     """Relevance threshold = mean distance to the r-th nearest neighbor.
 
     The mean is taken over database points, each against the other
-    database points.
+    database points.  r must be >= 1; above n - 1 it is clamped.
     """
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     db = np.asarray(database_features, dtype=np.float64)
     queries = np.asarray(query_features, dtype=np.float64)
     if db.shape[0] < 2:
@@ -131,17 +135,20 @@ def ground_truth(database_features, query_features,
     if r_eff < r:
         log.warning("ground_truth: r=%d clamped to %d (database size %d)",
                     r, r_eff, n)
+    db_norms = np.sum(db * db, axis=1)
     kth = np.empty(n)
     for lo, hi in _row_blocks(n, n, _BLOCK_ELEMENTS):
-        inner = _pairwise_distances(db[lo:hi], db)
+        inner = _squared_distances(db[lo:hi], db, db_norms)
         rows = np.arange(hi - lo)
         inner[rows, lo + rows] = np.inf
+        # sqrt(clip(.)) is monotone, so it maps the r-th smallest square to
+        # the r-th smallest distance: only the selected values need it
         kth[lo:hi] = np.partition(inner, r_eff - 1, axis=1)[:, r_eff - 1]
-    threshold = float(kth.mean())
+    threshold = float(_distances(kth).mean())
 
     relevant = []
     for lo, hi in _row_blocks(queries.shape[0], n, _BLOCK_ELEMENTS):
-        cross = _pairwise_distances(queries[lo:hi], db)
+        cross = _distances(_squared_distances(queries[lo:hi], db, db_norms))
         relevant += [np.flatnonzero(row <= threshold) for row in cross]
     return GroundTruth(relevant=tuple(relevant), threshold=threshold, r=r_eff)
 

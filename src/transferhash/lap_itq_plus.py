@@ -9,7 +9,7 @@ box-relaxed quadratic program solved by projected gradient descent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,16 +43,27 @@ class LaplacianMatrix:
 
     `csr` accepts any square matrix, dense or sparse, and holds it as a
     float64 CSR array, so a product L B costs O(edges * c).
+
+    `row_bound` is a proven bound on the spectrum: ||L||_inf, the largest
+    absolute row sum, when L is symmetric and each diagonal entry is at
+    least the absolute sum of its row's other entries (as D - W is for a
+    symmetric W >= 0), so that by Gershgorin every eigenvalue lies in
+    [0, ||L||_inf]; inf for any other matrix.
     """
 
     csr: object
     lambda_max: float
+    row_bound: float = field(init=False, repr=False)
 
     def __post_init__(self):
         csr = _sparse().csr_array(self.csr, dtype=np.float64)
         if csr.ndim != 2 or csr.shape[0] != csr.shape[1]:
             raise ValueError("laplacian must be square")
         object.__setattr__(self, "csr", csr)
+        abs_rows = abs(csr).sum(axis=1)
+        dominant = (csr != csr.T).nnz == 0 and bool(np.all(2.0 * csr.diagonal() >= abs_rows))
+        object.__setattr__(self, "row_bound",
+                           float(abs_rows.max(initial=0.0)) if dominant else np.inf)
 
 
 def source_codes_offline(x_s, c: int, iters: int = DEFAULT_ITERS, seed=0,
@@ -137,6 +148,16 @@ def box_qp_minimize(k_mat, lap: LaplacianMatrix, lambda2: float,
     Returns (relaxed solution, objective trace); the trace is non-increasing.
     Each step multiplies by the sparse L once: the product serves both the
     trace value of the current iterate and the gradient taken from it.
+
+    The loop stops before `inner_iters` steps once the signs of the capped
+    run are certain; only the signs of the solution are used.  When the
+    step s has s * 2 lambda2 * lap.row_bound <= 2, the step map is
+    nonexpansive, so no later step moves B further than the last step did,
+    ||B_k - B_(k-1)||_F.  With m steps left, no entry then moves more than
+    m times that, and once every |B_k| entry exceeds it, sgn(B_k) is the
+    sign pattern the capped run would end with.  A step that leaves B
+    unchanged stops the loop whatever the bound, as a fixed point repeats.
+    Where the loop stops early, the trace is a prefix of the capped run's.
     """
     k_mat = np.asarray(k_mat, dtype=np.float64)
     if not np.isfinite(k_mat).all():
@@ -146,18 +167,24 @@ def box_qp_minimize(k_mat, lap: LaplacianMatrix, lambda2: float,
     linear_grad = np.ascontiguousarray(-2.0 * k_mat.T)  # n x c
     b = sgn(k_mat.T).astype(np.float64, order="C")
     step = 1.0 / (2.0 * lambda2 * lap.lambda_max + _STEP_DELTA)
+    nonexpansive = step * 2.0 * lambda2 * lap.row_bound <= 2.0
     lap_b = lap.csr @ b if lambda2 != 0.0 else None
     trace = [_relaxed_value(b, lap_b, linear_grad, lambda2)]
-    for _ in range(inner_iters):
+    for left in range(inner_iters - 1, -1, -1):
         grad = linear_grad
         if lambda2 != 0.0:
             grad = grad + (2.0 * lambda2) * lap_b
         b_next = np.clip(b - step * grad, -1.0, 1.0)
         if np.array_equal(b_next, b):
             break
+        # no entry moves further than this before the cap; a bound of 0
+        # (an underflowed move) or of 1 or more (|B| <= 1) certifies nothing
+        bound = left * float(np.linalg.norm(b_next - b)) if nonexpansive else 0.0
         b = b_next
         lap_b = lap.csr @ b if lambda2 != 0.0 else None
         trace.append(_relaxed_value(b, lap_b, linear_grad, lambda2))
+        if 0.0 < bound < 1.0 and bound < np.abs(b).min():
+            break
     return b, trace
 
 

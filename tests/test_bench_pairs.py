@@ -1,0 +1,71 @@
+"""tools/bench_pairs.py's seed parser and verdicts; no perfbench run is made."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).parents[1] / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+PARENT = [1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.02, 0.98, 1.0]
+
+
+def metric(better, bound=0.1):
+    return {"name": "m", "unit": "s", "better": better, "bound": bound}
+
+
+def test_parse_seeds_ranges_lists_and_repeats():
+    assert bench_pairs.parse_seeds("1-10") == list(range(1, 11))
+    assert bench_pairs.parse_seeds("5,1,3") == [1, 3, 5]
+    assert bench_pairs.parse_seeds("3-5,4,9") == [3, 4, 5, 9]
+    assert bench_pairs.parse_seeds("7-7") == [7]
+
+
+@pytest.mark.parametrize("text", ["10-1", "", "1,,2", "3-", "-2", "a"])
+def test_parse_seeds_rejects_empty_or_reversed(text):
+    with pytest.raises(ValueError):
+        bench_pairs.parse_seeds(text)
+
+
+def test_main_reports_a_reversed_range_as_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", ".", "--change", ".", "--out", "x.json",
+                          "--seeds", "10-1"])
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_compare_verdicts_in_both_directions(better):
+    sign = 1.0 if better == "higher" else -1.0
+
+    def verdict(change):
+        return bench_pairs.compare(metric(better), PARENT, change)["verdict"]
+
+    assert verdict(list(PARENT)) == "identical in every pair"
+    assert verdict([p * (1 + sign * 0.5) for p in PARENT]) == "no worse (improved)"
+    # wins nine pairs of ten: no worse, but not improved in every pair
+    mixed = [p * (1 + sign * 0.5) for p in PARENT[:9]] + [PARENT[9] * (1 - sign * 0.5)]
+    assert verdict(mixed) == "no worse"
+    assert verdict([p * (1 - sign * 0.05) for p in PARENT]) == "within bound"
+    assert verdict([p * (1 - sign * 0.5) for p in PARENT]) == "WORSE THAN BOUND"
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_claim_needs_nine_wins_in_ten_and_a_move_beyond_the_spread(better):
+    sign = 1.0 if better == "higher" else -1.0
+
+    def claim(change):
+        entry = bench_pairs.compare(metric(better), PARENT, change)
+        return bench_pairs.claim_verdict(entry).split(":")[0]
+
+    better_by = lambda p, f: p * (1 + sign * f)
+    nine = [better_by(p, 0.5) for p in PARENT[:9]] + [better_by(PARENT[9], -0.5)]
+    eight = nine[:8] + [better_by(PARENT[8], -0.5), nine[9]]
+    assert claim(nine) == "met"
+    assert claim(eight) == "NOT MET"
+    # every pair won, but the median moves less than the parent's quartile spread
+    assert claim([better_by(p, 0.001) for p in PARENT]) == "NOT MET"

@@ -413,3 +413,28 @@ def test_ground_truth_rejects_values_whose_squares_overflow():
     db[2, 1] = 1e300
     with pytest.raises(DataError, match="overflows"):
         ground_truth(db, np.ones((2, 3)), r=2)
+
+
+@pytest.mark.parametrize("r", [0, -3])
+def test_ground_truth_rejects_rank_below_one(r):
+    db = np.random.default_rng(0).standard_normal((20, 3))
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        ground_truth(db, db[:2], r=r)
+
+
+@pytest.mark.parametrize("n, block", [(300, 7 * 300), (257, 1 << 21), (40, 40)])
+def test_ground_truth_threshold_equals_distances_partitioned_per_block(monkeypatch, n, block):
+    # the square root of the r-th smallest square is the r-th smallest
+    # distance, bit for bit, so it may be taken after the partition
+    rng = np.random.default_rng(n)
+    db = rng.standard_normal((n, 33)) * 4.0
+    r = 20
+    kth = []
+    for lo, hi in evaluate._row_blocks(n, n, block):
+        a = db[lo:hi]
+        sq = np.sum(a * a, axis=1)[:, None] + np.sum(db * db, axis=1)[None, :] - 2.0 * (a @ db.T)
+        inner = np.sqrt(np.clip(sq, 0.0, None))
+        inner[np.arange(hi - lo), lo + np.arange(hi - lo)] = np.inf
+        kth.append(np.partition(inner, r - 1, axis=1)[:, r - 1])
+    monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", block)
+    assert ground_truth(db, db[:5], r).threshold == float(np.concatenate(kth).mean())

@@ -6,16 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import transferhash
-from transferhash import evaluate
+from transferhash import evaluate, lap_itq_plus
 from transferhash.codes import BinaryCodeMatrix, sgn
 from transferhash.errors import NumericalError
 from transferhash.itq import itq_train
 from transferhash.itq_plus import itq_plus_train
+from transferhash.synth import make_two_view_clusters
 from transferhash.lap_itq_plus import (
+    DEFAULT_INNER_ITERS,
     LaplacianMatrix,
     _relaxed_value,
     box_qp_minimize,
@@ -360,11 +362,121 @@ def test_box_qp_matches_dense_reference(data):
     relaxed, trace = box_qp_minimize(k_mat, lap, lambda2, inner_iters)
     expected, expected_trace = dense_box_qp(k_mat, dense, lap.lambda_max, lambda2,
                                             inner_iters)
-    assert len(trace) == len(expected_trace)
-    assert np.abs(relaxed - expected).max() <= 1e-12
+    # the loop may stop before the reference's cap once the signs are certain
+    assert len(trace) <= len(expected_trace)
+    assert np.allclose(trace, expected_trace[:len(trace)], rtol=1e-12, atol=1e-12)
+    if len(trace) == len(expected_trace):
+        assert np.abs(relaxed - expected).max() <= 1e-12
     clear = np.abs(expected) > 1e-9
     assert np.array_equal(sgn(relaxed)[clear], sgn(expected)[clear])
-    assert np.allclose(trace, expected_trace, rtol=1e-12, atol=1e-12)
+
+
+def capped_box_qp(k_mat, lap, lambda2, inner_iters=DEFAULT_INNER_ITERS):
+    """box_qp_minimize without the sign certificate: every call runs to the cap
+    or to a step that leaves B unchanged."""
+    k_mat = np.asarray(k_mat, dtype=np.float64)
+    linear_grad = np.ascontiguousarray(-2.0 * k_mat.T)
+    b = sgn(k_mat.T).astype(np.float64, order="C")
+    step = 1.0 / (2.0 * lambda2 * lap.lambda_max + 1e-12)
+    lap_b = lap.csr @ b if lambda2 != 0.0 else None
+    trace = [_relaxed_value(b, lap_b, linear_grad, lambda2)]
+    for _ in range(inner_iters):
+        grad = linear_grad
+        if lambda2 != 0.0:
+            grad = grad + (2.0 * lambda2) * lap_b
+        b_next = np.clip(b - step * grad, -1.0, 1.0)
+        if np.array_equal(b_next, b):
+            break
+        b = b_next
+        lap_b = lap.csr @ b if lambda2 != 0.0 else None
+        trace.append(_relaxed_value(b, lap_b, linear_grad, lambda2))
+    return b, trace
+
+
+def hub_instance(seed, rows, distinct, bits, c, scale):
+    """Scores over a kNN graph (k = 5) of codes drawn from a few distinct
+    ones: every row ties at its k-th distance, so low-index rows become hubs,
+    as on the offline source codes of the data-sparse transfer workload."""
+    rng = np.random.default_rng(seed)
+    pool = sgn(rng.standard_normal((distinct, bits)))
+    graph = knn_hamming_graph(BinaryCodeMatrix(pool[rng.integers(0, distinct, rows)]), 5)
+    return scale * rng.standard_normal((c, rows)), laplacian(graph)
+
+
+PINNED_HUB = dict(seed=8, rows=105, distinct=4, bits=10, c=3, scale=3.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(90, 110),
+       distinct=st.integers(1, 8), bits=st.integers(1, 32), c=st.integers(1, 32),
+       scale=st.sampled_from([0.1, 0.3, 1.0, 3.0]))
+@example(**PINNED_HUB)
+def test_box_qp_stop_keeps_the_capped_signs_on_hub_graphs(seed, rows, distinct, bits,
+                                                          c, scale):
+    k_mat, lap = hub_instance(seed, rows, distinct, bits, c, scale)
+    relaxed, trace = box_qp_minimize(k_mat, lap, 0.01)
+    expected, expected_trace = capped_box_qp(k_mat, lap, 0.01)
+    assert np.array_equal(sgn(relaxed), sgn(expected))
+    assert trace == expected_trace[:len(trace)]
+
+
+def test_box_qp_stop_fires_on_a_hub_graph():
+    k_mat, lap = hub_instance(**PINNED_HUB)
+    step = 1.0 / (2.0 * 0.01 * lap.lambda_max + 1e-12)
+    assert step * 2.0 * 0.01 * lap.row_bound <= 2.0
+    relaxed, trace = box_qp_minimize(k_mat, lap, 0.01)
+    expected, expected_trace = capped_box_qp(k_mat, lap, 0.01)
+    assert len(trace) < len(expected_trace) == DEFAULT_INNER_ITERS + 1
+    assert np.array_equal(sgn(relaxed), sgn(expected))
+
+
+def test_box_qp_understated_lambda_max_runs_to_the_cap():
+    # a step longer than 2 / Lipschitz is not nonexpansive, so nothing is certified
+    k_mat, lap = hub_instance(**PINNED_HUB)
+    understated = LaplacianMatrix(lap.csr, 0.5 * lap.lambda_max)
+    assert (2.0 * 0.01 * understated.row_bound
+            / (2.0 * 0.01 * understated.lambda_max + 1e-12)) > 2.0
+    relaxed, trace = box_qp_minimize(k_mat, understated, 0.01)
+    expected, expected_trace = capped_box_qp(k_mat, understated, 0.01)
+    assert relaxed.tobytes() == expected.tobytes()
+    assert trace == expected_trace
+
+
+def test_row_bound_holds_only_for_symmetric_dominant_matrices():
+    path = laplacian(scipy.sparse.csr_array(
+        np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.uint8)))
+    assert path.row_bound == 4.0  # twice the largest degree
+    assert LaplacianMatrix(np.zeros((3, 3)), 0.0).row_bound == 0.0
+    assert LaplacianMatrix(np.zeros((0, 0)), 0.0).row_bound == 0.0
+    assert LaplacianMatrix([[1.0, -1.0], [0.0, 0.0]], 1.0).row_bound == np.inf
+    assert LaplacianMatrix([[1.0, -2.0], [-2.0, 1.0]], 3.0).row_bound == np.inf
+    assert LaplacianMatrix([[-1.0, 0.0], [0.0, 0.0]], 0.0).row_bound == np.inf
+
+
+def test_lap_train_matches_a_fit_with_the_capped_box_qp(monkeypatch):
+    target, source, _ = make_two_view_clusters(1000, 64, 40, clusters=5, noise=3.0,
+                                               source_noise=0.1, latent_dim=16,
+                                               center_spread=5.0, seed=0)
+    x_t, x_s = target[:100] - target[:100].mean(0), source - source.mean(0)
+    steps = []
+
+    def counted(*args):
+        relaxed, trace = box_qp_minimize(*args)
+        steps.append(len(trace) - 1)
+        return relaxed, trace
+
+    def fit():
+        return lap_itq_plus_train(x_t, x_s[:100], x_s[100:], 32, 0.3, 0.01, 5,
+                                  iters=15, seed=1, tol=0)[1]
+
+    monkeypatch.setattr(lap_itq_plus, "box_qp_minimize", counted)
+    stopped = fit()
+    monkeypatch.setattr(lap_itq_plus, "box_qp_minimize", capped_box_qp)
+    capped = fit()
+    assert min(steps) < DEFAULT_INNER_ITERS
+    assert stopped.rotation.tobytes() == capped.rotation.tobytes()
+    assert stopped.codes.packed.tobytes() == capped.codes.packed.tobytes()
+    assert stopped.slack_rotation.tobytes() == capped.slack_rotation.tobytes()
 
 
 def test_laplacian_matrix_rejects_non_square():

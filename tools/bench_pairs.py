@@ -42,11 +42,17 @@ ORDER = ("parent runs first on odd seeds, the change first on even seeds; "
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1-10' or '1,3,5' (or a mix) as a sorted list without repeats."""
+    """'1-10' or '1,3,5' (or a mix) as a sorted list without repeats.
+
+    An empty part or a reversed range such as '10-1' is a ValueError.
+    """
     seeds = set()
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.update(range(int(lo), int(hi or lo) + 1))
+        lo, dash, hi = part.partition("-")
+        lo, hi = int(lo), int(hi if dash else lo)
+        if hi < lo:
+            raise ValueError(f"seed range {part!r} is reversed")
+        seeds.update(range(lo, hi + 1))
     return sorted(seeds)
 
 
@@ -133,7 +139,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="changed source checkout")
     parser.add_argument("--out", required=True, help="BENCH_*.json to write")
     parser.add_argument("--workloads", default="paper-transfer,graph-dense,retrieval-large")
-    parser.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 1,2,5")
+    parser.add_argument("--seeds", type=parse_seeds, default="1-10",
+                        help="e.g. 1-10 or 1,2,5")
     parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--description", default="", help="what the change does")
@@ -144,7 +151,7 @@ def main(argv=None) -> int:
     with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
     workloads = args.workloads.split(",")
-    seeds = parse_seeds(args.seeds)
+    seeds = args.seeds
 
     results = {}
     for workload in workloads:
