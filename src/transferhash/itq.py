@@ -78,24 +78,20 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
     """Orthonormal d x c matrix R minimizing ||X R - A||_F^2.
 
     For square R (d == c) the closed form, the polar factor U V^T of
-    X^T A, is the exact minimizer.  For d > c the ||X R||^2 term varies
-    over the Stiefel manifold and the closed form only maximizes the cross
-    term, so it is refined by a monotone majorize-minimize loop: each step
-    re-polarizes X^T A + (mu I - G) R, with G = X^T X and mu its top
-    eigenvalue.  The loop works in Gram form, ||A||^2 - 2 <R, X^T A> +
-    <R, G R>, so a step costs O(d^2 c) whatever n is, and its nearly
-    orthonormal input gets its polar factor from the Newton-Schulz
-    iteration of _polar; the SVD stays for an ill-conditioned closed form
-    and as the fallback.  Passing r0 adds a warm start; the best iterate
-    ever evaluated is returned, so the result is never worse than r0.
-    Trainers pass max_iter=DEFAULT_STEP_ITERS (5): a short descent from
-    the warm start, not a solve to convergence, since the next sweep moves
-    the target and warms the loop again.  They also pass
-    gram=gram_bound(x), computed once per fit since X does not change
-    between calls; without it G and mu are computed here, once per call.
-    For square R with X^T A = 0 every R scores the same, so a given r0 is
-    returned as is; for d > c the <R, G R> term still varies, and the loop
-    descends from r0 as usual.
+    X^T A, is the exact minimizer; when X^T A = 0 every R scores the same
+    and a given r0 is returned as is.  For d > c the ||X R||^2 term varies
+    over the Stiefel manifold, so a monotone majorize-minimize loop
+    descends from the warm start r0, or from the closed form when there is
+    none: each step re-polarizes X^T A + (mu I - G) R, with G = X^T X and
+    mu its top eigenvalue.  The loop works in Gram form, ||A||^2 -
+    2 <R, X^T A> + <R, G R>, so a step costs O(d^2 c) whatever n is, and
+    _polar factors its nearly orthonormal input by Newton-Schulz; the SVD
+    serves a start with no warm start, square R, and the fallback.  The
+    best iterate is returned, so the result is never worse than r0, which
+    must be d x c (ValueError) and finite (NumericalError).
+    Trainers pass max_iter=DEFAULT_STEP_ITERS (5), a short descent that
+    the next sweep warms again, and gram=gram_bound(x), computed once per
+    fit since X does not change; without it G and mu are computed per call.
     """
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -105,7 +101,13 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
         raise ValueError(
             f"target has {a.shape[1]} columns but data only {x.shape[1]} dims"
         )
-    if not (np.isfinite(a).all() and np.isfinite(x).all()):
+    if r0 is not None:
+        r0 = np.asarray(r0, dtype=np.float64)
+        if r0.shape != (x.shape[1], a.shape[1]):
+            raise ValueError(f"warm start has shape {r0.shape}, "
+                             f"expected {(x.shape[1], a.shape[1])}")
+    if not (np.isfinite(a).all() and np.isfinite(x).all()
+            and (r0 is None or np.isfinite(r0).all())):
         raise NumericalError("non-finite values in procrustes inputs")
 
     cross = x.T @ a
@@ -113,7 +115,6 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
     if d == c:
         # ||X R||^2 is fixed for square R; a zero X^T A leaves nothing to fit
         return r0 if r0 is not None and not np.any(cross) else _polar(cross)
-    closed = _polar(cross)
 
     gram, mu = gram_bound(x) if gram is None else gram
     a_sq = float(np.vdot(a, a))
@@ -123,16 +124,9 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
         gr = gram @ r
         return a_sq + float(np.vdot(r, gr - 2.0 * cross)), gr
 
-    # descend from the better of {closed form, warm start}; prefer the warm
-    # start on ties so a no-improvement step is a no-op
-    best_r = closed
-    best_f, best_gr = evaluate(closed)
-    if r0 is not None:
-        r0 = np.asarray(r0, dtype=np.float64)
-        f0, gr0 = evaluate(r0)
-        if f0 <= best_f:
-            best_r, best_f, best_gr = r0, f0, gr0
-    r, f_cur, gr = best_r, best_f, best_gr
+    best_r = r = _polar(cross) if r0 is None else r0
+    best_f, gr = evaluate(r)
+    f_cur = best_f
     for _ in range(max_iter):
         r = _polar(cross + mu * r - gr)
         f_new, gr = evaluate(r)
@@ -189,7 +183,7 @@ def itq_train(x, c: int, iters: int = DEFAULT_ITERS, seed=0, *,
     iters : maximum outer iterations
     seed : seeds the random orthonormal start when r0 is not given
     tol : relative-change early stop; 0 disables
-    r0 : optional explicit starting rotation
+    r0 : optional starting rotation, d x c with orthonormal columns
     balanced : use the balanced (half +1 per column) code step instead of sgn
 
     Returns (codes, rotation, losses) with one loss per executed iteration;

@@ -142,9 +142,10 @@ def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
     (0 disables).  The recorded objective is the one the code step returns,
     or else itq_plus_objective after the rotation steps.  x_sc = None runs
     without a privileged view: plain quantization, with lambda1 = 0.
-    The target rotation starts from r0 or a seeded random orthonormal
-    matrix, the slack rotation from a random one with the same seed; a
-    code length above either view's dimension raises ValueError there.
+    The target rotation starts from r0, a finite d_t x c matrix with
+    orthonormal columns (else ValueError), or a seeded random orthonormal
+    one; the slack rotation from a random one with the same seed.  A code
+    length above either view's dimension raises ValueError there.
 
     Returns (codes, rotation, slack_rotation, trace).
     """
@@ -163,6 +164,9 @@ def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
             raise ValueError(f"row mismatch: target {n} vs privileged {x_sc.shape[0]}")
         slack_rotation = random_orthonormal(x_sc.shape[1], c, seed)
     rotation = random_orthonormal(d_t, c, seed) if r0 is None else np.asarray(r0, dtype=np.float64)
+    if not (rotation.shape == (d_t, c) and np.isfinite(rotation).all()
+            and np.linalg.norm(rotation.T @ rotation - np.eye(c)) <= 1e-8):
+        raise ValueError(f"r0 must be a finite {d_t}x{c} matrix with orthonormal columns")
     # X_t and X_sc stay fixed, so each rotation step's majorizer is built
     # once per fit; a square rotation has a closed form and needs none
     gram_t = gram_bound(x_t) if d_t > c else None

@@ -175,11 +175,12 @@ def box_qp_minimize(k_mat, lap: LaplacianMatrix, lambda2: float,
         if lambda2 != 0.0:
             grad = grad + (2.0 * lambda2) * lap_b
         b_next = np.clip(b - step * grad, -1.0, 1.0)
-        if np.array_equal(b_next, b):
+        move = b_next - b  # zero exactly where b_next == b, as both are finite
+        if not move.any():
             break
         # no entry moves further than this before the cap; a bound of 0
         # (an underflowed move) or of 1 or more (|B| <= 1) certifies nothing
-        bound = left * float(np.linalg.norm(b_next - b)) if nonexpansive else 0.0
+        bound = left * float(np.linalg.norm(move)) if nonexpansive else 0.0
         b = b_next
         lap_b = lap.csr @ b if lambda2 != 0.0 else None
         trace.append(_relaxed_value(b, lap_b, linear_grad, lambda2))

@@ -38,6 +38,38 @@ def test_main_reports_a_reversed_range_as_a_usage_error(capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("claim", ["paper-transfer/wall_s", "paper-transfer:",
+                                   "paper-transfer:wall_s:x", "graph-dense:wall_s",
+                                   "paper-transfer:no_such_metric"])
+def test_main_checks_the_claim_before_any_run(claim, monkeypatch, tmp_path, capsys):
+    def run_once(*args):
+        raise AssertionError("a run started before --claim was checked")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", ".", "--change", str(Path(__file__).parents[1]),
+                          "--out", str(out), "--workloads", "paper-transfer",
+                          "--claim", claim])
+    assert exc.value.code == 2
+    assert "--claim" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_starts_the_runs_after_a_valid_claim(monkeypatch, tmp_path):
+    class Started(Exception):
+        pass
+
+    def run_once(*args):
+        raise Started
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    with pytest.raises(Started):
+        bench_pairs.main(["--parent", ".", "--change", str(Path(__file__).parents[1]),
+                          "--out", str(tmp_path / "x.json"), "--workloads", "graph-dense",
+                          "--claim", "graph-dense:fit_s.lapitqplus"])
+
+
 @pytest.mark.parametrize("better", ["lower", "higher"])
 def test_compare_verdicts_in_both_directions(better):
     sign = 1.0 if better == "higher" else -1.0

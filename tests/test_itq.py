@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transferhash import itq
 from transferhash.codes import BinaryCodeMatrix, sgn
+from transferhash.errors import NumericalError
 from transferhash.itq import (
     DEFAULT_STEP_ITERS,
     _polar,
@@ -86,6 +88,54 @@ def test_procrustes_shape_errors():
         procrustes(np.array([[np.nan]]), np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("shape", [(6, 3), (5, 2), (2, 6), (12,)])
+def test_procrustes_rejects_a_warm_start_of_the_wrong_shape(shape):
+    rng = np.random.default_rng(6)
+    with pytest.raises(ValueError):
+        procrustes(rng.standard_normal((9, 2)), rng.standard_normal((9, 6)), np.zeros(shape))
+
+
+@pytest.mark.parametrize("d", [2, 6])  # square and tall
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_procrustes_rejects_a_non_finite_warm_start(d, bad):
+    rng = np.random.default_rng(6)
+    r0 = random_orthonormal(d, 2, 0)
+    r0[0, 0] = bad
+    with pytest.raises(NumericalError):
+        procrustes(rng.standard_normal((9, 2)), rng.standard_normal((9, d)), r0)
+
+
+def test_procrustes_starts_from_the_warm_start_alone():
+    # a pinned tall case where the closed form scores lower than the warm start
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((30, 6))
+    a = sgn(rng.standard_normal((30, 2))).astype(float)
+    r0 = random_orthonormal(6, 2, 3)
+    assert frob_objective(x, svd_polar(x.T @ a), a) < frob_objective(x, r0, a)
+    r = procrustes(a, x, r0, max_iter=0)
+    assert np.array_equal(r, r0)
+
+
+def test_procrustes_builds_one_polar_factor_per_mm_step(monkeypatch):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((40, 8))
+    a = sgn(rng.standard_normal((40, 3))).astype(float)
+    calls = []
+
+    def counting_polar(w):
+        calls.append(w.shape)
+        return _polar(w)
+
+    monkeypatch.setattr(itq, "_polar", counting_polar)
+    for steps in (0, 1, DEFAULT_STEP_ITERS):
+        calls.clear()
+        procrustes(a, x, random_orthonormal(8, 3, steps), max_iter=steps, tol=0.0)
+        assert len(calls) == steps
+    calls.clear()
+    procrustes(a, x, max_iter=2, tol=0.0)  # no warm start: the closed form too
+    assert len(calls) == 3
+
+
 def svd_polar(w):
     u, _, vt = np.linalg.svd(w, full_matrices=False)
     return u @ vt
@@ -130,7 +180,7 @@ def reference_procrustes(a, x, r0, steps, tol=1e-13):
         return float(np.sum((x @ r - a) ** 2))
     cross, gram = x.T @ a, x.T @ x
     mu = np.linalg.eigvalsh(gram)[-1]
-    best = r = min((r0, svd_polar(cross)), key=f)  # r0 first: kept on ties
+    best = r = svd_polar(cross) if r0 is None else r0
     f_cur = f_best = f(r)
     for _ in range(steps):
         r = svd_polar(cross + mu * r - gram @ r)
@@ -156,7 +206,7 @@ def test_procrustes_matches_reference_mm_loop(d):
         expected = reference_procrustes(a, x, r0, DEFAULT_STEP_ITERS)
         assert np.abs(r - expected).max() <= 1e-11
         r0 = r
-    # short runs from random starts: the objective picks the start and the best step
+    # short runs from random starts: r0 is the start, the objective picks the best step
     for seed in range(10):
         a = sgn(x @ random_orthonormal(d, 32, 100 + seed)).astype(float)
         r0 = random_orthonormal(d, 32, seed)
@@ -305,6 +355,23 @@ def test_itq_train_b_step_single_flip_optimal():
 def test_itq_train_dimension_error():
     with pytest.raises(ValueError):
         itq_train(np.zeros((10, 3)), 4, iters=1, seed=0)
+
+
+def least_squares_start(x, c):
+    """argmin ||X R - sgn(X)[:, :c]|| over all d x c R: not orthonormal."""
+    return np.linalg.lstsq(x, sgn(x[:, :c]).astype(float), rcond=None)[0]
+
+
+@pytest.mark.parametrize("start", ["wrong width", "wrong height", "nan", "inf",
+                                   "least squares"])
+def test_itq_train_rejects_a_bad_starting_rotation(start):
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((30, 6)); x -= x.mean(0)
+    r0 = {"wrong width": np.eye(6)[:, :2], "wrong height": np.eye(5)[:, :3],
+          "nan": np.full((6, 3), np.nan), "inf": np.where(np.eye(6)[:, :3], np.inf, 0.0),
+          "least squares": least_squares_start(x, 3)}[start]
+    with pytest.raises(ValueError):
+        itq_train(x, 3, iters=1, r0=r0)
 
 
 def test_balanced_signs_column_sums():

@@ -22,7 +22,9 @@ change, the pairs it won and lost, and a verdict:
   - "within bound" when the median is worse by at most the metric's bound;
   - "WORSE THAN BOUND" otherwise.
 The claimed metric is "met" when the change won at least nine pairs in
-ten and its median moved by more than the parent's quartile spread.
+ten and its median moved by more than the parent's quartile spread.  A
+--claim that names no workload being run or no end-to-end metric is a
+usage error (exit 2) before the first run.
 """
 
 from __future__ import annotations
@@ -152,6 +154,13 @@ def main(argv=None) -> int:
         metrics = json.load(fh)["end_to_end"]
     workloads = args.workloads.split(",")
     seeds = args.seeds
+    claim = None
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in workloads or metric not in {m["name"] for m in metrics}:
+            parser.error(f"--claim {args.claim!r} is not WORKLOAD:METRIC for a workload "
+                         "being run and an end-to-end metric of BENCHMARK.json")
+        claim = (workload, metric)
 
     results = {}
     for workload in workloads:
@@ -198,8 +207,8 @@ def main(argv=None) -> int:
                 metric, *([r["metrics"][name]["value"] for r in runs[side]]
                           for side in ("parent", "change")))
         report["workloads"][workload] = entry
-    if args.claim:
-        workload, metric = args.claim.split(":")
+    if claim:
+        workload, metric = claim
         report["claim"] = {"workload": workload, "metric": metric,
                            "verdict": claim_verdict(
                                report["workloads"][workload]["metrics"][metric])}
