@@ -11,6 +11,7 @@ database, so peak memory is about _BLOCK_ELEMENTS values, not db x db.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,12 @@ DEFAULT_KS = (1, 5, 10, 20, 50, 100)
 DEFAULT_GT_RANK = 50
 
 # rows per block = element budget // database rows (at least one).  Ground
-# truth's BLAS products run faster on large blocks.  Scoring allocates
-# several temporaries per block: at 2^21 values they take ~20 MB, which the
-# allocator serves from reused heap or from newly faulted pages depending
-# on what the process freed before, so its speed varied from run to run;
-# at 2^17 values they stay near 1 MB each.
+# truth's BLAS products run faster on large blocks.  Scoring's largest
+# temporary is a block's ranking, 8 bytes a value: 1 MB at 2^17.  At 2^21
+# values the allocator served its temporaries from reused heap or from
+# newly faulted pages depending on what the process freed before, so its
+# speed varied from run to run; from 2^15 to 2^21 no size beat 2^17 by more
+# than the spread of repeated calls.
 _BLOCK_ELEMENTS = 1 << 21
 _SCORE_BLOCK_ELEMENTS = 1 << 17
 
@@ -99,12 +101,22 @@ class GroundTruth:
 
 
 def _squared_distances(a, b, b_norms) -> np.ndarray:
-    """|a|^2 + |b|^2 - 2ab per row pair, given b's squared row norms; may dip below 0."""
-    return np.sum(a * a, axis=1)[:, None] + b_norms[None, :] - 2.0 * (a @ b.T)
+    """|a|^2 + |b|^2 - 2ab per row pair, given b's squared row norms; may dip below 0.
+
+    Built in one buffer, as (|a|^2 + |b|^2) - (2 * ab) in that order, so
+    every value has the bits of the plain numpy expression.
+    """
+    out = np.add.outer(np.sum(a * a, axis=1), b_norms)
+    product = a @ b.T
+    product *= 2.0
+    out -= product
+    return out
 
 
 def _distances(squared):
-    return np.sqrt(np.clip(squared, 0.0, None))
+    """Square roots of the squares clipped at 0, in place."""
+    np.clip(squared, 0.0, None, out=squared)
+    return np.sqrt(squared, out=squared)
 
 
 def ground_truth(database_features, query_features,
@@ -143,7 +155,8 @@ def ground_truth(database_features, query_features,
         inner[rows, lo + rows] = np.inf
         # sqrt(clip(.)) is monotone, so it maps the r-th smallest square to
         # the r-th smallest distance: only the selected values need it
-        kth[lo:hi] = np.partition(inner, r_eff - 1, axis=1)[:, r_eff - 1]
+        inner.partition(r_eff - 1, axis=1)
+        kth[lo:hi] = inner[:, r_eff - 1]
     threshold = float(_distances(kth).mean())
 
     relevant = []
@@ -213,11 +226,16 @@ def evaluate_codes(db_codes: BinaryCodeMatrix, query_codes: BinaryCodeMatrix,
     """Rank every query against the database and aggregate MAP/precision@K.
 
     K larger than the database is clamped once here, with one logged warning.
-    Queries are ranked and scored a block at a time.  A query's AP adds the
-    precision at each hit in rank order, the same terms in the same order
-    as average_precision, so both give the same bits.
+    Queries are ranked and scored a block at a time, from the ranks of their
+    relevant rows alone: the j-th hit at rank r adds j / r to the AP, and
+    P@K counts the hits ranked K or better.  A query's terms are added one
+    after another, as average_precision adds them, so both give the same
+    bits; a pairwise sum (np.sum) would round differently.
     """
     ks = list(ks)
+    if not all(isinstance(k, numbers.Real) and float(k).is_integer() for k in ks):
+        raise ValueError(f"K must be a whole number, got {ks}")
+    ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
         raise ValueError(f"K must be >= 1, got {ks}")
     if query_codes.bits != db_codes.bits:
@@ -227,8 +245,13 @@ def evaluate_codes(db_codes: BinaryCodeMatrix, query_codes: BinaryCodeMatrix,
     if len(gt.relevant) != query_codes.rows:
         raise DataError(f"evaluate_codes: ground truth has {len(gt.relevant)} "
                         f"relevant sets for {query_codes.rows} queries")
-    relevant = [np.asarray(rel, dtype=np.intp).reshape(-1) for rel in gt.relevant]
-    ids = np.concatenate(relevant) if relevant else np.empty(0, dtype=np.intp)
+    relevant = [np.asarray(rel).reshape(-1) for rel in gt.relevant]
+    given = np.concatenate(relevant) if relevant else np.empty(0, dtype=np.intp)
+    with np.errstate(invalid="ignore"):
+        ids = given.astype(np.intp)
+    if not np.array_equal(ids, given):
+        raise DataError("evaluate_codes: ground truth names rows that are not "
+                        "whole numbers")
     if ids.size and not 0 <= ids.min() <= ids.max() < n:
         raise DataError(f"evaluate_codes: ground truth names rows {ids.min()}.."
                         f"{ids.max()} of a {n}-row database")
@@ -243,7 +266,6 @@ def evaluate_codes(db_codes: BinaryCodeMatrix, query_codes: BinaryCodeMatrix,
     sizes = np.array([rel.size for rel in relevant], dtype=np.intp)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     evaluated = np.flatnonzero(sizes)
-    ranks = np.arange(1, n + 1)
     ap_blocks, precision_blocks = [], []
     for lo, hi in _row_blocks(evaluated.size, n, _SCORE_BLOCK_ELEMENTS):
         block = evaluated[lo:hi]
@@ -252,11 +274,21 @@ def evaluate_codes(db_codes: BinaryCodeMatrix, query_codes: BinaryCodeMatrix,
         relevant_mask[owner, ids[bounds[block[0]]:bounds[block[-1] + 1]]] = True
         order = _hamming_order(db_codes.packed, query_codes.packed[block])
         hits = np.take_along_axis(relevant_mask, order, axis=1)
-        cum = np.cumsum(hits, axis=1)
-        precision_at_hits = np.where(hits, cum / ranks, 0.0)
-        # cum[:, -1] counts distinct relevant ids, as the set in average_precision
-        ap_blocks.append(np.cumsum(precision_at_hits, axis=1)[:, -1] / cum[:, -1])
-        precision_blocks.append(cum[:, k_values - 1] / k_values)
+        # flat index q * n + rank - 1 of every hit: each query's hits in rank
+        # order, query after query (a 1-D nonzero is far faster than a 2-D one)
+        flat = np.flatnonzero(hits)
+        query, position = np.divmod(flat, n)
+        # the mask counts each distinct relevant id once, as the set in
+        # average_precision does
+        found = np.bincount(query, minlength=block.size)
+        first = np.cumsum(found) - found
+        hit = np.arange(flat.size) - first[query]  # j - 1 for the j-th hit
+        terms = np.zeros((block.size, found.max()))
+        terms[query, hit] = (hit + 1) / (position + 1)
+        ap_blocks.append(np.cumsum(terms, axis=1)[:, -1] / found)
+        # a query's hits ranked K or better lie before flat index q * n + K
+        below = np.searchsorted(flat, np.arange(block.size)[:, None] * n + k_values)
+        precision_blocks.append((below - first[:, None]) / k_values)
 
     per_ap = np.concatenate(ap_blocks).tolist() if ap_blocks else []
     mean_ap = sum(per_ap) / len(per_ap) if per_ap else 0.0

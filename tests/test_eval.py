@@ -23,6 +23,7 @@ from transferhash.evaluate import (
 )
 from transferhash.itq import itq_train
 from transferhash.model import CenteringInfo, HashModel, LinearProjection
+from transferhash.synth import make_two_view_clusters
 
 
 def naive_average_precision(ranked_ids, relevant_set):
@@ -293,7 +294,8 @@ def reference_report(db, queries, gt, ks):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_evaluate_codes_equals_per_query_loop(monkeypatch, data):
-    bits = data.draw(st.integers(1, 130), label="bits")
+    # above 255 bits the distances are summed as uint16, below as uint8
+    bits = data.draw(st.integers(1, 130) | st.integers(256, 320), label="bits")
     n = data.draw(st.integers(1, 40), label="database rows")
     n_queries = data.draw(st.integers(0, 12), label="queries")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -302,8 +304,14 @@ def test_evaluate_codes_equals_per_query_loop(monkeypatch, data):
     db = BinaryCodeMatrix(pool[rng.integers(0, len(pool), n)])
     queries = BinaryCodeMatrix(pool[rng.integers(0, len(pool), n_queries)])
     repeats = data.draw(st.booleans(), label="ids may repeat")
-    relevant = tuple(rng.choice(n, size=rng.integers(0, n + 1), replace=repeats)
-                     for _ in range(n_queries))
+    # runs of empty sets leave whole score blocks (or all of them) empty
+    kinds = data.draw(st.lists(st.sampled_from(["random", "whole database", "empty"]),
+                               min_size=n_queries, max_size=n_queries), label="sets")
+    relevant = tuple(
+        rng.permutation(n) if kind == "whole database"
+        else np.empty(0, dtype=np.intp) if kind == "empty"
+        else rng.choice(n, size=rng.integers(0, n + 1), replace=repeats)
+        for kind in kinds)
     ks = data.draw(st.lists(st.integers(1, n + 3), min_size=1, max_size=4), label="ks")
     block = data.draw(st.integers(1, 3 * n), label="block elements")
     monkeypatch.setattr(evaluate, "_SCORE_BLOCK_ELEMENTS", block)
@@ -316,6 +324,27 @@ def test_evaluate_codes_equals_per_query_loop(monkeypatch, data):
     assert report.precision_at_k == curve
     assert report.n_evaluated == len(per_ap)
     assert report.n_queries == n_queries
+
+
+@pytest.mark.parametrize("block", [1, 7 * 2000, 1 << 21])
+def test_evaluate_codes_equals_per_query_loop_on_encoded_features(monkeypatch, block):
+    # real codes and real ground truth: many distinct distances, and relevant
+    # sets of very different sizes
+    target, _, _ = make_two_view_clusters(2060, 24, 4, clusters=5, noise=3.0, seed=5)
+    database, queries = target[:2000], target[2000:]
+    rotation = np.linalg.qr(np.random.default_rng(5).standard_normal((24, 24)))[0][:, :20]
+    model = simple_model(rotation, database.mean(axis=0))
+    db, query_codes = encode(model, database), encode(model, queries)
+    gt = ground_truth(database, queries, 50)
+    sizes = [rel.size for rel in gt.relevant]
+    assert min(sizes) < 50 < max(sizes)
+    monkeypatch.setattr(evaluate, "_SCORE_BLOCK_ELEMENTS", block)
+    ks = (1, 10, 100, 5000)
+    report = evaluate_codes(db, query_codes, gt, ks)
+    mean_ap, per_ap, curve = reference_report(db, query_codes, gt, ks)
+    assert report.map == mean_ap
+    assert report.per_query_ap == per_ap
+    assert report.precision_at_k == curve
 
 
 def dense_ground_truth(db, queries, r):
@@ -406,6 +435,43 @@ def test_evaluate_codes_keeps_value_errors():
     narrow = BinaryCodeMatrix(query_codes.signs[:, :4])
     with pytest.raises(ValueError, match="bits"):
         evaluate_codes(db_codes, narrow, gt, ks=(1,))
+
+
+@pytest.mark.parametrize("ks", [(1.5,), (1, 10, 2.5), (float("nan"),), (float("inf"),),
+                                ("5",)])
+def test_evaluate_codes_rejects_a_k_that_is_not_whole(ks):
+    rng = np.random.default_rng(17)
+    db_codes, query_codes, gt = codes_and_truth(rng, 30, 4)
+    with pytest.raises(ValueError, match="K must be a whole number"):
+        evaluate_codes(db_codes, query_codes, gt, ks=ks)
+
+
+def test_evaluate_codes_takes_whole_float_ks_as_integers():
+    rng = np.random.default_rng(17)
+    db_codes, query_codes, gt = codes_and_truth(rng, 30, 4)
+    as_float = evaluate_codes(db_codes, query_codes, gt, ks=(1.0, np.float64(5)))
+    as_int = evaluate_codes(db_codes, query_codes, gt, ks=(1, 5))
+    assert as_float.precision_at_k == as_int.precision_at_k
+    assert all(type(k) is int for k, _ in as_float.precision_at_k)
+
+
+@pytest.mark.parametrize("rows", [[1.7, 2.2], [0.0, np.nan], [3.0, np.inf], [1e30]])
+def test_evaluate_codes_rejects_rows_that_are_not_whole(rows):
+    rng = np.random.default_rng(18)
+    db_codes, query_codes, _ = codes_and_truth(rng, 30, 2)
+    gt = GroundTruth(relevant=(np.array([0, 4]), np.array(rows)), threshold=1.0, r=1)
+    with pytest.raises(DataError, match="not whole numbers"):
+        evaluate_codes(db_codes, query_codes, gt, ks=(1, 5))
+
+
+def test_evaluate_codes_accepts_whole_float_rows_and_empty_lists():
+    rng = np.random.default_rng(18)
+    db_codes, query_codes, _ = codes_and_truth(rng, 30, 3)
+    as_float = GroundTruth(relevant=(np.array([0.0, 4.0]), [], [7.0]), threshold=1.0, r=1)
+    as_int = GroundTruth(relevant=(np.array([0, 4]), [], [7]), threshold=1.0, r=1)
+    got = evaluate_codes(db_codes, query_codes, as_float, ks=(1, 5))
+    expected = evaluate_codes(db_codes, query_codes, as_int, ks=(1, 5))
+    assert got.per_query_ap == expected.per_query_ap and got.n_evaluated == 2
 
 
 def test_ground_truth_rejects_values_whose_squares_overflow():
