@@ -5,12 +5,13 @@ point is relevant to a query when their original-feature Euclidean
 distance is at most the mean distance-to-rth-neighbor over the database.
 
 Ground truth and scoring work on blocks of rows against the whole
-database, so peak memory is about _BLOCK_ELEMENTS values, not db x db.
+database: ground truth peaks at about 2 x _BLOCK_ELEMENTS values, not db x db.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -26,13 +27,15 @@ DEFAULT_KS = (1, 5, 10, 20, 50, 100)
 DEFAULT_GT_RANK = 50
 
 # rows per block = element budget // database rows (at least one).  Ground
-# truth's BLAS products run faster on large blocks.  Scoring's largest
-# temporary is a block's ranking, 8 bytes a value: 1 MB at 2^17.  At 2^21
-# values the allocator served its temporaries from reused heap or from
-# newly faulted pages depending on what the process freed before, so its
-# speed varied from run to run; from 2^15 to 2^21 no size beat 2^17 by more
-# than the spread of repeated calls.
-_BLOCK_ELEMENTS = 1 << 21
+# truth's BLAS products run slower on small blocks (2^16 took twice as long as
+# 2^21); with reused buffers, 2^19, 2^20 and 2^21 took 0.54, 0.54 and 0.57 s
+# on an 8,000-row database, and 2^20 keeps up to 1,024 rows in one block.
+# Scoring's largest temporary is a block's ranking, 8 bytes a value: 1 MB at
+# 2^17.  At 2^21 values the allocator served its temporaries from reused heap
+# or from newly faulted pages depending on what the process freed before, so
+# its speed varied from run to run; from 2^15 to 2^21 no size beat 2^17 by
+# more than the spread of repeated calls.
+_BLOCK_ELEMENTS = 1 << 20
 _SCORE_BLOCK_ELEMENTS = 1 << 17
 
 
@@ -100,23 +103,31 @@ class GroundTruth:
     r: int
 
 
-def _squared_distances(a, b, b_norms) -> np.ndarray:
+def _squared_distances(a, b, b_norms, out, product) -> np.ndarray:
     """|a|^2 + |b|^2 - 2ab per row pair, given b's squared row norms; may dip below 0.
 
-    Built in one buffer, as (|a|^2 + |b|^2) - (2 * ab) in that order, so
-    every value has the bits of the plain numpy expression.
+    Built in out, with product for ab, as (|a|^2 + |b|^2) - (2 * ab) in that
+    order, so every value has the bits of the plain numpy expression.
     """
-    out = np.add.outer(np.sum(a * a, axis=1), b_norms)
-    product = a @ b.T
+    np.add.outer(np.sum(a * a, axis=1), b_norms, out=out)
+    np.matmul(a, b.T, out=product)
     product *= 2.0
     out -= product
     return out
 
 
-def _distances(squared):
-    """Square roots of the squares clipped at 0, in place."""
-    np.clip(squared, 0.0, None, out=squared)
-    return np.sqrt(squared, out=squared)
+def _square_bound(t: float) -> float:
+    """The largest double s with sqrt(s) <= t, for t >= 0.
+
+    sqrt is monotone and correctly rounded, so a square is <= s exactly
+    when its root, clipped at 0, is <= t (a negative square's root is 0).
+    """
+    s = t * t
+    while s > 0.0 and math.sqrt(s) > t:
+        s = math.nextafter(s, 0.0)
+    while math.sqrt(math.nextafter(s, math.inf)) <= t:
+        s = math.nextafter(s, math.inf)
+    return s
 
 
 def ground_truth(database_features, query_features,
@@ -124,8 +135,12 @@ def ground_truth(database_features, query_features,
     """Relevance threshold = mean distance to the r-th nearest neighbor.
 
     The mean is taken over database points, each against the other
-    database points.  r must be >= 1; above n - 1 it is clamped.
+    database points.  r must be a whole number >= 1 (whole floats such as
+    5.0 read as integers); above n - 1 it is clamped.
     """
+    if not (isinstance(r, numbers.Real) and float(r).is_integer()):
+        raise ValueError(f"r must be a whole number, got {r!r}")
+    r = int(r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     db = np.asarray(database_features, dtype=np.float64)
@@ -148,21 +163,31 @@ def ground_truth(database_features, query_features,
         log.warning("ground_truth: r=%d clamped to %d (database size %d)",
                     r, r_eff, n)
     db_norms = np.sum(db * db, axis=1)
+    db_blocks = _row_blocks(n, n, _BLOCK_ELEMENTS)
+    query_blocks = _row_blocks(queries.shape[0], n, _BLOCK_ELEMENTS)
+    # reused, they spare the kernel faulting in fresh pages per block; two, not
+    # one of twice the size: glibc's mmap threshold rises to the largest block
+    # freed, and below it freed heap stays resident
+    block_rows = max(hi - lo for lo, hi in db_blocks + query_blocks)
+    out, product = np.empty((block_rows, n)), np.empty((block_rows, n))
     kth = np.empty(n)
-    for lo, hi in _row_blocks(n, n, _BLOCK_ELEMENTS):
-        inner = _squared_distances(db[lo:hi], db, db_norms)
+    for lo, hi in db_blocks:
+        inner = _squared_distances(db[lo:hi], db, db_norms, out[:hi - lo], product[:hi - lo])
         rows = np.arange(hi - lo)
         inner[rows, lo + rows] = np.inf
         # sqrt(clip(.)) is monotone, so it maps the r-th smallest square to
         # the r-th smallest distance: only the selected values need it
         inner.partition(r_eff - 1, axis=1)
         kth[lo:hi] = inner[:, r_eff - 1]
-    threshold = float(_distances(kth).mean())
+    threshold = float(np.sqrt(np.clip(kth, 0.0, None)).mean())
 
+    bound = _square_bound(threshold)
     relevant = []
-    for lo, hi in _row_blocks(queries.shape[0], n, _BLOCK_ELEMENTS):
-        cross = _distances(_squared_distances(queries[lo:hi], db, db_norms))
-        relevant += [np.flatnonzero(row <= threshold) for row in cross]
+    for lo, hi in query_blocks:
+        cross = _squared_distances(queries[lo:hi], db, db_norms, out[:hi - lo], product[:hi - lo])
+        # flat index q * n + row of every relevant pair, query after query
+        flat = np.flatnonzero(cross <= bound)
+        relevant += np.split(flat % n, np.searchsorted(flat, np.arange(1, hi - lo) * n))
     return GroundTruth(relevant=tuple(relevant), threshold=threshold, r=r_eff)
 
 
@@ -273,7 +298,9 @@ def evaluate_codes(db_codes: BinaryCodeMatrix, query_codes: BinaryCodeMatrix,
         owner = np.repeat(np.arange(block.size), sizes[block])
         relevant_mask[owner, ids[bounds[block[0]]:bounds[block[-1] + 1]]] = True
         order = _hamming_order(db_codes.packed, query_codes.packed[block])
-        hits = np.take_along_axis(relevant_mask, order, axis=1)
+        # one flat gather: far faster than take_along_axis's per-row one
+        order += n * np.arange(block.size)[:, None]
+        hits = np.take(relevant_mask.ravel(), order)
         # flat index q * n + rank - 1 of every hit: each query's hits in rank
         # order, query after query (a 1-D nonzero is far faster than a 2-D one)
         flat = np.flatnonzero(hits)

@@ -88,7 +88,8 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
     _polar factors its nearly orthonormal input by Newton-Schulz; the SVD
     serves a start with no warm start, square R, and the fallback.  The
     best iterate is returned, so the result is never worse than r0, which
-    must be d x c (ValueError) and finite (NumericalError).
+    must be d x c with orthonormal columns (ValueError) and finite
+    (NumericalError).
     Trainers pass max_iter=DEFAULT_STEP_ITERS (5), a short descent that
     the next sweep warms again, and gram=gram_bound(x), computed once per
     fit since X does not change; without it G and mu are computed per call.
@@ -109,6 +110,8 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
     if not (np.isfinite(a).all() and np.isfinite(x).all()
             and (r0 is None or np.isfinite(r0).all())):
         raise NumericalError("non-finite values in procrustes inputs")
+    if r0 is not None and not np.linalg.norm(r0.T @ r0 - np.eye(r0.shape[1])) <= 1e-8:
+        raise ValueError("warm start r0 must have orthonormal columns")
 
     cross = x.T @ a
     d, c = cross.shape

@@ -1,4 +1,6 @@
 import logging
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -486,6 +488,110 @@ def test_ground_truth_rejects_rank_below_one(r):
     db = np.random.default_rng(0).standard_normal((20, 3))
     with pytest.raises(ValueError, match="r must be >= 1"):
         ground_truth(db, db[:2], r=r)
+
+
+@pytest.mark.parametrize("r", [2.5, float("nan"), float("inf"), "5"])
+def test_ground_truth_rejects_a_rank_that_is_not_whole(r):
+    db = np.random.default_rng(0).standard_normal((20, 3))
+    with pytest.raises(ValueError, match="r must be a whole number"):
+        ground_truth(db, db[:2], r=r)
+
+
+def test_ground_truth_takes_a_whole_float_rank_as_an_integer():
+    db = np.random.default_rng(0).standard_normal((20, 3))
+    as_float, as_int = ground_truth(db, db[:4], r=5.0), ground_truth(db, db[:4], r=5)
+    assert type(as_float.r) is int and as_float.threshold == as_int.threshold
+
+
+@settings(max_examples=500, deadline=None)
+@given(t=st.floats(min_value=0.0, max_value=np.finfo(np.float64).max)
+       | st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.0,
+                          math.sqrt(np.finfo(np.float64).max),
+                          math.nextafter(math.sqrt(np.finfo(np.float64).max), 0.0),
+                          math.nextafter(math.sqrt(np.finfo(np.float64).max), math.inf)]))
+def test_square_bound_is_the_largest_square_whose_root_is_at_most_t(t):
+    # ground_truth's overflow guard keeps thresholds below about sqrt(max);
+    # subnormal and larger t must hold too
+    s = evaluate._square_bound(t)
+    assert math.sqrt(s) <= t < math.sqrt(math.nextafter(s, math.inf))
+
+
+def ground_truth_before_buffers(database_features, query_features, r, block_elements):
+    """ground_truth as it was before its block buffers were reused: verbatim
+    but for its input checks and clamp warning, and the block budget, which
+    is an argument here."""
+    def _squared_distances(a, b, b_norms):
+        out = np.add.outer(np.sum(a * a, axis=1), b_norms)
+        product = a @ b.T
+        product *= 2.0
+        out -= product
+        return out
+
+    def _distances(squared):
+        np.clip(squared, 0.0, None, out=squared)
+        return np.sqrt(squared, out=squared)
+
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    db = np.asarray(database_features, dtype=np.float64)
+    queries = np.asarray(query_features, dtype=np.float64)
+    n = db.shape[0]
+    r_eff = min(r, n - 1)
+    db_norms = np.sum(db * db, axis=1)
+    kth = np.empty(n)
+    for lo, hi in evaluate._row_blocks(n, n, block_elements):
+        inner = _squared_distances(db[lo:hi], db, db_norms)
+        rows = np.arange(hi - lo)
+        inner[rows, lo + rows] = np.inf
+        inner.partition(r_eff - 1, axis=1)
+        kth[lo:hi] = inner[:, r_eff - 1]
+    threshold = float(_distances(kth).mean())
+
+    relevant = []
+    for lo, hi in evaluate._row_blocks(queries.shape[0], n, block_elements):
+        cross = _distances(_squared_distances(queries[lo:hi], db, db_norms))
+        relevant += [np.flatnonzero(row <= threshold) for row in cross]
+    return GroundTruth(relevant=tuple(relevant), threshold=threshold, r=r_eff)
+
+
+@pytest.mark.parametrize("n, d", [(300, 33), (2000, 64)])
+@pytest.mark.parametrize("n_queries", [0, 70])
+@pytest.mark.parametrize("block", ["7n", 1 << 19, 1 << 21])
+def test_ground_truth_in_reused_buffers_equals_the_per_block_allocation(
+        monkeypatch, n, d, n_queries, block):
+    # same products in the same order, written into reused buffers, and
+    # squares compared against the largest square whose root is <= the
+    # threshold: every bit of the result stays
+    block = 7 * n if block == "7n" else block
+    rng = np.random.default_rng(n + n_queries)
+    db = rng.standard_normal((n, d)) * 4.0
+    queries = rng.standard_normal((n_queries, d)) * 4.0
+    expected = ground_truth_before_buffers(db, queries, 20, block)
+    monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", block)
+    gt = ground_truth(db, queries, 20)
+    assert gt.threshold == expected.threshold and gt.r == expected.r
+    assert len(gt.relevant) == len(expected.relevant) == n_queries
+    assert sum(rel.size for rel in expected.relevant) > 0 or n_queries == 0
+    for got, want in zip(gt.relevant, expected.relevant):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_ground_truth_peak_memory_is_two_block_buffers(monkeypatch):
+    # every database and query block reuses the same two buffers of the
+    # block budget; what else is live grows with n * d + n, not with blocks
+    block = 1 << 19
+    monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(21)
+    n, d = 3000, 64
+    db, queries = rng.standard_normal((n, d)), rng.standard_normal((500, d))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ground_truth(db, queries, 50)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * block + 8 * (n * d + n)
 
 
 @pytest.mark.parametrize("n, block", [(300, 7 * 300), (257, 1 << 21), (40, 40)])

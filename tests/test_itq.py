@@ -105,6 +105,19 @@ def test_procrustes_rejects_a_non_finite_warm_start(d, bad):
         procrustes(rng.standard_normal((9, 2)), rng.standard_normal((9, d)), r0)
 
 
+@pytest.mark.parametrize("d", [3, 6])  # square and tall
+def test_procrustes_rejects_a_warm_start_that_is_not_orthonormal(d):
+    # the least-squares start of a 30 x 6 view scores lower than every MM
+    # step within 5, so without the check it came back as the "rotation"
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((30, d))
+    a = sgn(rng.standard_normal((30, 3))).astype(float)
+    r0 = np.linalg.lstsq(x, a, rcond=None)[0]
+    assert not is_orthonormal(r0)
+    with pytest.raises(ValueError, match="orthonormal"):
+        procrustes(a, x, r0, max_iter=5)
+
+
 def test_procrustes_starts_from_the_warm_start_alone():
     # a pinned tall case where the closed form scores lower than the warm start
     rng = np.random.default_rng(11)
