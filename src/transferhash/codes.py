@@ -31,15 +31,6 @@ def pack_signs(signs):
     return np.bitwise_or.reduce(bits << _SHIFTS, axis=2)
 
 
-def unpack_words(packed, bits):
-    """Inverse of pack_signs: recover the {-1,+1} sign matrix."""
-    packed = np.asarray(packed, dtype=np.uint64)
-    n, words = packed.shape
-    unpacked = (packed[:, :, None] >> _SHIFTS) & np.uint64(1)
-    flat = unpacked.reshape(n, words * WORD_BITS)[:, :bits]
-    return (flat.astype(np.int8) * 2) - 1
-
-
 @dataclass(frozen=True, eq=False)
 class BinaryCodeMatrix:
     """n x c code matrix over {-1,+1} with a packed-bit twin for retrieval."""

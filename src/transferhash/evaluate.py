@@ -54,15 +54,6 @@ def encode(model: HashModel, x) -> BinaryCodeMatrix:
     return BinaryCodeMatrix(sgn(z @ model.rotation))
 
 
-def hamming_distance(a, b) -> int:
-    """Differing bits between two packed codes (word-wise XOR + popcount)."""
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    if a.shape != b.shape:
-        raise ValueError(f"packed length mismatch: {a.shape} vs {b.shape}")
-    return int(np.bitwise_count(a ^ b).sum())
-
-
 def _row_blocks(n: int, width: int, elements: int) -> list:
     """(start, stop) of near-equal blocks of n rows, each at most
     elements // width rows (and at least one)."""
@@ -151,8 +142,11 @@ def ground_truth(database_features, query_features,
         raise DataError(
             f"ground_truth: queries of shape {queries.shape} and a database of "
             f"shape {db.shape} differ in column count")
-    # |a|^2 + |b|^2 - 2ab must not overflow: each term stays below max/4
-    largest = max(np.abs(db).max(), np.abs(queries).max(initial=0.0))
+    # |a|^2 + |b|^2 - 2ab must not overflow: each term stays below max/4.  A
+    # NaN fails that comparison, so it is caught first (np.maximum keeps it)
+    largest = np.maximum(np.abs(db).max(), np.abs(queries).max(initial=0.0))
+    if not np.isfinite(largest):
+        raise DataError("ground_truth: features contain non-finite values")
     if largest > np.sqrt(np.finfo(np.float64).max / (4 * max(1, db.shape[1]))):
         raise DataError(f"ground_truth: a feature value of magnitude {largest:.3g} "
                         f"overflows squared distances")

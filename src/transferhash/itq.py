@@ -1,7 +1,7 @@
 """Plain iterative quantization: alternate sign codes with a procrustes rotation.
 
-Also home of the shared orthogonal-procrustes solver and the quantization
-loss used by every trainer in the package.
+Also home of the orthogonal-procrustes solver behind every trainer's
+rotation steps and of the balanced sign rule.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 
-from .codes import BinaryCodeMatrix
 from .errors import NumericalError
 
 DEFAULT_ITERS = 150
@@ -139,20 +138,6 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
             break
         f_cur = f_new
     return best_r
-
-
-def quantization_loss(codes, x, rotation) -> float:
-    """||B - X R||_F^2 for a code matrix, data matrix, and rotation."""
-    signs = codes.signs if isinstance(codes, BinaryCodeMatrix) else np.asarray(codes)
-    x = np.asarray(x, dtype=np.float64)
-    rotation = np.asarray(rotation, dtype=np.float64)
-    if signs.shape != (x.shape[0], rotation.shape[1]) or x.shape[1] != rotation.shape[0]:
-        raise ValueError(
-            f"shape mismatch: codes {signs.shape}, data {x.shape}, "
-            f"rotation {rotation.shape}"
-        )
-    diff = signs - x @ rotation
-    return float(np.sum(diff * diff))
 
 
 def balanced_signs(scores) -> np.ndarray:

@@ -119,17 +119,10 @@ def update_p(codes, x_t, rotation, x_sc, previous=None, *, gram) -> np.ndarray:
     return procrustes(err, x_sc, previous, max_iter=DEFAULT_STEP_ITERS, gram=gram)
 
 
-def _sign_step(scores, rotation, slack_rotation):
-    return BinaryCodeMatrix(sgn(scores)), None
-
-
-def _balanced_step(scores, rotation, slack_rotation):
-    return update_b_balanced(scores), None
-
-
-# code steps by name: (scores, rotation, slack rotation) -> (codes, objective
-# recorded for the sweep, or None to record it after the rotation steps)
-CODE_STEPS = {"sign": _sign_step, "balanced": _balanced_step}
+# code steps by name: scores -> (codes, the codes' own term of the objective,
+# which sign and balanced codes do not have)
+CODE_STEPS = {"sign": lambda scores: (BinaryCodeMatrix(sgn(scores)), 0.0),
+              "balanced": lambda scores: (update_b_balanced(scores), 0.0)}
 
 
 def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
@@ -138,10 +131,12 @@ def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
 
     Each sweep runs the code step on blend_scores, update_r, update_p (only
     when lambda1 > 0, since the slack cannot move codes or R otherwise),
-    records the objective, and stops once its relative change is below tol
-    (0 disables).  The recorded objective is the one the code step returns,
-    or else itq_plus_objective after the rotation steps.  x_sc = None runs
-    without a privileged view: plain quantization, with lambda1 = 0.
+    records itq_plus_objective plus the code step's term (lapitq+'s graph
+    term), and stops once its relative change is below tol (0 disables).
+    No rotation step ends worse than its warm start, so the trace cannot
+    rise if no code step scores worse than the last sweep's codes on its
+    scores.  x_sc = None runs without a privileged view: plain
+    quantization, with lambda1 = 0.
     The target rotation starts from r0, a finite d_t x c matrix with
     orthonormal columns (else ValueError), or a seeded random orthonormal
     one; the slack rotation from a random one with the same seed.  A code
@@ -175,15 +170,14 @@ def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
     trace: list[float] = []
     for _ in range(iters):
         scores = blend_scores(x_t, rotation, x_sc, slack_rotation, lambda1)
-        codes, objective = code_step(scores, rotation, slack_rotation)
+        codes, term = code_step(scores)
         rotation = update_r(codes, x_t, x_sc, slack_rotation, lambda1,
                             previous=rotation, gram=gram_t)
         if lambda1 > 0:
             slack_rotation = update_p(codes, x_t, rotation, x_sc,
                                       previous=slack_rotation, gram=gram_sc)
-        if objective is None:
-            objective = itq_plus_objective(codes, rotation, slack_rotation, x_t, x_sc, lambda1)
-        trace.append(objective)
+        trace.append(itq_plus_objective(codes, rotation, slack_rotation, x_t, x_sc, lambda1)
+                     + term)
         if tol > 0 and len(trace) >= 2:
             prev, cur = trace[-2], trace[-1]
             if abs(prev - cur) < tol * max(abs(prev), 1e-30):

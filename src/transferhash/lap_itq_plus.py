@@ -22,7 +22,6 @@ from .itq_plus import (
     ItqPlusState,
     alternating_solve,
     identity_model,
-    itq_plus_objective,
 )
 
 DEFAULT_LAMBDA2 = 0.01
@@ -207,10 +206,11 @@ def lap_itq_plus_train(x_t, x_sc, x_su, c: int,
     Source codes are learned on stack(x_sc, x_su); the neighbor graph uses
     only the first n rows (the ones aligned with target instances).  The
     run is alternating_solve with a code step that minimizes the box QP on
-    the blended scores and takes signs.  The objective trace records the
-    full regularized objective at the relaxed codes of each sweep, before
-    binarization and the rotation steps, so unlike the itq and itq+ traces
-    it can rise from one sweep to the next.
+    the blended scores and takes signs, unless the last sweep's codes
+    score better on the current scores, which it then keeps.  The trace
+    records, after the rotation steps, the objective of itq+ plus the graph
+    term lambda2 tr(B^T L B) at the binary codes; like the itq and itq+
+    traces it never rises.
 
     Returns (HashModel, ItqPlusState); the state holds the neighbor graph.
     """
@@ -235,11 +235,21 @@ def lap_itq_plus_train(x_t, x_sc, x_su, c: int,
     graph = knn_hamming_graph(BinaryCodeMatrix(source_codes.signs[:n]), k)
     lap = laplacian(graph)
 
-    def relaxed_step(scores, rotation, slack_rotation):
+    previous = None  # the last sweep's codes and graph term
+
+    def relaxed_step(scores):
+        # up to a constant, J at the current rotations is -2 <B, S> + lambda2
+        # <B, L B>: keep the last sweep's codes where they score better
+        nonlocal previous
         relaxed, _ = box_qp_minimize(scores.T, lap, lambda2, DEFAULT_INNER_ITERS)
-        objective = (itq_plus_objective(relaxed, rotation, slack_rotation, x_t, x_sc, lambda1)
-                     + lambda2 * float(np.vdot(relaxed, lap.csr @ relaxed)))
-        return BinaryCodeMatrix(sgn(relaxed)), objective
+        signs = sgn(relaxed)
+        term = lambda2 * float(np.vdot(signs, lap.csr @ signs))
+        if previous is not None:
+            codes, last_term = previous
+            if term - last_term > 2.0 * float(np.vdot(signs - codes.signs, scores)):
+                return previous
+        previous = BinaryCodeMatrix(signs), term
+        return previous
 
     codes, rotation, slack_rotation, trace = alternating_solve(
         x_t, x_sc, c, lambda1, iters, seed, relaxed_step, tol=tol)

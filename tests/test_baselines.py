@@ -3,9 +3,20 @@ import pytest
 
 from transferhash.baselines import cca_itq_fit, lsh_fit
 from transferhash.data import zero_center
-from transferhash.evaluate import encode, evaluate_model, hamming_distance
+from transferhash.evaluate import encode, evaluate_model
 from transferhash.itq import itq_train
 from transferhash.model import CenteringInfo, HashModel, LinearProjection, with_pipeline
+
+
+def hamming_distance(a, b) -> int:
+    """Differing bits between two packed codes (word-wise XOR + popcount).
+
+    Oracle: the package's former per-pair distance, verbatim."""
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    if a.shape != b.shape:
+        raise ValueError(f"packed length mismatch: {a.shape} vs {b.shape}")
+    return int(np.bitwise_count(a ^ b).sum())
 
 
 def pairs_at_angle(theta, count, dim, seed):

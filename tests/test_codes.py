@@ -3,8 +3,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transferhash.codes import BinaryCodeMatrix, pack_signs, sgn, unpack_words
-from transferhash.evaluate import hamming_distance, search
+from transferhash.codes import _SHIFTS, WORD_BITS, BinaryCodeMatrix, pack_signs, sgn
+from transferhash.evaluate import search
+
+
+def unpack_words(packed, bits):
+    """Inverse of pack_signs: recover the {-1,+1} sign matrix.
+
+    Oracle: the package's former unpacker, verbatim."""
+    packed = np.asarray(packed, dtype=np.uint64)
+    n, words = packed.shape
+    unpacked = (packed[:, :, None] >> _SHIFTS) & np.uint64(1)
+    flat = unpacked.reshape(n, words * WORD_BITS)[:, :bits]
+    return (flat.astype(np.int8) * 2) - 1
+
+
+def hamming_distance(a, b) -> int:
+    """Differing bits between two packed codes (word-wise XOR + popcount).
+
+    Oracle: the package's former per-pair distance, verbatim."""
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    if a.shape != b.shape:
+        raise ValueError(f"packed length mismatch: {a.shape} vs {b.shape}")
+    return int(np.bitwise_count(a ^ b).sum())
 
 
 def naive_pack(signs):

@@ -18,7 +18,6 @@ from transferhash.evaluate import (
     evaluate_codes,
     evaluate_model,
     ground_truth,
-    hamming_distance,
     precision_at_k,
     search,
     write_report_keyvalues,
@@ -26,6 +25,17 @@ from transferhash.evaluate import (
 from transferhash.itq import itq_train
 from transferhash.model import CenteringInfo, HashModel, LinearProjection
 from transferhash.synth import make_two_view_clusters
+
+
+def hamming_distance(a, b) -> int:
+    """Differing bits between two packed codes (word-wise XOR + popcount).
+
+    Oracle: the package's former per-pair distance, verbatim."""
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    if a.shape != b.shape:
+        raise ValueError(f"packed length mismatch: {a.shape} vs {b.shape}")
+    return int(np.bitwise_count(a ^ b).sum())
 
 
 def naive_average_precision(ranked_ids, relevant_set):
@@ -481,6 +491,21 @@ def test_ground_truth_rejects_values_whose_squares_overflow():
     db[2, 1] = 1e300
     with pytest.raises(DataError, match="overflows"):
         ground_truth(db, np.ones((2, 3)), r=2)
+
+
+def test_ground_truth_rejects_a_database_with_a_nan():
+    db = np.random.default_rng(0).standard_normal((30, 3))
+    db[4, 1] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        ground_truth(db, np.zeros((5, 3)), r=2)
+
+
+def test_ground_truth_rejects_queries_with_a_nan():
+    db = np.random.default_rng(0).standard_normal((30, 3))
+    queries = db[:5].copy()
+    queries[3, 2] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        ground_truth(db, queries, r=2)
 
 
 @pytest.mark.parametrize("r", [0, -3])

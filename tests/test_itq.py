@@ -13,9 +13,26 @@ from transferhash.itq import (
     gram_bound,
     itq_train,
     procrustes,
-    quantization_loss,
     random_orthonormal,
 )
+from transferhash.itq_plus import itq_plus_objective
+
+
+def quantization_loss(codes, x, rotation) -> float:
+    """||B - X R||_F^2 for a code matrix, data matrix, and rotation.
+
+    Oracle: the package's former loss, verbatim; the trainers now record
+    itq_plus_objective, which reads the same with no privileged view."""
+    signs = codes.signs if isinstance(codes, BinaryCodeMatrix) else np.asarray(codes)
+    x = np.asarray(x, dtype=np.float64)
+    rotation = np.asarray(rotation, dtype=np.float64)
+    if signs.shape != (x.shape[0], rotation.shape[1]) or x.shape[1] != rotation.shape[0]:
+        raise ValueError(
+            f"shape mismatch: codes {signs.shape}, data {x.shape}, "
+            f"rotation {rotation.shape}"
+        )
+    diff = signs - x @ rotation
+    return float(np.sum(diff * diff))
 
 
 def is_orthonormal(r, tol: float = 1e-8) -> bool:
@@ -304,6 +321,8 @@ def test_quantization_loss_matches_double_loop():
         for j in range(3):
             expected += (codes.signs[i, j] - xr[i, j]) ** 2
     assert abs(quantization_loss(codes, x, r) - expected) < 1e-12
+    # what itq's trace records: the same loss with no privileged view
+    assert abs(itq_plus_objective(codes, r, None, x, None, 0.0) - expected) < 1e-12
 
 
 def test_quantization_loss_shape_mismatch():

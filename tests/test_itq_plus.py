@@ -11,7 +11,6 @@ from transferhash.itq import (
     gram_bound,
     itq_train,
     procrustes,
-    quantization_loss,
     random_orthonormal,
 )
 from transferhash.itq_plus import (
@@ -22,6 +21,7 @@ from transferhash.itq_plus import (
     update_p,
     update_r,
 )
+from transferhash.lap_itq_plus import lap_itq_plus_train
 
 
 def two_view_instance(n=200, d_t=16, d_s=12, seed=0, latent=6, noise=0.3):
@@ -55,7 +55,7 @@ def test_objective_reduces_to_quantization_loss():
     p = random_orthonormal(6, 4, 1)
     codes = BinaryCodeMatrix(sgn(x_t @ r))
     assert itq_plus_objective(codes, r, p, x_t, x_s, 0.0) == pytest.approx(
-        quantization_loss(codes, x_t, r), abs=1e-12)
+        float(np.sum((codes.signs - x_t @ r) ** 2)), abs=1e-12)
 
 
 def test_objective_zero_slack_residual():
@@ -256,23 +256,32 @@ def test_train_trace_monotone():
 
 @st.composite
 def two_view_fits(draw):
-    """A generated two-view instance, code length, lambda1 and seed."""
+    """A generated two-view instance, code length, lambda1 and seed, plus
+    lapitq+'s lambda2, neighbor count and extra source rows (maybe none)."""
     d_t, d_s = draw(st.integers(1, 10)), draw(st.integers(1, 10))
     c = draw(st.integers(1, min(d_t, d_s)))
-    x_t, x_s = two_view_instance(draw(st.integers(2, 60)), d_t, d_s,
+    n = draw(st.integers(2, 60))
+    x_t, x_s = two_view_instance(n, d_t, d_s,
                                  seed=draw(st.integers(0, 2**32 - 1)),
                                  latent=draw(st.integers(1, 6)),
                                  noise=draw(st.floats(0.0, 2.0)))
-    return x_t, x_s, c, draw(st.floats(0.0, 2.0)), draw(st.integers(0, 1000))
+    extra = draw(st.integers(0, 30))
+    x_su = (np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((extra, d_s))
+            if extra else None)
+    lap = draw(st.floats(0.0, 2.0)), draw(st.integers(1, n - 1)), x_su
+    return x_t, x_s, c, draw(st.floats(0.0, 2.0)), draw(st.integers(0, 1000)), lap
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=two_view_fits())
 def test_itq_and_itq_plus_traces_never_rise(case):
-    x_t, x_s, c, lam, seed = case
+    x_t, x_s, c, lam, seed, (lambda2, k, x_su) = case
     _, _, losses = itq_train(x_t, c, iters=8, seed=seed, tol=0)
     assert np.all(np.diff(losses) <= 1e-9)
     _, state = itq_plus_train(x_t, x_s, c, lam, iters=8, seed=seed, tol=0)
+    assert np.all(np.diff(state.objective_trace) <= 1e-9)
+    _, state = lap_itq_plus_train(x_t, x_s, x_su, c, lam, lambda2, k, iters=8,
+                                  seed=seed, tol=0)
     assert np.all(np.diff(state.objective_trace) <= 1e-9)
 
 

@@ -477,6 +477,7 @@ def test_lap_train_matches_a_fit_with_the_capped_box_qp(monkeypatch):
     assert stopped.rotation.tobytes() == capped.rotation.tobytes()
     assert stopped.codes.packed.tobytes() == capped.codes.packed.tobytes()
     assert stopped.slack_rotation.tobytes() == capped.slack_rotation.tobytes()
+    assert stopped.objective_trace == capped.objective_trace
 
 
 def test_laplacian_matrix_rejects_non_square():
@@ -560,6 +561,21 @@ def test_lap_train_transfer_pulls_clusters_together():
         if same < cross:
             closer += 1
     assert closer >= 8
+
+
+def test_lap_train_trace_ends_at_the_objective_of_its_returned_fit():
+    # J = ||B - X_t R||^2 + lambda1 ||B - X_t R - X_sc P||^2 + lambda2 tr(B^T L B)
+    x_t, x_s = two_view_instance(70, 10, 9, seed=12)
+    x_su = np.random.default_rng(13).standard_normal((40, 9))
+    for lambda1, lambda2 in ((0.3, 0.5), (0.0, 2.0), (1.0, 0.0)):
+        _, state = lap_itq_plus_train(x_t, x_s, x_su, 5, lambda1, lambda2, 4,
+                                      iters=12, seed=3, tol=0)
+        b = state.codes.signs.astype(np.float64)
+        err = b - x_t @ state.rotation
+        slack = err - x_s @ state.slack_rotation
+        objective = (np.sum(err ** 2) + lambda1 * np.sum(slack ** 2)
+                     + lambda2 * np.trace(b.T @ dense_laplacian(state.graph) @ b))
+        assert state.objective_trace[-1] == pytest.approx(objective, rel=1e-12, abs=1e-9)
 
 
 def test_lap_train_validation():
