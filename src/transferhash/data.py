@@ -296,11 +296,9 @@ def load_model(path) -> HashModel:
     mean = np.frombuffer(mean_payload, dtype="<f8", offset=4).copy()
     preprocessing_matrix = _parse_matrix_payload(fields[_TAG_PREPROC_MATRIX], str(path))
     rotation = _parse_matrix_payload(fields[_TAG_ROTATION], str(path))
-    if preprocessing_matrix.shape[0] != mean.size:
-        raise ParseError(f"{path}: mean length {mean.size} does not match the projection")
 
-    # bad UTF-8 or JSON, an unknown method or projection kind, and
-    # inconsistent dimensions all surface as ValueError
+    # bad UTF-8 or JSON, an unknown method or projection kind, and a
+    # model that breaks HashModel's invariants all surface as ValueError
     try:
         hyperparams = json.loads(fields[_TAG_HYPERPARAMS].decode("utf-8"))
         if not isinstance(hyperparams, dict):

@@ -9,7 +9,7 @@ box-relaxed quadratic program solved by projected gradient descent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ DEFAULT_LAMBDA2 = 0.01
 DEFAULT_K = 5
 DEFAULT_INNER_ITERS = 100
 _STEP_DELTA = 1e-12
-_POWER_STEPS = 50
 
 
 def _sparse():
@@ -38,31 +37,17 @@ def _sparse():
 
 @dataclass(frozen=True, eq=False)
 class LaplacianMatrix:
-    """L = D - W with the largest eigenvalue cached for step sizing.
+    """L = D - W of a graph W, as `laplacian` builds it.
 
-    `csr` accepts any square matrix, dense or sparse, and holds it as a
-    float64 CSR array, so a product L B costs O(edges * c).
-
-    `row_bound` is a proven bound on the spectrum: ||L||_inf, the largest
-    absolute row sum, when L is symmetric and each diagonal entry is at
-    least the absolute sum of its row's other entries (as D - W is for a
-    symmetric W >= 0), so that by Gershgorin every eigenvalue lies in
-    [0, ||L||_inf]; inf for any other matrix.
+    `csr` is L as a float64 CSR array with sorted indices, so a product L B
+    costs O(edges * c).  `max_degree` is d_max, the largest diagonal entry
+    of L.  By Gershgorin lambda_max(L) <= 2 d_max for any symmetric W >= 0,
+    and d_max + 1 <= lambda_max(L) for a 0/1 graph with an edge (Grone &
+    Merris, 1994).
     """
 
     csr: object
-    lambda_max: float
-    row_bound: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        csr = _sparse().csr_array(self.csr, dtype=np.float64)
-        if csr.ndim != 2 or csr.shape[0] != csr.shape[1]:
-            raise ValueError("laplacian must be square")
-        object.__setattr__(self, "csr", csr)
-        abs_rows = abs(csr).sum(axis=1)
-        dominant = (csr != csr.T).nnz == 0 and bool(np.all(2.0 * csr.diagonal() >= abs_rows))
-        object.__setattr__(self, "row_bound",
-                           float(abs_rows.max(initial=0.0)) if dominant else np.inf)
+    max_degree: float
 
 
 def source_codes_offline(x_s, c: int, iters: int = DEFAULT_ITERS, seed=0,
@@ -99,27 +84,20 @@ def knn_hamming_graph(codes: BinaryCodeMatrix, k: int):
 
 
 def laplacian(graph) -> LaplacianMatrix:
-    """L = diag(W 1) - W with lambda_max estimated by 50 power-iteration steps.
+    """L = diag(W 1) - W, with its largest diagonal entry as max_degree.
 
-    graph is W as a square sparse array.  L is a CSR array with sorted
-    indices; a row stores its nonzero entries.
+    graph is W, dense or sparse; it must be square and symmetric, with
+    finite nonnegative weights, or a ValueError is raised.  L is a CSR
+    array with sorted indices; a row stores its nonzero entries.
     """
-    w = graph.astype(np.float64)
+    w = _sparse().csr_array(graph, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError("graph must be square")
+    if (w != w.T).nnz or not np.all((w.data >= 0.0) & (w.data < np.inf)):
+        raise ValueError("graph must be symmetric with finite nonnegative weights")
     lap = _sparse().diags_array(w.sum(axis=1)) - w
     lap.sort_indices()
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(graph.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    lv = lap @ v
-    for _ in range(_POWER_STEPS):
-        norm = np.linalg.norm(lv)
-        if norm < 1e-30:
-            return LaplacianMatrix(lap, 0.0)
-        v = lv / norm
-        lv = lap @ v
-        lam = float(v @ lv)
-    return LaplacianMatrix(lap, lam)
+    return LaplacianMatrix(lap, float(lap.diagonal().max(initial=0.0)))
 
 
 def write_edge_list(graph, path) -> None:
@@ -142,21 +120,24 @@ def box_qp_minimize(k_mat, lap: LaplacianMatrix, lambda2: float,
                     inner_iters: int = DEFAULT_INNER_ITERS):
     """Projected gradient descent for the relaxed code step.
 
-    Gradient -2 K^T + 2 lambda2 L B, Lipschitz step 1/(2 lambda2 lambda_max
-    + delta), clipping to the box each step, started from sgn(K^T).
+    Gradient -2 K^T + 2 lambda2 L B, step s = 1/(2 lambda2 (d_max + 1) +
+    delta), clipping to the box each step, started from sgn(K^T).
     Returns (relaxed solution, objective trace); the trace is non-increasing.
     Each step multiplies by the sparse L once: the product serves both the
     trace value of the current iterate and the gradient taken from it.
 
-    The loop stops before `inner_iters` steps once the signs of the capped
-    run are certain; only the signs of the solution are used.  When the
-    step s has s * 2 lambda2 * lap.row_bound <= 2, the step map is
-    nonexpansive, so no later step moves B further than the last step did,
-    ||B_k - B_(k-1)||_F.  With m steps left, no entry then moves more than
-    m times that, and once every |B_k| entry exceeds it, sgn(B_k) is the
-    sign pattern the capped run would end with.  A step that leaves B
-    unchanged stops the loop whatever the bound, as a fixed point repeats.
-    Where the loop stops early, the trace is a prefix of the capped run's.
+    The step is sized from the graph alone.  The gradient's Lipschitz
+    constant is 2 lambda2 lambda_max(L), and s times it is below
+    lambda_max / (d_max + 1) < 2 by the bounds in LaplacianMatrix, so every
+    step descends and the step map is nonexpansive; on a 0/1 graph with an
+    edge s is 1/Lipschitz or longer, up to delta.  No later step then moves B
+    further than the last step did, ||B_k - B_(k-1)||_F.  With m steps
+    left, no entry moves more than m times that, so the loop stops before
+    `inner_iters` steps once every |B_k| entry exceeds it: sgn(B_k) is then
+    the sign pattern the capped run would end with, and only the signs of
+    the solution are used.  A step that leaves B unchanged stops the loop
+    too, as a fixed point repeats.  Where the loop stops early, the trace is
+    a prefix of the capped run's.
     """
     k_mat = np.asarray(k_mat, dtype=np.float64)
     if not np.isfinite(k_mat).all():
@@ -165,8 +146,7 @@ def box_qp_minimize(k_mat, lap: LaplacianMatrix, lambda2: float,
         raise ValueError("lambda2 must be finite and >= 0")
     linear_grad = np.ascontiguousarray(-2.0 * k_mat.T)  # n x c
     b = sgn(k_mat.T).astype(np.float64, order="C")
-    step = 1.0 / (2.0 * lambda2 * lap.lambda_max + _STEP_DELTA)
-    nonexpansive = step * 2.0 * lambda2 * lap.row_bound <= 2.0
+    step = 1.0 / (2.0 * lambda2 * (lap.max_degree + 1.0) + _STEP_DELTA)
     lap_b = lap.csr @ b if lambda2 != 0.0 else None
     trace = [_relaxed_value(b, lap_b, linear_grad, lambda2)]
     for left in range(inner_iters - 1, -1, -1):
@@ -179,7 +159,7 @@ def box_qp_minimize(k_mat, lap: LaplacianMatrix, lambda2: float,
             break
         # no entry moves further than this before the cap; a bound of 0
         # (an underflowed move) or of 1 or more (|B| <= 1) certifies nothing
-        bound = left * float(np.linalg.norm(move)) if nonexpansive else 0.0
+        bound = left * float(np.linalg.norm(move))
         b = b_next
         lap_b = lap.csr @ b if lambda2 != 0.0 else None
         trace.append(_relaxed_value(b, lap_b, linear_grad, lambda2))

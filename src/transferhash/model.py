@@ -66,7 +66,12 @@ def default_hyperparams(**overrides):
 
 @dataclass(frozen=True, eq=False)
 class HashModel:
-    """A trained encoder: centering, projection, rotation, and code length."""
+    """A trained encoder: centering, projection, rotation, and code length.
+
+    Construction checks the invariants every consumer relies on: at least
+    one bit, a mean as long as the projection's input, shapes that chain
+    mean -> projection -> rotation -> bits, and finite values throughout.
+    """
 
     method: str
     centering: CenteringInfo
@@ -89,6 +94,18 @@ class HashModel:
             raise ValueError(
                 f"bits={self.bits} but rotation has {rotation.shape[1]} columns"
             )
+        if self.bits < 1:
+            raise ValueError(f"bits={self.bits}: a model needs at least one bit")
+        if self.centering.mean.shape != (self.preprocessing.d_in,):
+            raise ValueError(
+                f"mean length {self.centering.mean.size} does not match the "
+                f"projection input dim {self.preprocessing.d_in}"
+            )
+        for name, values in (("mean", self.centering.mean),
+                             ("projection", self.preprocessing.matrix),
+                             ("rotation", rotation)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"non-finite value in the model's {name}")
 
     @property
     def input_dim(self) -> int:

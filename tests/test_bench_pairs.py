@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's seed parser and verdicts; no perfbench run is made."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,46 @@ def test_claim_needs_nine_wins_in_ten_and_a_move_beyond_the_spread(better):
     assert claim(eight) == "NOT MET"
     # every pair won, but the median moves less than the parent's quartile spread
     assert claim([better_by(p, 0.001) for p in PARENT]) == "NOT MET"
+
+
+def fake_runs(monkeypatch, incorrect=(), failed=None):
+    """Patch run_once with runs that read 1.0 on every metric; `incorrect` holds
+    the (side, seed) runs that print "correct": false, and `failed` maps a
+    side to its failed operations per run."""
+    failed = failed or {}
+    root = str(Path(__file__).parents[1])
+    names = [m["name"] for m in json.loads(
+        (Path(root) / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def run_once(checkout, workload, seed, seconds):
+        side = "change" if checkout == root else "parent"
+        return {"correct": (side, seed) not in incorrect,
+                "failed": failed.get(side, 0), "attempted": 5,
+                "metrics": {name: {"value": 1.0} for name in names}, "environment": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return root
+
+
+@pytest.mark.parametrize("incorrect, failed, code", [
+    ((), None, 0),
+    ((("parent", 2),), {"parent": 1}, 0),  # only the parent is at fault
+    ((("change", 2),), None, 1),
+    ((), {"change": 1}, 1),
+    ((), {"parent": 2, "change": 1}, 0),
+])
+def test_main_exits_1_after_writing_when_the_change_fails(monkeypatch, tmp_path, capsys,
+                                                          incorrect, failed, code):
+    root = fake_runs(monkeypatch, incorrect, failed)
+    out = tmp_path / "x.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--change", root, "--out", str(out),
+                             "--workloads", "graph-dense", "--seeds", "1-3"]) == code
+    entry = json.loads(out.read_text())["workloads"]["graph-dense"]
+    assert entry["correct"] == {"parent": ("parent", 2) not in incorrect,
+                                "change": ("change", 2) not in incorrect}
+    printed = capsys.readouterr().out
+    ops = entry["failed_operations"]
+    assert (f"graph-dense      correct parent {entry['correct']['parent']} change "
+            f"{entry['correct']['change']}; failed/attempted parent "
+            f"{ops['parent']}/15 change {ops['change']}/15") in printed
+    assert ("FAILED" in printed) == bool(code)

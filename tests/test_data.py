@@ -275,6 +275,69 @@ def test_model_bad_record_is_parse_error(tmp_path, model_file, tag, payload):
     assert main(["inspect-model", "--model", str(path)]) == 3
 
 
+def record_payload(blob, tag):
+    """The payload of record `tag` in the model file bytes."""
+    offset = 5
+    while offset < len(blob):
+        record_tag, length = struct.unpack_from("<BI", blob, offset)
+        if record_tag == tag:
+            return blob[offset + 5:offset + 5 + length]
+        offset += 5 + length
+    raise KeyError(tag)
+
+
+def test_hash_model_needs_a_bit_and_a_mean_as_long_as_the_projection_input():
+    identity = LinearProjection.identity(4)
+    with pytest.raises(ValueError, match="at least one bit"):
+        HashModel("itq", CenteringInfo(np.zeros(4)), identity, np.zeros((4, 0)), 0)
+    with pytest.raises(ValueError, match="mean length"):
+        HashModel("itq", CenteringInfo(np.zeros(3)), identity, np.eye(4)[:, :2], 2)
+
+
+@pytest.mark.parametrize("field", ["mean", "projection", "rotation"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_hash_model_rejects_a_non_finite_value(field, value):
+    mean, matrix, rotation = np.zeros(4), np.eye(4), np.eye(4)[:, :2]
+    {"mean": mean, "projection": matrix, "rotation": rotation}[field][1] = value
+    with pytest.raises(ValueError, match=f"non-finite value in the model's {field}"):
+        HashModel("itq", CenteringInfo(mean), LinearProjection(matrix), rotation, 2)
+
+
+@pytest.mark.parametrize("tag", [3, 5, 6])  # mean, projection matrix, rotation
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_model_file_with_a_non_finite_value_exits_3(tmp_path, matrix_files, tag, value):
+    root, paths = matrix_files
+    blob = (root / "m.model").read_bytes()
+    payload = bytearray(record_payload(blob, tag))
+    payload[-8:] = struct.pack("<d", value)  # the record's last entry
+    path = tmp_path / "bad.model"
+    path.write_bytes(with_record(blob, tag, bytes(payload)))
+    with pytest.raises(ParseError, match="non-finite"):
+        load_model(path)
+    database, queries = (str(p) for p in paths["csv"])
+    assert main(["inspect-model", "--model", str(path)]) == 3
+    assert main(["encode", "--model", str(path), "--input", queries, "--format", "csv",
+                 "--out", str(tmp_path / "codes.csv")]) == 3
+    assert main(["eval", "--model", str(path), "--database", database, "--queries", queries,
+                 "--format", "csv", "--r-groundtruth", "3", "--ks", "1",
+                 "--out", str(tmp_path / "eval")]) == 3
+
+
+def test_model_file_with_zero_bits_exits_3(tmp_path, matrix_files):
+    root, paths = matrix_files
+    blob = (root / "m.model").read_bytes()
+    blob = with_record(blob, 2, struct.pack("<I", 0))
+    blob = with_record(blob, 6, struct.pack("<II", 4, 0))  # a 4 x 0 rotation
+    path = tmp_path / "zero.model"
+    path.write_bytes(blob)
+    with pytest.raises(ParseError, match="at least one bit"):
+        load_model(path)
+    database, queries = (str(p) for p in paths["csv"])
+    assert main(["eval", "--model", str(path), "--database", database, "--queries", queries,
+                 "--format", "csv", "--r-groundtruth", "3", "--ks", "1",
+                 "--out", str(tmp_path / "eval")]) == 3
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_mutated_model_loads_or_raises_parse_error(model_file, data):
@@ -288,9 +351,14 @@ def test_mutated_model_loads_or_raises_parse_error(model_file, data):
     path = model_file.with_name("mutated.model")
     path.write_bytes(mutated)
     try:
-        load_model(path)
+        model = load_model(path)
     except ParseError:
         pass
+    else:  # a model that loads keeps HashModel's invariants
+        assert model.bits >= 1
+        assert model.centering.mean.shape == (model.preprocessing.d_in,)
+        for values in (model.centering.mean, model.preprocessing.matrix, model.rotation):
+            assert np.isfinite(values).all()
     assert main(["inspect-model", "--model", str(path)]) in (0, 3)
 
 

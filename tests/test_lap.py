@@ -18,7 +18,6 @@ from transferhash.itq_plus import itq_plus_train
 from transferhash.synth import make_two_view_clusters
 from transferhash.lap_itq_plus import (
     DEFAULT_INNER_ITERS,
-    LaplacianMatrix,
     _relaxed_value,
     box_qp_minimize,
     knn_hamming_graph,
@@ -154,13 +153,13 @@ def test_laplacian_path_graph():
     weights = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.uint8)
     lap = laplacian(scipy.sparse.csr_array(weights))
     assert np.array_equal(lap.csr.toarray(), [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
-    assert lap.lambda_max == pytest.approx(3.0, rel=1e-6)
+    assert lap.max_degree == 2.0  # lambda_max(L) = 3 = max degree + 1
 
 
 def test_laplacian_empty_graph():
     lap = laplacian(scipy.sparse.csr_array(np.zeros((4, 4), dtype=np.uint8)))
     assert np.array_equal(lap.csr.toarray(), np.zeros((4, 4)))
-    assert lap.lambda_max == 0.0
+    assert lap.max_degree == 0.0
 
 
 def random_graph(n, k, seed):
@@ -187,11 +186,14 @@ def test_laplacian_edge_sum_identity_and_row_sums():
 
 
 def test_laplacian_lambda_max_close_to_exact():
+    # the box QP's step takes max degree + 1 for lambda_max: never above the
+    # exact value, and at least half of it
     for seed in range(5):
         lap = laplacian(random_graph(20, 4, seed))
         exact = float(np.linalg.eigvalsh(lap.csr.toarray())[-1])
-        assert lap.lambda_max <= exact + 1e-9
-        assert lap.lambda_max >= 0.9 * exact
+        assert lap.max_degree == lap.csr.diagonal().max()
+        assert lap.max_degree + 1.0 <= exact + 1e-9
+        assert exact <= 2.0 * lap.max_degree + 1e-9
 
 
 def test_update_b_relaxed_zero_lambda_is_sign():
@@ -205,12 +207,12 @@ def test_update_b_relaxed_zero_lambda_is_sign():
 def test_update_b_relaxed_zero_laplacian_matches():
     rng = np.random.default_rng(4)
     k_mat = rng.standard_normal((3, 8))
-    zero_lap = LaplacianMatrix(np.zeros((8, 8)), 0.0)
+    zero_lap = laplacian(np.zeros((8, 8)))
     result = update_b_relaxed(k_mat, zero_lap, 2.5)
     assert np.array_equal(result.signs, sgn(k_mat.T))
 
 
-def relaxed_objective(b, k_mat, lap: LaplacianMatrix, lambda2: float) -> float:
+def relaxed_objective(b, k_mat, lap, lambda2: float) -> float:
     """-2 tr(B K) + lambda2 tr(B^T L B) over the box [-1, 1]^(n x c)."""
     b = np.asarray(b, dtype=np.float64)
     lap_b = lap.csr @ b if lambda2 != 0.0 else None
@@ -286,21 +288,6 @@ def dense_laplacian(graph):
     return np.diag(w.sum(axis=1)) - w
 
 
-def dense_power_iteration(lap_dense):
-    """lambda_max as laplacian() estimates it, with dense products."""
-    v = np.random.default_rng(0).standard_normal(lap_dense.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(50):
-        lv = lap_dense @ v
-        norm = np.linalg.norm(lv)
-        if norm < 1e-30:
-            return 0.0
-        v = lv / norm
-        lam = float(v @ (lap_dense @ v))
-    return lam
-
-
 def dense_product(lap_dense, b):
     """L B summed over the columns of L in ascending order.
 
@@ -314,11 +301,12 @@ def dense_product(lap_dense, b):
     return out
 
 
-def dense_box_qp(k_mat, lap_dense, lambda_max, lambda2, inner_iters):
+def dense_box_qp(k_mat, lap_dense, lambda2, inner_iters):
     """box_qp_minimize's loop with a dense L and a product per term."""
     linear = k_mat.T
     b = sgn(linear).astype(np.float64)
-    step = 1.0 / (2.0 * lambda2 * lambda_max + 1e-12)
+    max_degree = lap_dense.diagonal().max(initial=0.0)
+    step = 1.0 / (2.0 * lambda2 * (max_degree + 1.0) + 1e-12)
 
     def value(b):
         return -2.0 * float(np.sum(b * linear)) + lambda2 * float(np.sum(b * (lap_dense @ b)))
@@ -341,7 +329,7 @@ def test_laplacian_is_degree_minus_adjacency(data):
     lap = laplacian(graph)
     dense = dense_laplacian(graph)
     assert lap.csr.toarray().dtype == np.float64 and np.array_equal(lap.csr.toarray(), dense)
-    assert lap.lambda_max == pytest.approx(dense_power_iteration(dense), rel=1e-12, abs=0.0)
+    assert lap.max_degree == graph.toarray().sum(axis=1).max(initial=0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -349,7 +337,7 @@ def test_laplacian_is_degree_minus_adjacency(data):
 def test_box_qp_matches_dense_reference(data):
     if data.draw(st.booleans(), label="all-zero laplacian"):
         n = data.draw(st.integers(2, 60), label="rows")
-        lap, dense = LaplacianMatrix(np.zeros((n, n)), 0.0), np.zeros((n, n))
+        lap, dense = laplacian(np.zeros((n, n))), np.zeros((n, n))
     else:
         graph = draw_graph(data)
         lap, dense = laplacian(graph), dense_laplacian(graph)
@@ -360,8 +348,7 @@ def test_box_qp_matches_dense_reference(data):
     k_mat = rng.standard_normal((c, lap.csr.shape[0]))
 
     relaxed, trace = box_qp_minimize(k_mat, lap, lambda2, inner_iters)
-    expected, expected_trace = dense_box_qp(k_mat, dense, lap.lambda_max, lambda2,
-                                            inner_iters)
+    expected, expected_trace = dense_box_qp(k_mat, dense, lambda2, inner_iters)
     # the loop may stop before the reference's cap once the signs are certain
     assert len(trace) <= len(expected_trace)
     assert np.allclose(trace, expected_trace[:len(trace)], rtol=1e-12, atol=1e-12)
@@ -377,7 +364,7 @@ def capped_box_qp(k_mat, lap, lambda2, inner_iters=DEFAULT_INNER_ITERS):
     k_mat = np.asarray(k_mat, dtype=np.float64)
     linear_grad = np.ascontiguousarray(-2.0 * k_mat.T)
     b = sgn(k_mat.T).astype(np.float64, order="C")
-    step = 1.0 / (2.0 * lambda2 * lap.lambda_max + 1e-12)
+    step = 1.0 / (2.0 * lambda2 * (lap.max_degree + 1.0) + 1e-12)
     lap_b = lap.csr @ b if lambda2 != 0.0 else None
     trace = [_relaxed_value(b, lap_b, linear_grad, lambda2)]
     for _ in range(inner_iters):
@@ -394,12 +381,14 @@ def capped_box_qp(k_mat, lap, lambda2, inner_iters=DEFAULT_INNER_ITERS):
 
 
 def hub_instance(seed, rows, distinct, bits, c, scale):
-    """Scores over a kNN graph (k = 5) of codes drawn from a few distinct
-    ones: every row ties at its k-th distance, so low-index rows become hubs,
-    as on the offline source codes of the data-sparse transfer workload."""
+    """Scores over a kNN graph (k = 5, or rows - 1 if fewer) of codes drawn
+    from a few distinct ones: every row ties at its k-th distance, so
+    low-index rows become hubs, as on the offline source codes of the
+    data-sparse transfer workload."""
     rng = np.random.default_rng(seed)
     pool = sgn(rng.standard_normal((distinct, bits)))
-    graph = knn_hamming_graph(BinaryCodeMatrix(pool[rng.integers(0, distinct, rows)]), 5)
+    graph = knn_hamming_graph(BinaryCodeMatrix(pool[rng.integers(0, distinct, rows)]),
+                              min(5, rows - 1))
     return scale * rng.standard_normal((c, rows)), laplacian(graph)
 
 
@@ -422,35 +411,59 @@ def test_box_qp_stop_keeps_the_capped_signs_on_hub_graphs(seed, rows, distinct, 
 
 def test_box_qp_stop_fires_on_a_hub_graph():
     k_mat, lap = hub_instance(**PINNED_HUB)
-    step = 1.0 / (2.0 * 0.01 * lap.lambda_max + 1e-12)
-    assert step * 2.0 * 0.01 * lap.row_bound <= 2.0
     relaxed, trace = box_qp_minimize(k_mat, lap, 0.01)
     expected, expected_trace = capped_box_qp(k_mat, lap, 0.01)
     assert len(trace) < len(expected_trace) == DEFAULT_INNER_ITERS + 1
     assert np.array_equal(sgn(relaxed), sgn(expected))
 
 
-def test_box_qp_understated_lambda_max_runs_to_the_cap():
-    # a step longer than 2 / Lipschitz is not nonexpansive, so nothing is certified
-    k_mat, lap = hub_instance(**PINNED_HUB)
-    understated = LaplacianMatrix(lap.csr, 0.5 * lap.lambda_max)
-    assert (2.0 * 0.01 * understated.row_bound
-            / (2.0 * 0.01 * understated.lambda_max + 1e-12)) > 2.0
-    relaxed, trace = box_qp_minimize(k_mat, understated, 0.01)
-    expected, expected_trace = capped_box_qp(k_mat, understated, 0.01)
-    assert relaxed.tobytes() == expected.tobytes()
-    assert trace == expected_trace
+def plain_graph(kind, seed, rows, density):
+    """A symmetric 0/1 graph: random, edgeless, a star or complete."""
+    weights = np.zeros((rows, rows), dtype=bool)
+    if kind == "random":
+        weights = np.triu(np.random.default_rng(seed).random((rows, rows)) < density, 1)
+    elif kind == "star":
+        weights[0, 1:] = True
+    elif kind == "complete":
+        weights = ~np.eye(rows, dtype=bool)
+    return scipy.sparse.csr_array(weights | weights.T)
 
 
-def test_row_bound_holds_only_for_symmetric_dominant_matrices():
-    path = laplacian(scipy.sparse.csr_array(
-        np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.uint8)))
-    assert path.row_bound == 4.0  # twice the largest degree
-    assert LaplacianMatrix(np.zeros((3, 3)), 0.0).row_bound == 0.0
-    assert LaplacianMatrix(np.zeros((0, 0)), 0.0).row_bound == 0.0
-    assert LaplacianMatrix([[1.0, -1.0], [0.0, 0.0]], 1.0).row_bound == np.inf
-    assert LaplacianMatrix([[1.0, -2.0], [-2.0, 1.0]], 3.0).row_bound == np.inf
-    assert LaplacianMatrix([[-1.0, 0.0], [0.0, 0.0]], 0.0).row_bound == np.inf
+# a 50-step power iteration from a seeded start read lambda_max as 128.84 on
+# this hub graph (max degree 129, exact lambda_max 130), so a step sized by it
+# failed the Gershgorin test s * 2 lambda2 * ||L||_inf <= 2 that used to
+# switch the sign stop off
+GATE_OFF_HUB = dict(kind="knn", seed=2, rows=500, distinct=4, bits=16, density=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["knn", "random", "edgeless", "star", "complete"]),
+       seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 120),
+       distinct=st.integers(1, 8), bits=st.integers(1, 32),
+       density=st.floats(0.0, 1.0), c=st.integers(1, 16),
+       scale=st.sampled_from([0.1, 1.0, 3.0]),
+       lambda2=st.sampled_from([0.01, 0.1, 1.0]))
+@example(**GATE_OFF_HUB, c=8, scale=1.0, lambda2=0.01)
+@example(**GATE_OFF_HUB, c=32, scale=3.0, lambda2=0.1)
+def test_degree_step_descends_and_keeps_the_capped_signs(kind, seed, rows, distinct,
+                                                         bits, density, c, scale,
+                                                         lambda2):
+    if kind == "knn":
+        k_mat, lap = hub_instance(seed, rows, distinct, bits, c, scale)
+    else:
+        lap = laplacian(plain_graph(kind, seed, rows, density))
+        k_mat = scale * np.random.default_rng([seed, 1]).standard_normal((c, rows))
+    if lap.max_degree > 0.0:  # a graph with an edge
+        # the step 1 / (2 lambda2 (d_max + 1)) is at least 1 / Lipschitz and
+        # below 2 / Lipschitz
+        exact = float(np.linalg.eigvalsh(lap.csr.toarray())[-1])
+        assert lap.max_degree + 1.0 <= exact * (1.0 + 1e-12)
+        assert exact <= 2.0 * lap.max_degree * (1.0 + 1e-12)
+    relaxed, trace = box_qp_minimize(k_mat, lap, lambda2)
+    assert np.all(np.diff(trace) <= 1e-12 * max(1.0, abs(trace[0])))
+    expected, expected_trace = capped_box_qp(k_mat, lap, lambda2)
+    assert np.array_equal(sgn(relaxed), sgn(expected))
+    assert trace == expected_trace[:len(trace)]
 
 
 def test_lap_train_matches_a_fit_with_the_capped_box_qp(monkeypatch):
@@ -482,7 +495,21 @@ def test_lap_train_matches_a_fit_with_the_capped_box_qp(monkeypatch):
 
 def test_laplacian_matrix_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
-        LaplacianMatrix(np.zeros((2, 3)), 0.0)
+        laplacian(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("weights", [
+    [[0.0, 1.0], [0.0, 0.0]],  # asymmetric
+    [[0.0, -1.0], [-1.0, 0.0]],  # negative
+    [[0.0, np.nan], [np.nan, 0.0]],
+    [[0.0, np.inf], [np.inf, 0.0]],
+])
+def test_laplacian_rejects_a_graph_the_step_bound_does_not_cover(weights):
+    # the step's bound lambda_max(L) <= 2 max degree needs a symmetric W >= 0
+    with pytest.raises(ValueError, match="symmetric"):
+        laplacian(np.array(weights))
+    with pytest.raises(ValueError, match="symmetric"):
+        laplacian(scipy.sparse.csr_array(np.array(weights)))
 
 
 def test_import_leaves_scipy_sparse_unloaded():

@@ -25,6 +25,11 @@ The claimed metric is "met" when the change won at least nine pairs in
 ten and its median moved by more than the parent's quartile spread.  A
 --claim that names no workload being run or no end-to-end metric is a
 usage error (exit 2) before the first run.
+
+Each workload's "correct" flags and failed/attempted operation counts are
+printed for both sides.  After writing the file the exit code is 1 when
+any change run printed "correct": false or the change failed more
+operations than the parent on some workload, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -218,12 +223,24 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=False)
         fh.write("\n")
+    failing = []
     for workload, entry in report["workloads"].items():
+        ops = entry["failed_operations"]
+        print(f"{workload:16s} correct parent {entry['correct']['parent']} change "
+              f"{entry['correct']['change']}; failed/attempted parent "
+              f"{ops['parent']}/{ops['attempted_parent']} change "
+              f"{ops['change']}/{ops['attempted_change']}")
+        if not entry["correct"]["change"] or ops["change"] > ops["parent"]:
+            failing.append(workload)
         for name, m in entry["metrics"].items():
             print(f"{workload:16s} {name:18s} {m['median_change']:+8.2%} "
                   f"{m['change_wins']:2d}/{m['change_losses']:<2d} {m['verdict']}")
     if report["claim"]:
         print("claim: " + report["claim"]["verdict"])
+    if failing:
+        print("FAILED: the change ran incorrectly, or failed more operations than the "
+              f"parent, on {', '.join(failing)}")
+        return 1
     return 0
 
 
