@@ -140,30 +140,37 @@ def box_qp_minimize(k_mat, lap: LaplacianMatrix, lambda2: float,
     a prefix of the capped run's.
     """
     k_mat = np.asarray(k_mat, dtype=np.float64)
+    if k_mat.ndim != 2 or k_mat.shape[1] != lap.csr.shape[0]:
+        raise ValueError(f"score matrix of shape {k_mat.shape} does not fit Laplacian {lap.csr.shape}")
     if not np.isfinite(k_mat).all():
         raise NumericalError("non-finite score matrix in relaxed code step")
     if not 0.0 <= lambda2 < np.inf:
         raise ValueError("lambda2 must be finite and >= 0")
+    if inner_iters < 0:
+        raise ValueError(f"inner_iters={inner_iters} must be >= 0")
     linear_grad = np.ascontiguousarray(-2.0 * k_mat.T)  # n x c
     b = sgn(k_mat.T).astype(np.float64, order="C")
     step = 1.0 / (2.0 * lambda2 * (lap.max_degree + 1.0) + _STEP_DELTA)
     lap_b = lap.csr @ b if lambda2 != 0.0 else None
     trace = [_relaxed_value(b, lap_b, linear_grad, lambda2)]
+    b_next, move = np.empty_like(b), np.empty_like(b)  # move holds the gradient first
     for left in range(inner_iters - 1, -1, -1):
         grad = linear_grad
         if lambda2 != 0.0:
-            grad = grad + (2.0 * lambda2) * lap_b
-        b_next = np.clip(b - step * grad, -1.0, 1.0)
-        move = b_next - b  # zero exactly where b_next == b, as both are finite
-        if not move.any():
-            break
+            grad = np.multiply(lap_b, 2.0 * lambda2, out=move)
+            grad += linear_grad
+        np.multiply(grad, step, out=b_next)
+        np.clip(np.subtract(b, b_next, out=b_next), -1.0, 1.0, out=b_next)
+        np.subtract(b_next, b, out=move)  # zero exactly where b_next == b, as both are finite
         # no entry moves further than this before the cap; a bound of 0
         # (an underflowed move) or of 1 or more (|B| <= 1) certifies nothing
         bound = left * float(np.linalg.norm(move))
-        b = b_next
+        if bound == 0.0 and not move.any():
+            break
+        b, b_next = b_next, b
         lap_b = lap.csr @ b if lambda2 != 0.0 else None
         trace.append(_relaxed_value(b, lap_b, linear_grad, lambda2))
-        if 0.0 < bound < 1.0 and bound < np.abs(b).min():
+        if 0.0 < bound < 1.0 and bound < np.abs(b, out=move).min():
             break
     return b, trace
 
@@ -209,6 +216,9 @@ def lap_itq_plus_train(x_t, x_sc, x_su, c: int,
         raise ValueError(f"code length {c} exceeds min dimension {min(d_t, d_s)}")
     if not 1 <= k < n:
         raise ValueError(f"k={k} out of range for {n} correspondence rows")
+    for name, value in (("lambda1", lambda1), ("lambda2", lambda2)):
+        if not 0.0 <= value < np.inf:  # checked before the offline source fit
+            raise ValueError(f"{name} must be finite and >= 0")
 
     x_stack = np.vstack([x_sc, x_su]) if x_su.size else x_sc
     source_codes = source_codes_offline(x_stack, c, iters, seed, tol=tol)

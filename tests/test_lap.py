@@ -18,6 +18,7 @@ from transferhash.itq_plus import itq_plus_train
 from transferhash.synth import make_two_view_clusters
 from transferhash.lap_itq_plus import (
     DEFAULT_INNER_ITERS,
+    _STEP_DELTA,
     _relaxed_value,
     box_qp_minimize,
     knn_hamming_graph,
@@ -466,6 +467,77 @@ def test_degree_step_descends_and_keeps_the_capped_signs(kind, seed, rows, disti
     assert trace == expected_trace[:len(trace)]
 
 
+def box_qp_before_buffers(k_mat, lap, lambda2: float,
+                          inner_iters: int = DEFAULT_INNER_ITERS):
+    """box_qp_minimize as it was when every step allocated its arrays afresh."""
+    k_mat = np.asarray(k_mat, dtype=np.float64)
+    if not np.isfinite(k_mat).all():
+        raise NumericalError("non-finite score matrix in relaxed code step")
+    if not 0.0 <= lambda2 < np.inf:
+        raise ValueError("lambda2 must be finite and >= 0")
+    linear_grad = np.ascontiguousarray(-2.0 * k_mat.T)  # n x c
+    b = sgn(k_mat.T).astype(np.float64, order="C")
+    step = 1.0 / (2.0 * lambda2 * (lap.max_degree + 1.0) + _STEP_DELTA)
+    lap_b = lap.csr @ b if lambda2 != 0.0 else None
+    trace = [_relaxed_value(b, lap_b, linear_grad, lambda2)]
+    for left in range(inner_iters - 1, -1, -1):
+        grad = linear_grad
+        if lambda2 != 0.0:
+            grad = grad + (2.0 * lambda2) * lap_b
+        b_next = np.clip(b - step * grad, -1.0, 1.0)
+        move = b_next - b  # zero exactly where b_next == b, as both are finite
+        if not move.any():
+            break
+        # no entry moves further than this before the cap; a bound of 0
+        # (an underflowed move) or of 1 or more (|B| <= 1) certifies nothing
+        bound = left * float(np.linalg.norm(move))
+        b = b_next
+        lap_b = lap.csr @ b if lambda2 != 0.0 else None
+        trace.append(_relaxed_value(b, lap_b, linear_grad, lambda2))
+        if 0.0 < bound < 1.0 and bound < np.abs(b).min():
+            break
+    return b, trace
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["knn", "random", "edgeless", "star", "complete"]),
+       seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 120),
+       distinct=st.integers(1, 8), bits=st.integers(1, 32),
+       density=st.floats(0.0, 1.0), c=st.integers(1, 16),
+       scale=st.sampled_from([0.1, 1.0, 3.0]),
+       lambda2=st.sampled_from([0.0, 0.01, 0.1, 1.0]), inner_iters=st.integers(0, 100))
+@example(**GATE_OFF_HUB, c=8, scale=1.0, lambda2=0.01, inner_iters=100)
+def test_box_qp_in_reused_buffers_matches_the_allocating_loop(kind, seed, rows, distinct,
+                                                              bits, density, c, scale,
+                                                              lambda2, inner_iters):
+    if kind == "knn":
+        k_mat, lap = hub_instance(seed, rows, distinct, bits, c, scale)
+    else:
+        lap = laplacian(plain_graph(kind, seed, rows, density))
+        k_mat = scale * np.random.default_rng([seed, 1]).standard_normal((c, rows))
+    relaxed, trace = box_qp_minimize(k_mat, lap, lambda2, inner_iters)
+    kept = relaxed.copy()
+    expected, expected_trace = box_qp_before_buffers(k_mat, lap, lambda2, inner_iters)
+    assert relaxed.tobytes() == expected.tobytes()
+    assert trace == expected_trace
+    box_qp_minimize(-k_mat, lap, lambda2, inner_iters)  # a second call reuses no buffer
+    assert relaxed.tobytes() == kept.tobytes()
+
+
+def test_box_qp_rejects_a_negative_step_cap():
+    lap = laplacian(random_graph(5, 1, 1))
+    box_qp_minimize(np.ones((2, 5)), lap, 0.1, 0)  # no step is a valid cap
+    with pytest.raises(ValueError, match="inner_iters=-1"):
+        box_qp_minimize(np.ones((2, 5)), lap, 0.1, -1)
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (5, 2), (5,), (1, 2, 5)])
+def test_box_qp_rejects_scores_that_do_not_fit_the_laplacian(shape):
+    lap = laplacian(random_graph(5, 1, 1))
+    with pytest.raises(ValueError, match=r"shape \(.*\) does not fit Laplacian \(5, 5\)"):
+        box_qp_minimize(np.ones(shape), lap, 0.1)
+
+
 def test_lap_train_matches_a_fit_with_the_capped_box_qp(monkeypatch):
     target, source, _ = make_two_view_clusters(1000, 64, 40, clusters=5, noise=3.0,
                                                source_noise=0.1, latent_dim=16,
@@ -611,3 +683,14 @@ def test_lap_train_validation():
         lap_itq_plus_train(x_t, x_s, None, 4, 0.1, 0.1, 30, iters=5, seed=0)
     with pytest.raises(ValueError):
         lap_itq_plus_train(x_t, x_s, np.ones((5, 4)), 4, 0.1, 0.1, 5, iters=5, seed=0)
+
+
+@pytest.mark.parametrize("lambdas", [(-1.0, 0.1), (0.1, -1.0), (np.nan, 0.1), (0.1, np.inf)])
+def test_lap_train_checks_lambdas_before_the_source_fit(monkeypatch, lambdas):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the offline source codes were fitted")
+
+    monkeypatch.setattr(lap_itq_plus, "itq_train", no_fit)
+    x_t, x_s = two_view_instance(30, 8, 6, seed=10)
+    with pytest.raises(ValueError, match="lambda[12] must be finite and >= 0"):
+        lap_itq_plus_train(x_t, x_s, None, 4, *lambdas, 5, iters=5, seed=0)
