@@ -10,7 +10,10 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from transferhash import bench, lap_itq_plus
 
 WORKLOADS = Path(__file__).parents[1] / "perfbench" / "workloads.py"
 PROBED = {"bench.fit_model", "evaluate.ground_truth", "evaluate.evaluate_model",
@@ -56,3 +59,18 @@ def test_box_qp_takes_inner_iters_fourth():
     # the box-QP watcher reads the inner step cap as args[3]
     params = list(inspect.signature(resolve("lap_itq_plus.box_qp_minimize")).parameters)
     assert params[3] == "inner_iters"
+
+
+def test_lapitq_plus_passes_the_step_cap_fourth_and_positionally(monkeypatch):
+    # perfbench's box-QP watcher reads the cap as args[3]; a keyword cap would crash it
+    solve, caps = lap_itq_plus.box_qp_minimize, []
+
+    def watched(*args, **kwargs):
+        caps.append((args[3:], kwargs))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lap_itq_plus, "box_qp_minimize", watched)
+    rows = np.random.default_rng(0).standard_normal((40, 10))
+    bench.fit_model("lapitq+", rows[:20, :6], rows[:20, 6:], rows[20:, 6:], bits=3,
+                    k_graph=3, iters=4, seed=0)
+    assert caps and all(cap == ((lap_itq_plus.DEFAULT_INNER_ITERS,), {}) for cap in caps)
