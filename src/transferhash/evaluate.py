@@ -136,12 +136,12 @@ def ground_truth(database_features, query_features,
         raise ValueError(f"r must be >= 1, got {r}")
     db = np.asarray(database_features, dtype=np.float64)
     queries = np.asarray(query_features, dtype=np.float64)
-    if db.shape[0] < 2:
-        raise DataError("ground_truth: need at least 2 database points")
     if db.ndim != 2 or queries.ndim != 2 or queries.shape[1] != db.shape[1]:
         raise DataError(
             f"ground_truth: queries of shape {queries.shape} and a database of "
-            f"shape {db.shape} differ in column count")
+            f"shape {db.shape} are not two matrices of equal width")
+    if db.shape[0] < 2:
+        raise DataError("ground_truth: need at least 2 database points")
     # |a|^2 + |b|^2 - 2ab must not overflow: each term stays below max/4.  A
     # NaN fails that comparison, so it is caught first (np.maximum keeps it)
     largest = np.maximum(np.abs(db).max(), np.abs(queries).max(initial=0.0))

@@ -143,17 +143,27 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
 def balanced_signs(scores) -> np.ndarray:
     """Per column, give +1 to the ceil(n/2) largest scores, -1 to the rest.
 
-    Ties break by ascending row index.  For odd n the column sums are +1,
-    the closest feasible point to exact balance.
+    Ties break by ascending row index (-0.0 ties with 0.0).  For odd n the
+    column sums are +1, the closest feasible point to exact balance.  A
+    selection in O(n c), not a sort: the scores above each column's
+    ceil(n/2)-th largest (np.partition) get +1, then its ties in row order.
+    scores must be an n x c matrix (ValueError) with no NaN (NumericalError).
     """
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2:
+        raise ValueError(f"scores of shape {scores.shape} are not an n x c matrix")
+    if np.isnan(scores).any():
+        raise NumericalError("NaN in the balanced code step's scores")
     n, c = scores.shape
-    positives = (n + 1) // 2
-    order = np.argsort(-scores, axis=0, kind="stable")
-    signs = np.full((n, c), -1, dtype=np.int8)
-    cols = np.arange(c)
-    signs[order[:positives], cols] = 1
-    return signs
+    if n == 0:
+        return np.empty((0, c), dtype=np.int8)
+    kth = n - (n + 1) // 2  # ascending rank of the ceil(n/2)-th largest score
+    cut = np.partition(scores, kth, axis=0)[kth]
+    plus = scores > cut
+    tied = scores == cut
+    places_left = n - kth - np.count_nonzero(plus, axis=0)
+    plus |= tied & (np.cumsum(tied, axis=0, dtype=np.int32) <= places_left)
+    return plus.astype(np.int8) * np.int8(2) - np.int8(1)
 
 
 def itq_train(x, c: int, iters: int = DEFAULT_ITERS, seed=0, *,

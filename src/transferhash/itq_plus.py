@@ -64,9 +64,9 @@ def itq_plus_objective(codes, rotation, slack_rotation, x_t, x_sc, lambda1) -> f
 def blend_scores(x_t, rotation, x_sc, slack_rotation, lambda1) -> np.ndarray:
     """The n x c score matrix (1+lambda1) X_t R + lambda1 X_sc P.
 
-    Columns of the maximizing code matrix are read off this matrix; it is
-    the transpose of both the sorting matrix of the balanced step and the
-    linear term of the relaxed step.
+    Columns of the maximizing code matrix are read off this matrix; the
+    balanced step selects from it, and the relaxed step's linear term K is
+    its transpose.
     """
     scores = (1.0 + lambda1) * (np.asarray(x_t) @ rotation)
     if lambda1 != 0.0:

@@ -9,6 +9,7 @@ box-relaxed quadratic program solved by projected gradient descent.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,8 +147,9 @@ def box_qp_minimize(k_mat, lap: LaplacianMatrix, lambda2: float,
         raise NumericalError("non-finite score matrix in relaxed code step")
     if not 0.0 <= lambda2 < np.inf:
         raise ValueError("lambda2 must be finite and >= 0")
-    if inner_iters < 0:
-        raise ValueError(f"inner_iters={inner_iters} must be >= 0")
+    if (isinstance(inner_iters, bool) or not isinstance(inner_iters, numbers.Integral)
+            or inner_iters < 0):
+        raise ValueError(f"inner_iters={inner_iters} must be an integer >= 0")
     linear_grad = np.ascontiguousarray(-2.0 * k_mat.T)  # n x c
     b = sgn(k_mat.T).astype(np.float64, order="C")
     step = 1.0 / (2.0 * lambda2 * (lap.max_degree + 1.0) + _STEP_DELTA)

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -199,9 +200,14 @@ def test_ground_truth_permutation_symmetry():
 
 
 def test_ground_truth_rejects_query_width_mismatch():
+    # and any database or query array that is not 2-D, 0-d and 1-d included
     rng = np.random.default_rng(9)
-    with pytest.raises(DataError, match=r"\(6, 4\).*\(20, 3\)"):
-        ground_truth(rng.standard_normal((20, 3)), rng.standard_normal((6, 4)), r=3)
+    for db_shape, query_shape in [((20, 3), (6, 4)), ((), (6, 3)), ((20, 3), ()),
+                                  ((20,), (6, 3)), ((20, 3), (3,)), ((1,), (1,))]:
+        db, queries = rng.standard_normal(db_shape), rng.standard_normal(query_shape)
+        with pytest.raises(DataError, match=re.escape(f"{query_shape} and a database "
+                                                      f"of shape {db_shape}")):
+            ground_truth(db, queries, r=3)
 
 
 def test_average_precision_hand_example():

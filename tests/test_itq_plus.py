@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transferhash.codes import BinaryCodeMatrix, sgn
+from transferhash.errors import NumericalError
 from transferhash.itq import (
     balanced_signs,
     gram_bound,
@@ -108,15 +110,30 @@ def test_update_b_balanced_odd_rows():
     assert np.array_equal(result.signs, brute_force_balanced(scores))
 
 
+def balanced_signs_by_sort(scores) -> np.ndarray:
+    """balanced_signs as it was when it stable-argsorted every score column."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n, c = scores.shape
+    positives = (n + 1) // 2
+    order = np.argsort(-scores, axis=0, kind="stable")
+    signs = np.full((n, c), -1, dtype=np.int8)
+    cols = np.arange(c)
+    signs[order[:positives], cols] = 1
+    return signs
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_update_b_balanced_properties(data):
-    n = data.draw(st.integers(2, 60), label="rows")
-    c = data.draw(st.integers(1, 70), label="code length")
+    # large cases run np.partition's introselect past its small-array path
+    large = data.draw(st.booleans(), label="large")
+    n = data.draw(st.integers(61, 2000) if large else st.integers(2, 60), label="rows")
+    c = 32 if large else data.draw(st.integers(1, 70), label="code length")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    # a few distinct values, signed zeros among them, so most scores tie
-    pool = np.concatenate(([0.0, -0.0], rng.standard_normal(
-        data.draw(st.integers(0, 3), label="nonzero values"))))
+    # a few distinct values, signed zeros and infinities among them, so most
+    # scores tie; or about n of them, so few do
+    pool = np.concatenate(([0.0, -0.0, np.inf, -np.inf], rng.standard_normal(
+        data.draw(st.integers(0, 3) | st.just(n), label="finite nonzero values"))))
     scores = rng.choice(pool, (n, c))
     signs = update_b_balanced(scores).signs
     sums = signs.sum(axis=0, dtype=np.int64)
@@ -130,6 +147,26 @@ def test_update_b_balanced_properties(data):
         expected[order[:(n + 1) // 2]] = 1
         assert np.array_equal(signs[:, j], expected)
     assert np.array_equal(signs, balanced_signs(scores))
+    assert np.array_equal(signs, balanced_signs_by_sort(scores))
+
+
+def test_balanced_signs_rejects_a_nan_score():
+    scores = np.zeros((4, 2))
+    scores[3, 1] = np.nan
+    with pytest.raises(NumericalError, match="NaN"):
+        balanced_signs(scores)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4)])
+def test_balanced_signs_rejects_scores_that_are_not_a_matrix(shape):
+    with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))}"):
+        balanced_signs(np.ones(shape))
+
+
+@pytest.mark.parametrize("c", [0, 3])
+def test_balanced_signs_of_no_rows_is_empty(c):
+    signs = balanced_signs(np.empty((0, c)))
+    assert signs.shape == (0, c) and signs.dtype == np.int8
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

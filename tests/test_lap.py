@@ -531,6 +531,14 @@ def test_box_qp_rejects_a_negative_step_cap():
         box_qp_minimize(np.ones((2, 5)), lap, 0.1, -1)
 
 
+@pytest.mark.parametrize("inner_iters", [2.5, 3.0, True, False, "4", None])
+def test_box_qp_rejects_a_step_cap_that_is_not_an_integer(inner_iters):
+    lap = laplacian(random_graph(5, 1, 1))
+    box_qp_minimize(np.ones((2, 5)), lap, 0.1, np.int64(3))  # numpy integers count
+    with pytest.raises(ValueError, match=f"inner_iters={inner_iters} must be an integer"):
+        box_qp_minimize(np.ones((2, 5)), lap, 0.1, inner_iters)
+
+
 @pytest.mark.parametrize("shape", [(2, 4), (5, 2), (5,), (1, 2, 5)])
 def test_box_qp_rejects_scores_that_do_not_fit_the_laplacian(shape):
     lap = laplacian(random_graph(5, 1, 1))
