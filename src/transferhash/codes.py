@@ -7,28 +7,34 @@ from dataclasses import dataclass, field
 import numpy as np
 
 WORD_BITS = 64
-_SHIFTS = np.arange(WORD_BITS, dtype=np.uint64)
 
 
 def sgn(m):
-    """Elementwise sign with sgn(0) = +1, as an int8 matrix over {-1,+1}."""
-    m = np.asarray(m)
-    return np.where(m >= 0, 1, -1).astype(np.int8)
+    """Elementwise sign with sgn(0) = +1, as an int8 array over {-1,+1}.
+
+    The array has m's shape; -0.0 counts as 0 and NaN as negative.  Built
+    at byte width: the m >= 0 mask read as int8, times 2, minus 1.
+    """
+    signs = np.asarray(np.asarray(m) >= 0).view(np.int8)
+    signs *= 2
+    signs -= 1
+    return signs
 
 
 def pack_signs(signs):
-    """Pack a {-1,+1} matrix into rows of uint64 words, bit b = 1 iff sign = +1.
+    """Pack an n x c {-1,+1} matrix into rows of uint64 words, bit b = 1 iff sign = +1.
 
     Bits are laid out LSB-first inside each word; columns beyond the code
-    length are zero padding and cancel under XOR.
+    length are zero padding and cancel under XOR.  np.packbits packs each
+    row's bits LSB-first into bytes, and every 8 bytes are read as one
+    little-endian word.
     """
     signs = np.asarray(signs)
     n, c = signs.shape
     words = (c + WORD_BITS - 1) // WORD_BITS
-    bits = np.zeros((n, words * WORD_BITS), dtype=np.uint64)
-    bits[:, :c] = signs > 0
-    bits = bits.reshape(n, words, WORD_BITS)
-    return np.bitwise_or.reduce(bits << _SHIFTS, axis=2)
+    packed = np.zeros((n, words * (WORD_BITS // 8)), dtype=np.uint8)
+    packed[:, :(c + 7) // 8] = np.packbits(signs > 0, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)

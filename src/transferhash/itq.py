@@ -7,6 +7,7 @@ rotation steps and of the balanced sign rule.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -21,6 +22,17 @@ DEFAULT_STEP_ITERS = 5  # rotation-step refinement cap inside trainers
 # more step leaves an error at rounding level (each step maps e to ~3e^2/4)
 _NS_MAX_STEPS = 16
 _NS_LAST_STEP = 1e-8
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """ValueError unless value is a whole number >= minimum.
+
+    Python and numpy integers count; a bool, a float (even a whole one) or
+    anything else does not.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ValueError(f"{name}={value} must be an integer >= {minimum}")
 
 
 def random_orthonormal(d: int, c: int, seed) -> np.ndarray:

@@ -19,6 +19,7 @@ from .itq import (
     DEFAULT_STEP_ITERS,
     DEFAULT_TOL,
     balanced_signs,
+    check_count,
     gram_bound,
     procrustes,
     random_orthonormal,
@@ -74,16 +75,22 @@ def blend_scores(x_t, rotation, x_sc, slack_rotation, lambda1) -> np.ndarray:
     return scores
 
 
+def _balanced_step_signs(scores) -> np.ndarray:
+    """balanced_signs of an n x c score matrix with n >= 2, else ValueError."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[0] < 2:
+        raise ValueError("balanced code update needs an n x c score matrix with "
+                         f"at least 2 rows, got shape {scores.shape}")
+    return balanced_signs(scores)
+
+
 def update_b_balanced(scores) -> BinaryCodeMatrix:
     """Balanced code matrix maximizing the per-entry score sum.
 
     Per column the ceil(n/2) largest scores get +1 and the rest -1, ties
     broken by ascending row index; |column sum| <= 1, and 0 for even n.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape[0] < 2:
-        raise ValueError("balanced code update needs at least 2 rows")
-    return BinaryCodeMatrix(balanced_signs(scores))
+    return BinaryCodeMatrix(_balanced_step_signs(scores))
 
 
 def update_r(codes, x_t, x_sc, slack_rotation, lambda1, previous=None, *,
@@ -119,24 +126,33 @@ def update_p(codes, x_t, rotation, x_sc, previous=None, *, gram) -> np.ndarray:
     return procrustes(err, x_sc, previous, max_iter=DEFAULT_STEP_ITERS, gram=gram)
 
 
-# code steps by name: scores -> (codes, the codes' own term of the objective,
-# which sign and balanced codes do not have)
-CODE_STEPS = {"sign": lambda scores: (BinaryCodeMatrix(sgn(scores)), 0.0),
-              "balanced": lambda scores: (update_b_balanced(scores), 0.0)}
+# code steps by name: scores -> (int8 signs, the codes' own term of the
+# objective, which sign and balanced codes do not have)
+CODE_STEPS = {"sign": lambda scores: (sgn(scores), 0.0),
+              "balanced": lambda scores: (_balanced_step_signs(scores), 0.0)}
 
 
 def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
                       code_step, *, tol: float, r0=None):
     """The alternating minimization behind itq, itq+ and lapitq+.
 
-    Each sweep runs the code step on blend_scores, update_r, update_p (only
+    Each sweep runs the code step on the blended scores (blend_scores), a
+    target rotation step (update_r), a slack rotation step (update_p, only
     when lambda1 > 0, since the slack cannot move codes or R otherwise),
     records itq_plus_objective plus the code step's term (lapitq+'s graph
     term), and stops once its relative change is below tol (0 disables).
+    The sweep forms X_t R once after the target rotation step and X_sc P
+    once after the slack step; the two products serve the next code step's
+    scores, both rotation targets and the trace term, with the same
+    operations in the same order as those single-step functions.  Code
+    steps return int8 signs, and the codes are wrapped in a
+    BinaryCodeMatrix once, at the end.
     No rotation step ends worse than its warm start, so the trace cannot
     rise if no code step scores worse than the last sweep's codes on its
     scores.  x_sc = None runs without a privileged view: plain
     quantization, with lambda1 = 0.
+    x_t must be a matrix with at least one row, x_sc one with as many
+    rows, and c and iters integers >= 1 (bool refused), else ValueError.
     The target rotation starts from r0, a finite d_t x c matrix with
     orthonormal columns (else ValueError), or a seeded random orthonormal
     one; the slack rotation from a random one with the same seed.  A code
@@ -145,9 +161,11 @@ def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
     Returns (codes, rotation, slack_rotation, trace).
     """
     x_t = np.asarray(x_t, dtype=np.float64)
+    if x_t.ndim != 2 or x_t.shape[0] < 1:
+        raise ValueError(f"x_t of shape {x_t.shape} is not a matrix with at least one row")
     n, d_t = x_t.shape
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+    check_count("c", c, 1)
+    check_count("iters", iters, 1)
     if not 0.0 <= lambda1 < np.inf:
         raise ValueError("lambda1 must be finite and >= 0")
     if x_sc is None and lambda1 != 0:
@@ -155,6 +173,8 @@ def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
     slack_rotation = None
     if x_sc is not None:
         x_sc = np.asarray(x_sc, dtype=np.float64)
+        if x_sc.ndim != 2:
+            raise ValueError(f"x_sc of shape {x_sc.shape} is not a matrix")
         if x_sc.shape[0] != n:
             raise ValueError(f"row mismatch: target {n} vs privileged {x_sc.shape[0]}")
         slack_rotation = random_orthonormal(x_sc.shape[1], c, seed)
@@ -167,22 +187,35 @@ def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
     gram_t = gram_bound(x_t) if d_t > c else None
     gram_sc = gram_bound(x_sc) if lambda1 > 0 and x_sc.shape[1] > c else None
 
+    x_r = x_t @ rotation
+    x_p = None if x_sc is None else x_sc @ slack_rotation
     trace: list[float] = []
     for _ in range(iters):
-        scores = blend_scores(x_t, rotation, x_sc, slack_rotation, lambda1)
-        codes, term = code_step(scores)
-        rotation = update_r(codes, x_t, x_sc, slack_rotation, lambda1,
-                            previous=rotation, gram=gram_t)
+        scores = (1.0 + lambda1) * x_r
+        if lambda1 != 0.0:
+            scores = scores + lambda1 * x_p
+        signs, term = code_step(scores)
+        target = signs.astype(np.float64)
         if lambda1 > 0:
-            slack_rotation = update_p(codes, x_t, rotation, x_sc,
-                                      previous=slack_rotation, gram=gram_sc)
-        trace.append(itq_plus_objective(codes, rotation, slack_rotation, x_t, x_sc, lambda1)
-                     + term)
+            target = target - (lambda1 / (lambda1 + 1.0)) * x_p
+        rotation = procrustes(target, x_t, rotation, max_iter=DEFAULT_STEP_ITERS,
+                              gram=gram_t)
+        x_r = x_t @ rotation
+        err = signs - x_r
+        if lambda1 > 0:
+            slack_rotation = procrustes(err, x_sc, slack_rotation,
+                                        max_iter=DEFAULT_STEP_ITERS, gram=gram_sc)
+            x_p = x_sc @ slack_rotation
+        loss = float(np.sum(err * err))
+        if x_sc is not None:
+            slack = err - x_p
+            loss = loss + float(lambda1) * float(np.sum(slack * slack))
+        trace.append(loss + term)
         if tol > 0 and len(trace) >= 2:
             prev, cur = trace[-2], trace[-1]
             if abs(prev - cur) < tol * max(abs(prev), 1e-30):
                 break
-    return codes, rotation, slack_rotation, trace
+    return BinaryCodeMatrix(signs), rotation, slack_rotation, trace
 
 
 def identity_model(method: str, rotation, **hyperparams) -> HashModel:
@@ -204,14 +237,14 @@ def itq_plus_train(x_t, x_sc, c: int, lambda1: float = DEFAULT_LAMBDA1,
     """Alternating optimization over codes, target rotation, and slack rotation.
 
     x_t and x_sc are centered, row-aligned views of the n training instances.
-    This is alternating_solve with a sorting code step: b_step selects
+    This is alternating_solve with a sign-pattern code step: b_step selects
     "balanced" or "sign" codes; the latter matches the relaxed trainer at
     zero graph weight.  The objective is recorded after each full sweep.
 
     Returns (HashModel, ItqPlusState).
     """
-    if np.shape(x_t)[0] < 2:
-        raise ValueError("need at least 2 training rows")
+    if np.ndim(x_t) != 2 or np.shape(x_t)[0] < 2:
+        raise ValueError(f"x_t of shape {np.shape(x_t)} is not a matrix with at least 2 rows")
     if b_step not in CODE_STEPS:
         raise ValueError(f"unknown b_step {b_step!r}")
     codes, rotation, slack_rotation, trace = alternating_solve(

@@ -9,7 +9,6 @@ box-relaxed quadratic program solved by projected gradient descent.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from . import evaluate
 from .codes import BinaryCodeMatrix, sgn
 from .errors import NumericalError
-from .itq import DEFAULT_ITERS, DEFAULT_TOL, itq_train
+from .itq import DEFAULT_ITERS, DEFAULT_TOL, check_count, itq_train
 from .itq_plus import (
     DEFAULT_LAMBDA1,
     ItqPlusState,
@@ -147,9 +146,7 @@ def box_qp_minimize(k_mat, lap: LaplacianMatrix, lambda2: float,
         raise NumericalError("non-finite score matrix in relaxed code step")
     if not 0.0 <= lambda2 < np.inf:
         raise ValueError("lambda2 must be finite and >= 0")
-    if (isinstance(inner_iters, bool) or not isinstance(inner_iters, numbers.Integral)
-            or inner_iters < 0):
-        raise ValueError(f"inner_iters={inner_iters} must be an integer >= 0")
+    check_count("inner_iters", inner_iters, 0)
     linear_grad = np.ascontiguousarray(-2.0 * k_mat.T)  # n x c
     b = sgn(k_mat.T).astype(np.float64, order="C")
     step = 1.0 / (2.0 * lambda2 * (lap.max_degree + 1.0) + _STEP_DELTA)
@@ -237,10 +234,10 @@ def lap_itq_plus_train(x_t, x_sc, x_su, c: int,
         signs = sgn(relaxed)
         term = lambda2 * float(np.vdot(signs, lap.csr @ signs))
         if previous is not None:
-            codes, last_term = previous
-            if term - last_term > 2.0 * float(np.vdot(signs - codes.signs, scores)):
+            last_signs, last_term = previous
+            if term - last_term > 2.0 * float(np.vdot(signs - last_signs, scores)):
                 return previous
-        previous = BinaryCodeMatrix(signs), term
+        previous = signs, term
         return previous
 
     codes, rotation, slack_rotation, trace = alternating_solve(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from transferhash.codes import BinaryCodeMatrix, sgn
 from transferhash.errors import NumericalError
 from transferhash.itq import (
+    DEFAULT_TOL,
     balanced_signs,
     gram_bound,
     itq_train,
@@ -16,6 +17,7 @@ from transferhash.itq import (
     random_orthonormal,
 )
 from transferhash.itq_plus import (
+    alternating_solve,
     blend_scores,
     itq_plus_objective,
     itq_plus_train,
@@ -23,7 +25,13 @@ from transferhash.itq_plus import (
     update_p,
     update_r,
 )
-from transferhash.lap_itq_plus import lap_itq_plus_train
+from transferhash.lap_itq_plus import (
+    DEFAULT_INNER_ITERS,
+    box_qp_minimize,
+    knn_hamming_graph,
+    lap_itq_plus_train,
+    laplacian,
+)
 
 
 def two_view_instance(n=200, d_t=16, d_s=12, seed=0, latent=6, noise=0.3):
@@ -400,3 +408,203 @@ def test_train_validation_errors():
         itq_plus_train(x_t, x_s, 4, -0.1)
     with pytest.raises(ValueError):
         itq_plus_train(x_t, x_s, 4, 0.1, b_step="other")
+
+
+# The parent's alternating solve and code steps, verbatim but for their
+# names: each sweep wrapped its codes in a BinaryCodeMatrix and formed X_t R
+# and X_sc P three times each, in blend_scores, update_r or update_p and
+# itq_plus_objective.
+CODE_STEPS_BEFORE_SIGNS = {"sign": lambda scores: (BinaryCodeMatrix(sgn(scores)), 0.0),
+                           "balanced": lambda scores: (update_b_balanced(scores), 0.0)}
+
+
+def alternating_solve_before_sweep_once(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
+                                        code_step, *, tol: float, r0=None):
+    """Oracle: the package's former alternating_solve, verbatim."""
+    x_t = np.asarray(x_t, dtype=np.float64)
+    n, d_t = x_t.shape
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    if not 0.0 <= lambda1 < np.inf:
+        raise ValueError("lambda1 must be finite and >= 0")
+    if x_sc is None and lambda1 != 0:
+        raise ValueError("lambda1 must be 0 without a privileged view")
+    slack_rotation = None
+    if x_sc is not None:
+        x_sc = np.asarray(x_sc, dtype=np.float64)
+        if x_sc.shape[0] != n:
+            raise ValueError(f"row mismatch: target {n} vs privileged {x_sc.shape[0]}")
+        slack_rotation = random_orthonormal(x_sc.shape[1], c, seed)
+    rotation = random_orthonormal(d_t, c, seed) if r0 is None else np.asarray(r0, dtype=np.float64)
+    if not (rotation.shape == (d_t, c) and np.isfinite(rotation).all()
+            and np.linalg.norm(rotation.T @ rotation - np.eye(c)) <= 1e-8):
+        raise ValueError(f"r0 must be a finite {d_t}x{c} matrix with orthonormal columns")
+    # X_t and X_sc stay fixed, so each rotation step's majorizer is built
+    # once per fit; a square rotation has a closed form and needs none
+    gram_t = gram_bound(x_t) if d_t > c else None
+    gram_sc = gram_bound(x_sc) if lambda1 > 0 and x_sc.shape[1] > c else None
+
+    trace: list[float] = []
+    for _ in range(iters):
+        scores = blend_scores(x_t, rotation, x_sc, slack_rotation, lambda1)
+        codes, term = code_step(scores)
+        rotation = update_r(codes, x_t, x_sc, slack_rotation, lambda1,
+                            previous=rotation, gram=gram_t)
+        if lambda1 > 0:
+            slack_rotation = update_p(codes, x_t, rotation, x_sc,
+                                      previous=slack_rotation, gram=gram_sc)
+        trace.append(itq_plus_objective(codes, rotation, slack_rotation, x_t, x_sc, lambda1)
+                     + term)
+        if tol > 0 and len(trace) >= 2:
+            prev, cur = trace[-2], trace[-1]
+            if abs(prev - cur) < tol * max(abs(prev), 1e-30):
+                break
+    return codes, rotation, slack_rotation, trace
+
+
+def relaxed_step_before_signs(lap, lambda2):
+    """Oracle: the former lapitq+ code step, verbatim from lap_itq_plus_train."""
+    previous = None  # the last sweep's codes and graph term
+
+    def relaxed_step(scores):
+        # up to a constant, J at the current rotations is -2 <B, S> + lambda2
+        # <B, L B>: keep the last sweep's codes where they score better
+        nonlocal previous
+        relaxed, _ = box_qp_minimize(scores.T, lap, lambda2, DEFAULT_INNER_ITERS)
+        signs = sgn(relaxed)
+        term = lambda2 * float(np.vdot(signs, lap.csr @ signs))
+        if previous is not None:
+            codes, last_term = previous
+            if term - last_term > 2.0 * float(np.vdot(signs - codes.signs, scores)):
+                return previous
+        previous = BinaryCodeMatrix(signs), term
+        return previous
+
+    return relaxed_step
+
+
+def assert_same_fit(got, expected):
+    """Codes, rotations and trace of two (codes, R, P, trace) fits, bit for bit."""
+    (codes, rotation, slack, trace), (codes_0, rotation_0, slack_0, trace_0) = got, expected
+    assert isinstance(codes, BinaryCodeMatrix) and isinstance(codes_0, BinaryCodeMatrix)
+    assert codes.signs.dtype == codes_0.signs.dtype == np.int8
+    assert np.array_equal(codes.signs, codes_0.signs)
+    assert np.array_equal(codes.packed, codes_0.packed)
+    assert rotation.tobytes() == rotation_0.tobytes()
+    assert (slack is None) == (slack_0 is None)
+    assert slack is None or slack.tobytes() == slack_0.tobytes()
+    assert trace == trace_0  # floats, exactly
+
+
+@st.composite
+def sweep_cases(draw):
+    """A two-view instance, square (every view c wide) or tall, with the
+    lambda1, code step, tolerance, sweep cap and seed of one fit."""
+    c = draw(st.integers(1, 5), label="c")
+    if draw(st.sampled_from(["square", "tall"]), label="shape") == "square":
+        d_t = d_s = c
+    else:
+        d_t, d_s = c + draw(st.integers(1, 5)), c + draw(st.integers(0, 5))
+    n = draw(st.integers(2, 40), label="n")
+    x_t, x_s = two_view_instance(n, d_t, d_s, seed=draw(st.integers(0, 2**32 - 1)),
+                                 latent=draw(st.integers(1, 6)),
+                                 noise=draw(st.floats(0.0, 2.0)))
+    return (x_t, x_s, c, draw(st.sampled_from([0.0, 0.3, 2.0]), label="lambda1"),
+            draw(st.sampled_from(["sign", "balanced", "relaxed"]), label="code step"),
+            draw(st.sampled_from([0.0, DEFAULT_TOL]), label="tol"),
+            draw(st.integers(1, 12), label="iters"), draw(st.integers(0, 1000), label="seed"),
+            draw(st.integers(0, 8), label="extra source rows"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sweep_cases())
+def test_sweep_once_matches_the_former_alternating_solve(case):
+    x_t, x_s, c, lam, step, tol, iters, seed, extra = case
+    # itq: no privileged view; the sign and balanced steps, from r0 or not
+    if step != "relaxed":
+        r0 = random_orthonormal(x_t.shape[1], c, seed + 1) if seed % 2 else None
+        codes, rotation, losses = itq_train(x_t, c, iters, seed, tol=tol, r0=r0,
+                                            balanced=step == "balanced")
+        assert_same_fit((codes, rotation, None, losses), alternating_solve_before_sweep_once(
+            x_t, None, c, 0.0, iters, seed, CODE_STEPS_BEFORE_SIGNS[step], tol=tol, r0=r0))
+        _, state = itq_plus_train(x_t, x_s, c, lam, iters, seed, tol=tol, b_step=step)
+        assert_same_fit(
+            (state.codes, state.rotation, state.slack_rotation, state.objective_trace),
+            alternating_solve_before_sweep_once(x_t, x_s, c, lam, iters, seed,
+                                                CODE_STEPS_BEFORE_SIGNS[step], tol=tol))
+        return
+    # lapitq+: the offline source codes, the graph and the fit
+    n, lambda2, k = x_t.shape[0], 0.1, min(3, x_t.shape[0] - 1)
+    x_su = np.random.default_rng(seed).standard_normal((extra, x_s.shape[1])) if extra else None
+    _, state = lap_itq_plus_train(x_t, x_s, x_su, c, lam, lambda2, k, iters, seed, tol=tol)
+    x_stack = np.vstack([x_s, x_su]) if extra else x_s
+    source_codes, *_ = alternating_solve_before_sweep_once(
+        x_stack, None, c, 0.0, iters, seed, CODE_STEPS_BEFORE_SIGNS["sign"], tol=tol)
+    graph = knn_hamming_graph(BinaryCodeMatrix(source_codes.signs[:n]), k)
+    assert (graph != state.graph).nnz == 0
+    assert_same_fit(
+        (state.codes, state.rotation, state.slack_rotation, state.objective_trace),
+        alternating_solve_before_sweep_once(x_t, x_s, c, lam, iters, seed,
+                                            relaxed_step_before_signs(laplacian(graph), lambda2),
+                                            tol=tol))
+
+
+@pytest.mark.parametrize("shape", [(), (6,), (0, 4), (3, 4, 2)])
+def test_alternating_solve_refuses_an_x_t_without_rows(shape):
+    # a (0, d) matrix once gave a random rotation with the trace [0.0, 0.0]
+    x = np.ones(shape)
+    with pytest.raises(ValueError, match=re.escape(f"x_t of shape {shape}")):
+        itq_train(x, 2, iters=2)
+    with pytest.raises(ValueError, match=re.escape(f"x_t of shape {shape}")):
+        alternating_solve(x, None, 2, 0.0, 2, 0, lambda s: (sgn(s), 0.0), tol=0.0)
+    with pytest.raises(ValueError, match=re.escape(f"x_t of shape {shape}")):
+        itq_plus_train(x, np.ones((6, 4)), 2, iters=2)
+
+
+@pytest.mark.parametrize("shape", [(), (8,), (8, 4, 1)])
+def test_alternating_solve_refuses_a_privileged_view_that_is_not_a_matrix(shape):
+    x_t, _ = two_view_instance(8, 4, 4, seed=2)
+    with pytest.raises(ValueError, match=re.escape(f"x_sc of shape {shape}")):
+        itq_plus_train(x_t, np.ones(shape), 2, iters=2)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("c", 2.0), ("c", True), ("c", "2"), ("c", None), ("c", 0), ("c", -1),
+    ("c", np.bool_(True)), ("iters", 2.5), ("iters", 2.0), ("iters", True),
+    ("iters", 0), ("iters", np.float64(3.0))])
+def test_alternating_solve_refuses_counts_that_are_not_whole(name, value):
+    x_t, x_s = two_view_instance(12, 5, 4, seed=3)
+    counts = {"c": 2, "iters": 3, name: value}
+    message = re.escape(f"{name}={value} must be an integer >= 1")
+    with pytest.raises(ValueError, match=message):
+        itq_train(x_t, counts["c"], counts["iters"])
+    with pytest.raises(ValueError, match=message):
+        itq_plus_train(x_t, x_s, counts["c"], 0.1, counts["iters"])
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+def test_alternating_solve_takes_numpy_integers(integer):
+    x_t, x_s = two_view_instance(12, 5, 4, seed=4)
+    codes, rotation, losses = itq_train(x_t, integer(3), integer(4), seed=1, tol=0)
+    codes_0, rotation_0, losses_0 = itq_train(x_t, 3, 4, seed=1, tol=0)
+    assert np.array_equal(codes.signs, codes_0.signs) and losses == losses_0
+    assert rotation.tobytes() == rotation_0.tobytes()
+    _, state = itq_plus_train(x_t, x_s, integer(3), 0.1, integer(4), seed=1, tol=0)
+    assert len(state.objective_trace) == 4
+
+
+def test_update_b_balanced_rejects_a_0d_array():
+    # it read shape[0] first, so this raised a bare IndexError
+    with pytest.raises(ValueError, match=r"shape \(\)"):
+        update_b_balanced(np.float64(1.0))
+    with pytest.raises(ValueError, match=r"shape \(4,\)"):
+        update_b_balanced(np.ones(4))
+
+
+def test_itq_plus_train_rejects_a_0d_array():
+    # it read shape[0] first, so this raised a bare IndexError
+    _, x_s = two_view_instance(6, 4, 4, seed=5)
+    with pytest.raises(ValueError, match=r"x_t of shape \(\)"):
+        itq_plus_train(np.float64(1.0), x_s, 2)
+    with pytest.raises(ValueError, match=r"x_t of shape \(1, 4\)"):
+        itq_plus_train(np.ones((1, 4)), x_s[:1], 2)
