@@ -237,9 +237,9 @@ def itq_plus_train(x_t, x_sc, c: int, lambda1: float = DEFAULT_LAMBDA1,
     """Alternating optimization over codes, target rotation, and slack rotation.
 
     x_t and x_sc are centered, row-aligned views of the n training instances.
-    This is alternating_solve with a sign-pattern code step: b_step selects
-    "balanced" or "sign" codes; the latter matches the relaxed trainer at
-    zero graph weight.  The objective is recorded after each full sweep.
+    This is alternating_solve with the code step b_step selects, "balanced"
+    or "sign" codes; the latter matches the relaxed trainer at zero graph
+    weight.  The objective is recorded after each full sweep.
 
     Returns (HashModel, ItqPlusState).
     """

@@ -211,6 +211,8 @@ def lap_itq_plus_train(x_t, x_sc, x_su, c: int,
     if x_sc.shape[0] != n:
         raise ValueError(f"row mismatch: target {n} vs privileged {x_sc.shape[0]}")
     d_s = x_sc.shape[1]
+    check_count("c", c, 1)
+    check_count("k", k, 1)
     if c > min(d_t, d_s):
         raise ValueError(f"code length {c} exceeds min dimension {min(d_t, d_s)}")
     if not 1 <= k < n:

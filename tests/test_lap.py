@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -702,3 +703,17 @@ def test_lap_train_checks_lambdas_before_the_source_fit(monkeypatch, lambdas):
     x_t, x_s = two_view_instance(30, 8, 6, seed=10)
     with pytest.raises(ValueError, match="lambda[12] must be finite and >= 0"):
         lap_itq_plus_train(x_t, x_s, None, 4, *lambdas, 5, iters=5, seed=0)
+
+
+@pytest.mark.parametrize("name, value", [("c", "2"), ("c", 2.0), ("c", True), ("c", 0),
+                                         ("k", "2"), ("k", 2.0), ("k", np.bool_(True))])
+def test_lap_train_checks_its_counts_before_the_source_fit(monkeypatch, name, value):
+    # a string c or k once reached `c > min(d_t, d_s)` and raised a bare TypeError
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the offline source codes were fitted")
+
+    monkeypatch.setattr(lap_itq_plus, "itq_train", no_fit)
+    x_t, x_s = two_view_instance(30, 8, 6, seed=10)
+    counts = {"c": 4, "k": 5, name: value}
+    with pytest.raises(ValueError, match=re.escape(f"{name}={value} must be an integer >= 1")):
+        lap_itq_plus_train(x_t, x_s, None, counts["c"], 0.1, 0.1, counts["k"], iters=5)
