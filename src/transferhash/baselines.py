@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .itq import DEFAULT_ITERS, itq_train
+from .itq import DEFAULT_ITERS, check_count, itq_train
 from .model import CenteringInfo, HashModel, LinearProjection, default_hyperparams
 from .preprocess import cca_fit, project
 
@@ -12,12 +12,13 @@ from .preprocess import cca_fit, project
 def lsh_fit(d: int, c: int, seed=0) -> HashModel:
     """Random-projection sign hashing: c i.i.d. Gaussian hyperplanes.
 
-    Thresholds are zero, so codes are signs of linear functionals of the
-    centered input.  The model carries a zero mean; attach a training mean
-    with model.with_pipeline() before encoding raw data.
+    d and c must be integers >= 1 (ValueError).  Thresholds are zero, so
+    codes are signs of linear functionals of the centered input.  The model
+    carries a zero mean; attach a training mean with model.with_pipeline()
+    before encoding raw data.
     """
-    if d < 1 or c < 1:
-        raise ValueError("d and c must be >= 1")
+    check_count("d", d, 1)
+    check_count("c", c, 1)
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((d, c))
     return HashModel(

@@ -14,6 +14,8 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,18 +63,28 @@ def _row_blocks(n: int, width: int, elements: int) -> list:
     return [(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
 
 
-def _hamming_order(db_packed, query_packed) -> np.ndarray:
-    """Per query row, every database row by ascending Hamming distance, ties by row.
+def _hamming_distances(db_packed, query_packed) -> np.ndarray:
+    """Hamming distance of every query row to every database row.
 
-    Distances are summed per word in the narrowest unsigned type that holds
-    them, which numpy's stable sort orders by radix sort.
+    Summed per word in the narrowest unsigned type that holds them.  One
+    word needs no sum: bitwise_count's uint8 already is that type.
     """
     words = db_packed.shape[1]
+    if words == 1:
+        return np.bitwise_count(query_packed[:, 0, None] ^ db_packed[:, 0])
     dists = np.zeros((query_packed.shape[0], db_packed.shape[0]),
                      dtype=np.min_scalar_type(words * WORD_BITS))
     for w in range(words):
         dists += np.bitwise_count(query_packed[:, w, None] ^ db_packed[:, w])
-    return np.argsort(dists, axis=1, kind="stable")
+    return dists
+
+
+def _hamming_order(db_packed, query_packed) -> np.ndarray:
+    """Per query row, every database row by ascending Hamming distance, ties by row.
+
+    numpy's stable sort orders the narrow unsigned distances by radix sort.
+    """
+    return np.argsort(_hamming_distances(db_packed, query_packed), axis=1, kind="stable")
 
 
 def search(codes: BinaryCodeMatrix, query_code) -> np.ndarray:
@@ -85,13 +97,51 @@ def search(codes: BinaryCodeMatrix, query_code) -> np.ndarray:
     return _hamming_order(codes.packed, query_code)[0]
 
 
+class _FlatRelevance(NamedTuple):
+    """A GroundTruth's relevant sets in one array: query q's ids are
+    ids[bounds[q]:bounds[q + 1]], sizes[q] of them."""
+
+    ids: np.ndarray  # intp, query after query
+    sizes: np.ndarray
+    bounds: np.ndarray
+    evaluated: np.ndarray  # the queries with a nonempty set, ascending
+    lowest: int  # smallest and largest id; 0 and -1 when there is none
+    highest: int
+
+
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Per-query relevant-id sets under a Euclidean distance threshold."""
+    """Per-query relevant-id sets under a Euclidean distance threshold.
+
+    evaluate_codes flattens and checks the relevant sets on first use and
+    keeps that view for every later call, so the sets must not change after
+    the first evaluation.  ground_truth() returns them read-only; sets built
+    by hand (arrays or lists of whole numbers) are the caller's to keep.
+    """
 
     relevant: tuple
     threshold: float
     r: int
+
+    @cached_property
+    def _flat(self) -> _FlatRelevance:
+        """The relevant sets flattened once.  An id that is not a whole
+        number raises DataError, and then nothing is kept."""
+        relevant = [np.asarray(rel).reshape(-1) for rel in self.relevant]
+        given = np.concatenate(relevant) if relevant else np.empty(0, dtype=np.intp)
+        with np.errstate(invalid="ignore"):
+            ids = given.astype(np.intp)
+        if not np.array_equal(ids, given):
+            raise DataError("evaluate_codes: ground truth names rows that are not "
+                            "whole numbers")
+        sizes = np.array([rel.size for rel in relevant], dtype=np.intp)
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        evaluated = np.flatnonzero(sizes)
+        for array in (ids, sizes, bounds, evaluated):
+            array.flags.writeable = False
+        return _FlatRelevance(ids, sizes, bounds, evaluated,
+                              lowest=int(ids.min()) if ids.size else 0,
+                              highest=int(ids.max()) if ids.size else -1)
 
 
 def _squared_distances(a, b, b_norms, out, product) -> np.ndarray:
@@ -181,7 +231,9 @@ def ground_truth(database_features, query_features,
         cross = _squared_distances(queries[lo:hi], db, db_norms, out[:hi - lo], product[:hi - lo])
         # flat index q * n + row of every relevant pair, query after query
         flat = np.flatnonzero(cross <= bound)
-        relevant += np.split(flat % n, np.searchsorted(flat, np.arange(1, hi - lo) * n))
+        ids = flat % n
+        ids.flags.writeable = False  # and so are the per-query views of it
+        relevant += np.split(ids, np.searchsorted(flat, np.arange(1, hi - lo) * n))
     return GroundTruth(relevant=tuple(relevant), threshold=threshold, r=r_eff)
 
 
@@ -245,6 +297,10 @@ def evaluate_codes(db_codes: BinaryCodeMatrix, query_codes: BinaryCodeMatrix,
     """Rank every query against the database and aggregate MAP/precision@K.
 
     K larger than the database is clamped once here, with one logged warning.
+    gt's relevant sets are flattened and checked for whole-number ids once,
+    on the first call that scores against gt (see GroundTruth); each call
+    checks only what depends on its own arguments: K, the code widths, the
+    query count, and that every id names one of this database's rows.
     Queries are ranked and scored a block at a time, from the ranks of their
     relevant rows alone: the j-th hit at rank r adds j / r to the AP, and
     P@K counts the hits ranked K or better.  A query's terms are added one
@@ -264,27 +320,18 @@ def evaluate_codes(db_codes: BinaryCodeMatrix, query_codes: BinaryCodeMatrix,
     if len(gt.relevant) != query_codes.rows:
         raise DataError(f"evaluate_codes: ground truth has {len(gt.relevant)} "
                         f"relevant sets for {query_codes.rows} queries")
-    relevant = [np.asarray(rel).reshape(-1) for rel in gt.relevant]
-    given = np.concatenate(relevant) if relevant else np.empty(0, dtype=np.intp)
-    with np.errstate(invalid="ignore"):
-        ids = given.astype(np.intp)
-    if not np.array_equal(ids, given):
-        raise DataError("evaluate_codes: ground truth names rows that are not "
-                        "whole numbers")
-    if ids.size and not 0 <= ids.min() <= ids.max() < n:
-        raise DataError(f"evaluate_codes: ground truth names rows {ids.min()}.."
-                        f"{ids.max()} of a {n}-row database")
+    flat = gt._flat
+    if flat.lowest < 0 or flat.highest >= n:
+        raise DataError(f"evaluate_codes: ground truth names rows {flat.lowest}.."
+                        f"{flat.highest} of a {n}-row database")
     if any(k > n for k in ks):
         log.warning("evaluate_codes: K=%s clamped to the database size %d",
                     [k for k in ks if k > n], n)
         ks = [min(k, n) for k in ks]
     k_values = np.array(sorted(set(ks)), dtype=np.intp)
 
-    # queries with an empty relevant set are not ranked; the ids of the
-    # others are contiguous in `ids`, from bounds[q] to bounds[q + 1]
-    sizes = np.array([rel.size for rel in relevant], dtype=np.intp)
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    evaluated = np.flatnonzero(sizes)
+    # queries with an empty relevant set are not ranked
+    ids, sizes, bounds, evaluated = flat[:4]
     ap_blocks, precision_blocks = [], []
     for lo, hi in _row_blocks(evaluated.size, n, _SCORE_BLOCK_ELEMENTS):
         block = evaluated[lo:hi]

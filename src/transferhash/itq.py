@@ -107,6 +107,9 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
     """
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2 or x.ndim != 2:
+        raise ValueError(f"procrustes needs two matrices, got shapes {a.shape} "
+                         f"and {x.shape}")
     if a.shape[0] != x.shape[0]:
         raise ValueError(f"row mismatch: scores {a.shape[0]} vs data {x.shape[0]}")
     if a.shape[1] > x.shape[1]:

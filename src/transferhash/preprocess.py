@@ -64,6 +64,9 @@ def cca_fit(x_a, x_b, c: int, ridge: float | None = None):
     """
     x_a = np.asarray(x_a, dtype=np.float64)
     x_b = np.asarray(x_b, dtype=np.float64)
+    if x_a.ndim != 2 or x_b.ndim != 2:
+        raise ValueError(f"cca_fit needs two matrices, got shapes {x_a.shape} "
+                         f"and {x_b.shape}")
     if x_a.shape[0] != x_b.shape[0]:
         raise ValueError(f"row mismatch: {x_a.shape[0]} vs {x_b.shape[0]}")
     n = x_a.shape[0]

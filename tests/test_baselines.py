@@ -67,6 +67,16 @@ def test_lsh_validation():
         lsh_fit(0, 8, 0)
 
 
+@pytest.mark.parametrize("d, c", [(4.0, 2), (4, 2.0), (True, 2), (4, True), (4, 0)])
+def test_lsh_rejects_counts_that_are_not_integers_with_a_value_error(d, c):
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        lsh_fit(d, c, 0)
+
+
+def test_lsh_takes_numpy_integers():
+    assert lsh_fit(np.int64(6), np.int32(4), 0).rotation.shape == (6, 4)
+
+
 def test_lsh_model_tag_and_projection_shape():
     model = lsh_fit(6, 12, 9)
     assert model.method == "lsh"
@@ -95,6 +105,18 @@ def test_cca_itq_rank_error():
     x_t, x_s = two_views(d_t=10, d_s=3)
     with pytest.raises(ValueError):
         cca_itq_fit(x_t, x_s, 5, iters=5, seed=0)
+
+
+@pytest.mark.parametrize("view", ["target", "source"])
+@pytest.mark.parametrize("bad", [np.float64(1.0), np.ones(10)])
+def test_cca_itq_rejects_views_that_are_not_matrices(view, bad):
+    x_t, x_s = two_views()
+    if view == "target":
+        x_t = bad
+    else:
+        x_s = bad
+    with pytest.raises(ValueError, match="needs two matrices"):
+        cca_itq_fit(x_t, x_s, 4, iters=5, seed=0)
 
 
 def test_cca_itq_identical_views_close_to_plain_itq():

@@ -1,5 +1,6 @@
 import logging
 import math
+import numbers
 import re
 import tracemalloc
 
@@ -490,6 +491,188 @@ def test_evaluate_codes_accepts_whole_float_rows_and_empty_lists():
     got = evaluate_codes(db_codes, query_codes, as_float, ks=(1, 5))
     expected = evaluate_codes(db_codes, query_codes, as_int, ks=(1, 5))
     assert got.per_query_ap == expected.per_query_ap and got.n_evaluated == 2
+
+
+def hamming_distances_by_word_loop(db_packed, query_packed):
+    """Oracle: the distance half of the former _hamming_order, verbatim; it
+    sums every word, one word too, into a zeroed array."""
+    words = db_packed.shape[1]
+    dists = np.zeros((query_packed.shape[0], db_packed.shape[0]),
+                     dtype=np.min_scalar_type(words * evaluate.WORD_BITS))
+    for w in range(words):
+        dists += np.bitwise_count(query_packed[:, w, None] ^ db_packed[:, w])
+    return dists
+
+
+@pytest.mark.parametrize("c", [1, 32, 63, 64, 65, 130])
+def test_hamming_distances_equal_the_word_loop_in_value_and_dtype(c):
+    rng = np.random.default_rng(c)
+    db = BinaryCodeMatrix(sgn(rng.standard_normal((37, c))))
+    queries = BinaryCodeMatrix(sgn(rng.standard_normal((11, c))))
+    for q in (queries.packed, queries.packed[:0], db.packed):
+        got = evaluate._hamming_distances(db.packed, q)
+        want = hamming_distances_by_word_loop(db.packed, q)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def evaluate_codes_before_flat_view(db_codes, query_codes, gt, ks=evaluate.DEFAULT_KS,
+                                    **meta):
+    """Oracle: the former evaluate_codes, verbatim but for qualified module
+    names; it flattens and checks gt.relevant on every call, and ranks
+    through the word loop."""
+    ks = list(ks)
+    if not all(isinstance(k, numbers.Real) and float(k).is_integer() for k in ks):
+        raise ValueError(f"K must be a whole number, got {ks}")
+    ks = [int(k) for k in ks]
+    if any(k < 1 for k in ks):
+        raise ValueError(f"K must be >= 1, got {ks}")
+    if query_codes.bits != db_codes.bits:
+        raise ValueError(f"query codes have {query_codes.bits} bits, "
+                         f"database codes {db_codes.bits}")
+    n = db_codes.rows
+    if len(gt.relevant) != query_codes.rows:
+        raise DataError(f"evaluate_codes: ground truth has {len(gt.relevant)} "
+                        f"relevant sets for {query_codes.rows} queries")
+    relevant = [np.asarray(rel).reshape(-1) for rel in gt.relevant]
+    given = np.concatenate(relevant) if relevant else np.empty(0, dtype=np.intp)
+    with np.errstate(invalid="ignore"):
+        ids = given.astype(np.intp)
+    if not np.array_equal(ids, given):
+        raise DataError("evaluate_codes: ground truth names rows that are not "
+                        "whole numbers")
+    if ids.size and not 0 <= ids.min() <= ids.max() < n:
+        raise DataError(f"evaluate_codes: ground truth names rows {ids.min()}.."
+                        f"{ids.max()} of a {n}-row database")
+    if any(k > n for k in ks):
+        evaluate.log.warning("evaluate_codes: K=%s clamped to the database size %d",
+                             [k for k in ks if k > n], n)
+        ks = [min(k, n) for k in ks]
+    k_values = np.array(sorted(set(ks)), dtype=np.intp)
+
+    # queries with an empty relevant set are not ranked; the ids of the
+    # others are contiguous in `ids`, from bounds[q] to bounds[q + 1]
+    sizes = np.array([rel.size for rel in relevant], dtype=np.intp)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    evaluated = np.flatnonzero(sizes)
+    ap_blocks, precision_blocks = [], []
+    for lo, hi in evaluate._row_blocks(evaluated.size, n, evaluate._SCORE_BLOCK_ELEMENTS):
+        block = evaluated[lo:hi]
+        relevant_mask = np.zeros((block.size, n), dtype=bool)
+        owner = np.repeat(np.arange(block.size), sizes[block])
+        relevant_mask[owner, ids[bounds[block[0]]:bounds[block[-1] + 1]]] = True
+        order = np.argsort(hamming_distances_by_word_loop(
+            db_codes.packed, query_codes.packed[block]), axis=1, kind="stable")
+        # one flat gather: far faster than take_along_axis's per-row one
+        order += n * np.arange(block.size)[:, None]
+        hits = np.take(relevant_mask.ravel(), order)
+        # flat index q * n + rank - 1 of every hit: each query's hits in rank
+        # order, query after query (a 1-D nonzero is far faster than a 2-D one)
+        flat = np.flatnonzero(hits)
+        query, position = np.divmod(flat, n)
+        # the mask counts each distinct relevant id once, as the set in
+        # average_precision does
+        found = np.bincount(query, minlength=block.size)
+        first = np.cumsum(found) - found
+        hit = np.arange(flat.size) - first[query]  # j - 1 for the j-th hit
+        terms = np.zeros((block.size, found.max()))
+        terms[query, hit] = (hit + 1) / (position + 1)
+        ap_blocks.append(np.cumsum(terms, axis=1)[:, -1] / found)
+        # a query's hits ranked K or better lie before flat index q * n + K
+        below = np.searchsorted(flat, np.arange(block.size)[:, None] * n + k_values)
+        precision_blocks.append((below - first[:, None]) / k_values)
+
+    per_ap = np.concatenate(ap_blocks).tolist() if ap_blocks else []
+    mean_ap = sum(per_ap) / len(per_ap) if per_ap else 0.0
+    curve = []
+    if per_ap:
+        precision = np.concatenate(precision_blocks)
+        for j, k in enumerate(k_values.tolist()):
+            # a K listed m times counts each query's precision m times
+            values = np.repeat(precision[:, j], ks.count(k)).tolist()
+            curve.append((k, sum(values) / len(values)))
+    return evaluate.EvalReport(
+        map=mean_ap,
+        precision_at_k=curve,
+        per_query_ap=per_ap,
+        n_queries=query_codes.rows,
+        n_evaluated=len(per_ap),
+        **meta,
+    )
+
+
+def outcome(fn, *args):
+    """The report's repr (exact for every float), or the error's type and text."""
+    try:
+        return repr(fn(*args))
+    except (ValueError, DataError) as err:
+        return type(err).__name__, str(err)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_ground_truth_scored_repeatedly_equals_the_per_call_oracle(monkeypatch, data):
+    bits = data.draw(st.integers(1, 130), label="bits")
+    n_truth = data.draw(st.integers(1, 30), label="rows the truth was built on")
+    n_queries = data.draw(st.integers(0, 8), label="queries")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kinds = data.draw(st.lists(
+        st.sampled_from(["random", "repeated", "whole floats", "list", "empty"]),
+        min_size=n_queries, max_size=n_queries), label="sets")
+    relevant = []
+    for kind in kinds:
+        rel = rng.choice(n_truth, size=rng.integers(0, n_truth + 1), replace=kind == "repeated")
+        relevant.append(np.empty(0, dtype=np.intp) if kind == "empty"
+                        else rel.astype(np.float64) if kind == "whole floats"
+                        else rel.tolist() if kind == "list" else rel)
+    if n_queries and data.draw(st.booleans(), label="one id not whole"):
+        relevant[-1] = np.append(np.asarray(relevant[-1], dtype=np.float64),
+                                 data.draw(st.sampled_from([0.5, np.nan, np.inf, 1e30])))
+    gt = GroundTruth(relevant=tuple(relevant), threshold=1.0, r=1)
+    monkeypatch.setattr(evaluate, "_SCORE_BLOCK_ELEMENTS",
+                        data.draw(st.integers(1, 3 * n_truth + 10), label="block elements"))
+    ks = data.draw(st.lists(st.integers(1, n_truth + 3), min_size=1, max_size=3), label="ks")
+    highest = max((int(np.max(rel)) for rel in gt.relevant
+                   if len(rel) and np.all(np.isfinite(rel))), default=-1)
+    pool = sgn(rng.standard_normal((data.draw(st.integers(1, 4), label="codes"), bits)))
+    for n in data.draw(st.lists(st.integers(1, n_truth + 5), min_size=2, max_size=4),
+                       label="database rows per call"):
+        db = BinaryCodeMatrix(pool[rng.integers(0, len(pool), n)])
+        queries = BinaryCodeMatrix(pool[rng.integers(0, len(pool), n_queries)])
+        got = outcome(evaluate_codes, db, queries, gt, ks)
+        assert got == outcome(evaluate_codes_before_flat_view, db, queries, gt, ks)
+        if highest >= n:
+            assert got[0] == "DataError"
+
+
+def test_the_flat_view_is_built_once_per_ground_truth():
+    rng = np.random.default_rng(19)
+    db_codes, query_codes, gt = codes_and_truth(rng, 40, 6)
+    first = evaluate_codes(db_codes, query_codes, gt, ks=(1, 5))
+    view = gt._flat
+    again = evaluate_codes(db_codes, query_codes, gt, ks=(1, 5))
+    assert gt._flat is view and repr(again) == repr(first)
+    assert not any(array.flags.writeable for array in view[:4])
+
+
+def test_a_failed_flat_view_is_not_kept():
+    rng = np.random.default_rng(18)
+    db_codes, query_codes, _ = codes_and_truth(rng, 30, 2)
+    gt = GroundTruth(relevant=(np.array([0, 4]), np.array([1.5])), threshold=1.0, r=1)
+    for _ in range(2):
+        with pytest.raises(DataError, match="not whole numbers"):
+            evaluate_codes(db_codes, query_codes, gt, ks=(1, 5))
+        assert "_flat" not in vars(gt)
+
+
+def test_ground_truth_relevant_sets_are_read_only():
+    rng = np.random.default_rng(20)
+    gt = ground_truth(rng.standard_normal((60, 5)), rng.standard_normal((7, 5)), 10)
+    rel = next(rel for rel in gt.relevant if rel.size)
+    assert all(not r.flags.writeable for r in gt.relevant)
+    with pytest.raises(ValueError, match="read-only"):
+        rel[0] = 1
 
 
 def test_ground_truth_rejects_values_whose_squares_overflow():

@@ -105,6 +105,14 @@ def test_procrustes_shape_errors():
         procrustes(np.array([[np.nan]]), np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("a_shape, x_shape", [((), (9, 6)), ((9, 2), ()), ((9,), (9, 6)),
+                                              ((9, 2), (9,)), ((9, 2, 1), (9, 6))])
+def test_procrustes_rejects_arrays_that_are_not_matrices(a_shape, x_shape):
+    rng = np.random.default_rng(6)
+    with pytest.raises(ValueError, match="needs two matrices"):
+        procrustes(rng.standard_normal(a_shape), rng.standard_normal(x_shape))
+
+
 @pytest.mark.parametrize("shape", [(6, 3), (5, 2), (2, 6), (12,)])
 def test_procrustes_rejects_a_warm_start_of_the_wrong_shape(shape):
     rng = np.random.default_rng(6)
