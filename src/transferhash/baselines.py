@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .itq import DEFAULT_ITERS, check_count, itq_train
+from .errors import check_count
+from .itq import DEFAULT_ITERS, itq_train
 from .model import CenteringInfo, HashModel, LinearProjection, default_hyperparams
 from .preprocess import cca_fit, project
 
@@ -39,14 +40,12 @@ def cca_itq_fit(x_t, x_sc, c: int, iters: int = DEFAULT_ITERS, seed=0) -> HashMo
     The returned encoder composes the canonical projection with the learned
     rotation.
     """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    x_sc = np.asarray(x_sc, dtype=np.float64)
     left, _, _ = cca_fit(x_t, x_sc, c)
     projected = project(x_t, left)
     _, rotation, _ = itq_train(projected, c, iters, seed)
     return HashModel(
         method="cca-itq",
-        centering=CenteringInfo(np.zeros(x_t.shape[1])),
+        centering=CenteringInfo(np.zeros(left.d_in)),
         preprocessing=left,
         rotation=rotation,
         bits=c,

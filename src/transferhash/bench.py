@@ -17,7 +17,7 @@ import numpy as np
 from .baselines import cca_itq_fit, lsh_fit
 from .config import RunConfig
 from .data import make_split, zero_center
-from .errors import ConfigError
+from .errors import ConfigError, DataError, check_count, check_matrix
 from .evaluate import EvalReport, evaluate_model, ground_truth
 from .itq import itq_train
 from .itq_plus import itq_plus_train
@@ -47,24 +47,25 @@ def fit_model(method: str, target_train, source_corr=None, source_extra=None, *,
     since privileged data never appears at query time.  When pca_energy is
     set, the target side is reduced before rotation learning (cca-itq uses
     its canonical projection instead); a rotation learned on it needs at
-    least bits components, so keeping fewer raises ConfigError.
+    least bits components, so keeping fewer raises ConfigError, as do bits
+    that are not an integer >= 1.
     """
-    if bits < 1:
-        raise ConfigError(f"bits must be positive, got {bits}")
-    target_train = np.asarray(target_train, dtype=np.float64)
+    try:
+        check_count("bits", bits, 1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     centered_t, centering = zero_center(target_train)
 
     x_sc = x_su = None
     if source_corr is not None:
-        source_corr = np.asarray(source_corr, dtype=np.float64)
-        if source_extra is not None and np.asarray(source_extra).size:
-            source_extra = np.asarray(source_extra, dtype=np.float64)
-            source_mean = np.vstack([source_corr, source_extra]).mean(axis=0)
-            x_su = source_extra - source_mean
-        else:
-            source_mean = source_corr.mean(axis=0)
-            x_su = np.empty((0, source_corr.shape[1]))
+        source_corr = check_matrix("source_corr", source_corr, 1)
+        extra = source_extra is not None and np.asarray(source_extra).size
+        source_extra = np.asarray(source_extra, dtype=np.float64) if extra else None
+        source_mean = (np.vstack([source_corr, source_extra]) if extra else source_corr).mean(axis=0)
+        if not np.isfinite(source_mean).all():  # NaN or inf in a row spoils its column mean
+            raise DataError("source rows hold non-finite values")
         x_sc = source_corr - source_mean
+        x_su = source_extra - source_mean if extra else None
 
     preprocessing = None
     trainer_input = centered_t

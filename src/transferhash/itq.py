@@ -7,11 +7,10 @@ rotation steps and of the balanced sign rule.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, check_count, check_matrix
 
 DEFAULT_ITERS = 150
 DEFAULT_TOL = 1e-6
@@ -24,19 +23,10 @@ _NS_MAX_STEPS = 16
 _NS_LAST_STEP = 1e-8
 
 
-def check_count(name: str, value, minimum: int) -> None:
-    """ValueError unless value is a whole number >= minimum.
-
-    Python and numpy integers count; a bool, a float (even a whole one) or
-    anything else does not.
-    """
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < minimum):
-        raise ValueError(f"{name}={value} must be an integer >= {minimum}")
-
-
 def random_orthonormal(d: int, c: int, seed) -> np.ndarray:
     """Seeded random d x c matrix with orthonormal columns (QR of a Gaussian)."""
+    check_count("d", d, 1)
+    check_count("c", c, 1)
     if c > d:
         raise ValueError(f"cannot build {d}x{c} orthonormal matrix: c > d")
     rng = np.random.default_rng(seed)
@@ -105,13 +95,8 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
     the next sweep warms again, and gram=gram_bound(x), computed once per
     fit since X does not change; without it G and mu are computed per call.
     """
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or x.ndim != 2:
-        raise ValueError(f"procrustes needs two matrices, got shapes {a.shape} "
-                         f"and {x.shape}")
-    if a.shape[0] != x.shape[0]:
-        raise ValueError(f"row mismatch: scores {a.shape[0]} vs data {x.shape[0]}")
+    a = check_matrix("a", a)
+    x = check_matrix("x", x, rows=a.shape[0])
     if a.shape[1] > x.shape[1]:
         raise ValueError(
             f"target has {a.shape[1]} columns but data only {x.shape[1]} dims"
@@ -164,9 +149,7 @@ def balanced_signs(scores) -> np.ndarray:
     ceil(n/2)-th largest (np.partition) get +1, then its ties in row order.
     scores must be an n x c matrix (ValueError) with no NaN (NumericalError).
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ValueError(f"scores of shape {scores.shape} are not an n x c matrix")
+    scores = check_matrix("scores", scores)
     if np.isnan(scores).any():
         raise NumericalError("NaN in the balanced code step's scores")
     n, c = scores.shape

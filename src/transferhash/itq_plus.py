@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import BinaryCodeMatrix, sgn
+from .errors import NumericalError, check_count, check_matrix, check_weight
 from .itq import (
     DEFAULT_ITERS,
     DEFAULT_STEP_ITERS,
     DEFAULT_TOL,
     balanced_signs,
-    check_count,
     gram_bound,
     procrustes,
     random_orthonormal,
@@ -75,22 +75,14 @@ def blend_scores(x_t, rotation, x_sc, slack_rotation, lambda1) -> np.ndarray:
     return scores
 
 
-def _balanced_step_signs(scores) -> np.ndarray:
-    """balanced_signs of an n x c score matrix with n >= 2, else ValueError."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[0] < 2:
-        raise ValueError("balanced code update needs an n x c score matrix with "
-                         f"at least 2 rows, got shape {scores.shape}")
-    return balanced_signs(scores)
-
-
 def update_b_balanced(scores) -> BinaryCodeMatrix:
     """Balanced code matrix maximizing the per-entry score sum.
 
     Per column the ceil(n/2) largest scores get +1 and the rest -1, ties
     broken by ascending row index; |column sum| <= 1, and 0 for even n.
+    scores must be a matrix with at least 2 rows, else ValueError.
     """
-    return BinaryCodeMatrix(_balanced_step_signs(scores))
+    return BinaryCodeMatrix(balanced_signs(check_matrix("scores", scores, 2)))
 
 
 def update_r(codes, x_t, x_sc, slack_rotation, lambda1, previous=None, *,
@@ -99,8 +91,7 @@ def update_r(codes, x_t, x_sc, slack_rotation, lambda1, previous=None, *,
 
     gram is gram_bound(x_t), or None for a square rotation, which needs none.
     """
-    if not 0.0 <= lambda1 < np.inf:
-        raise ValueError("lambda1 must be finite and >= 0")
+    check_weight("lambda1", lambda1)
     signs = codes.signs if isinstance(codes, BinaryCodeMatrix) else np.asarray(codes)
     target = signs.astype(np.float64)
     if lambda1 > 0:
@@ -116,12 +107,6 @@ def update_p(codes, x_t, rotation, x_sc, previous=None, *, gram) -> np.ndarray:
     previous rotation, if given, is kept.
     """
     signs = codes.signs if isinstance(codes, BinaryCodeMatrix) else np.asarray(codes)
-    x_sc = np.asarray(x_sc, dtype=np.float64)
-    c = np.asarray(rotation).shape[1]
-    if x_sc.shape[1] < c:
-        raise ValueError(
-            f"privileged dimension {x_sc.shape[1]} smaller than code length {c}"
-        )
     err = signs - np.asarray(x_t) @ rotation
     return procrustes(err, x_sc, previous, max_iter=DEFAULT_STEP_ITERS, gram=gram)
 
@@ -129,7 +114,7 @@ def update_p(codes, x_t, rotation, x_sc, previous=None, *, gram) -> np.ndarray:
 # code steps by name: scores -> (int8 signs, the codes' own term of the
 # objective, which sign and balanced codes do not have)
 CODE_STEPS = {"sign": lambda scores: (sgn(scores), 0.0),
-              "balanced": lambda scores: (_balanced_step_signs(scores), 0.0)}
+              "balanced": lambda scores: (balanced_signs(check_matrix("scores", scores, 2)), 0.0)}
 
 
 def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
@@ -152,7 +137,9 @@ def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
     scores.  x_sc = None runs without a privileged view: plain
     quantization, with lambda1 = 0.
     x_t must be a matrix with at least one row, x_sc one with as many
-    rows, and c and iters integers >= 1 (bool refused), else ValueError.
+    rows, c and iters integers >= 1 (bool refused) and lambda1 and tol
+    finite reals >= 0, else ValueError; non-finite views raise
+    NumericalError.
     The target rotation starts from r0, a finite d_t x c matrix with
     orthonormal columns (else ValueError), or a seeded random orthonormal
     one; the slack rotation from a random one with the same seed.  A code
@@ -160,24 +147,20 @@ def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
 
     Returns (codes, rotation, slack_rotation, trace).
     """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if x_t.ndim != 2 or x_t.shape[0] < 1:
-        raise ValueError(f"x_t of shape {x_t.shape} is not a matrix with at least one row")
+    x_t = check_matrix("x_t", x_t, 1)
     n, d_t = x_t.shape
     check_count("c", c, 1)
     check_count("iters", iters, 1)
-    if not 0.0 <= lambda1 < np.inf:
-        raise ValueError("lambda1 must be finite and >= 0")
+    check_weight("lambda1", lambda1)
+    check_weight("tol", tol)
     if x_sc is None and lambda1 != 0:
         raise ValueError("lambda1 must be 0 without a privileged view")
     slack_rotation = None
     if x_sc is not None:
-        x_sc = np.asarray(x_sc, dtype=np.float64)
-        if x_sc.ndim != 2:
-            raise ValueError(f"x_sc of shape {x_sc.shape} is not a matrix")
-        if x_sc.shape[0] != n:
-            raise ValueError(f"row mismatch: target {n} vs privileged {x_sc.shape[0]}")
+        x_sc = check_matrix("x_sc", x_sc, rows=n)
         slack_rotation = random_orthonormal(x_sc.shape[1], c, seed)
+    if not (np.isfinite(x_t).all() and (x_sc is None or np.isfinite(x_sc).all())):
+        raise NumericalError("non-finite values in the training views")
     rotation = random_orthonormal(d_t, c, seed) if r0 is None else np.asarray(r0, dtype=np.float64)
     if not (rotation.shape == (d_t, c) and np.isfinite(rotation).all()
             and np.linalg.norm(rotation.T @ rotation - np.eye(c)) <= 1e-8):
@@ -243,8 +226,7 @@ def itq_plus_train(x_t, x_sc, c: int, lambda1: float = DEFAULT_LAMBDA1,
 
     Returns (HashModel, ItqPlusState).
     """
-    if np.ndim(x_t) != 2 or np.shape(x_t)[0] < 2:
-        raise ValueError(f"x_t of shape {np.shape(x_t)} is not a matrix with at least 2 rows")
+    x_t = check_matrix("x_t", x_t, 2)
     if b_step not in CODE_STEPS:
         raise ValueError(f"unknown b_step {b_step!r}")
     codes, rotation, slack_rotation, trace = alternating_solve(

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import evaluate
 from .codes import BinaryCodeMatrix, sgn
-from .errors import NumericalError
-from .itq import DEFAULT_ITERS, DEFAULT_TOL, check_count, itq_train
+from .errors import NumericalError, check_count, check_matrix, check_weight
+from .itq import DEFAULT_ITERS, DEFAULT_TOL, itq_train
 from .itq_plus import (
     DEFAULT_LAMBDA1,
     ItqPlusState,
@@ -65,8 +65,9 @@ def knn_hamming_graph(codes: BinaryCodeMatrix, k: int):
     symmetric 0/1 adjacency without self-loops, as an n x n uint8 CSR array
     with sorted indices.
     """
-    n = codes.rows
-    if not 1 <= k < n:
+    check_count("k", k, 1)
+    n, k = codes.rows, int(k)  # numpy integers would overflow in n * k
+    if k >= n:
         raise ValueError(f"k={k} out of range for {n} codes")
     packed = codes.packed
     neighbors = np.empty((n, k), dtype=np.intp)
@@ -144,8 +145,7 @@ def box_qp_minimize(k_mat, lap: LaplacianMatrix, lambda2: float,
         raise ValueError(f"score matrix of shape {k_mat.shape} does not fit Laplacian {lap.csr.shape}")
     if not np.isfinite(k_mat).all():
         raise NumericalError("non-finite score matrix in relaxed code step")
-    if not 0.0 <= lambda2 < np.inf:
-        raise ValueError("lambda2 must be finite and >= 0")
+    check_weight("lambda2", lambda2)
     check_count("inner_iters", inner_iters, 0)
     linear_grad = np.ascontiguousarray(-2.0 * k_mat.T)  # n x c
     b = sgn(k_mat.T).astype(np.float64, order="C")
@@ -153,7 +153,7 @@ def box_qp_minimize(k_mat, lap: LaplacianMatrix, lambda2: float,
     lap_b = lap.csr @ b if lambda2 != 0.0 else None
     trace = [_relaxed_value(b, lap_b, linear_grad, lambda2)]
     b_next, move = np.empty_like(b), np.empty_like(b)  # move holds the gradient first
-    for left in range(inner_iters - 1, -1, -1):
+    for left in range(int(inner_iters) - 1, -1, -1):  # an unsigned 0 - 1 would wrap
         grad = linear_grad
         if lambda2 != 0.0:
             grad = np.multiply(lap_b, 2.0 * lambda2, out=move)
@@ -200,26 +200,22 @@ def lap_itq_plus_train(x_t, x_sc, x_su, c: int,
 
     Returns (HashModel, ItqPlusState); the state holds the neighbor graph.
     """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    x_sc = np.asarray(x_sc, dtype=np.float64)
-    x_su = np.asarray(x_su, dtype=np.float64) if x_su is not None else np.empty((0, x_sc.shape[1]))
-    if x_su.size and x_su.shape[1] != x_sc.shape[1]:
-        raise ValueError(
-            f"extra source rows have {x_su.shape[1]} dims, expected {x_sc.shape[1]}"
-        )
+    # everything is checked before the offline source fit
+    x_t = check_matrix("x_t", x_t)
     n, d_t = x_t.shape
-    if x_sc.shape[0] != n:
-        raise ValueError(f"row mismatch: target {n} vs privileged {x_sc.shape[0]}")
+    x_sc = check_matrix("x_sc", x_sc, rows=n)
     d_s = x_sc.shape[1]
+    x_su = check_matrix("x_su", x_su) if x_su is not None else np.empty((0, d_s))
+    if x_su.size and x_su.shape[1] != d_s:
+        raise ValueError(f"extra source rows have {x_su.shape[1]} dims, expected {d_s}")
     check_count("c", c, 1)
     check_count("k", k, 1)
     if c > min(d_t, d_s):
         raise ValueError(f"code length {c} exceeds min dimension {min(d_t, d_s)}")
-    if not 1 <= k < n:
+    if k >= n:
         raise ValueError(f"k={k} out of range for {n} correspondence rows")
-    for name, value in (("lambda1", lambda1), ("lambda2", lambda2)):
-        if not 0.0 <= value < np.inf:  # checked before the offline source fit
-            raise ValueError(f"{name} must be finite and >= 0")
+    check_weight("lambda1", lambda1)
+    check_weight("lambda2", lambda2)
 
     x_stack = np.vstack([x_sc, x_su]) if x_su.size else x_sc
     source_codes = source_codes_offline(x_stack, c, iters, seed, tol=tol)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, check_count, check_matrix, check_weight
 from .model import LinearProjection
 
 _EPS = 1e-12
@@ -60,21 +60,20 @@ def cca_fit(x_a, x_b, c: int, ridge: float | None = None):
     autocovariances; ridge=None picks 1e-6 * trace(cov)/d per side.  Returns
     (left projection, right projection, correlations descending); each
     canonical pair is sign-fixed jointly so the result is reproducible and
-    symmetric under swapping the views.
+    symmetric under swapping the views.  Non-finite views raise
+    NumericalError.
     """
-    x_a = np.asarray(x_a, dtype=np.float64)
-    x_b = np.asarray(x_b, dtype=np.float64)
-    if x_a.ndim != 2 or x_b.ndim != 2:
-        raise ValueError(f"cca_fit needs two matrices, got shapes {x_a.shape} "
-                         f"and {x_b.shape}")
-    if x_a.shape[0] != x_b.shape[0]:
-        raise ValueError(f"row mismatch: {x_a.shape[0]} vs {x_b.shape[0]}")
-    n = x_a.shape[0]
-    d_a, d_b = x_a.shape[1], x_b.shape[1]
+    x_a = check_matrix("x_a", x_a, 1)
+    n, d_a = x_a.shape
+    x_b = check_matrix("x_b", x_b, rows=n)
+    d_b = x_b.shape[1]
+    check_count("c", c, 1)
     if c > min(d_a, d_b):
         raise ValueError(f"c={c} exceeds min view dimension {min(d_a, d_b)}")
-    if ridge is not None and ridge < 0:
-        raise ValueError("ridge must be >= 0")
+    if ridge is not None:
+        check_weight("ridge", ridge)
+    if not (np.isfinite(x_a).all() and np.isfinite(x_b).all()):
+        raise NumericalError("non-finite values in cca_fit inputs")
 
     caa = (x_a.T @ x_a) / n
     cbb = (x_b.T @ x_b) / n
@@ -106,8 +105,10 @@ def cca_fit(x_a, x_b, c: int, ridge: float | None = None):
 
 
 def project(x, proj: LinearProjection) -> np.ndarray:
-    """Apply a fitted projection: X @ proj.matrix."""
-    x = np.asarray(x, dtype=np.float64)
+    """Apply a fitted projection: X @ proj.matrix (x a finite matrix)."""
+    x = check_matrix("x", x)
+    if not np.isfinite(x).all():
+        raise NumericalError("non-finite values in project input")
     if x.shape[1] != proj.d_in:
         raise ValueError(
             f"matrix has {x.shape[1]} columns, projection expects {proj.d_in}"

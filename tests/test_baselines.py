@@ -62,11 +62,6 @@ def test_lsh_scale_invariance():
     assert np.array_equal(a.signs, b.signs)
 
 
-def test_lsh_validation():
-    with pytest.raises(ValueError):
-        lsh_fit(0, 8, 0)
-
-
 @pytest.mark.parametrize("d, c", [(4.0, 2), (4, 2.0), (True, 2), (4, True), (4, 0)])
 def test_lsh_rejects_counts_that_are_not_integers_with_a_value_error(d, c):
     with pytest.raises(ValueError, match="must be an integer >= 1"):
@@ -115,7 +110,7 @@ def test_cca_itq_rejects_views_that_are_not_matrices(view, bad):
         x_t = bad
     else:
         x_s = bad
-    with pytest.raises(ValueError, match="needs two matrices"):
+    with pytest.raises(ValueError, match=r"x_[ab] of shape \(.*\) is not a matrix"):
         cca_itq_fit(x_t, x_s, 4, iters=5, seed=0)
 
 

@@ -109,7 +109,7 @@ def test_procrustes_shape_errors():
                                               ((9, 2), (9,)), ((9, 2, 1), (9, 6))])
 def test_procrustes_rejects_arrays_that_are_not_matrices(a_shape, x_shape):
     rng = np.random.default_rng(6)
-    with pytest.raises(ValueError, match="needs two matrices"):
+    with pytest.raises(ValueError, match=r"(a|x) of shape \(.*\) is not a matrix"):
         procrustes(rng.standard_normal(a_shape), rng.standard_normal(x_shape))
 
 
@@ -352,6 +352,14 @@ def test_random_orthonormal_orthonormality_and_seeds():
     assert np.array_equal(random_orthonormal(9, 4, 2), random_orthonormal(9, 4, 2))
     with pytest.raises(ValueError):
         random_orthonormal(3, 4, 0)
+
+
+@pytest.mark.parametrize("d, c", [(4, 2.5), (4.0, 2), (True, 1), (4, True), ("4", 2), (4, "2"),
+                                  (0, 0), (4, None)])
+def test_random_orthonormal_refuses_sizes_that_are_not_counts(d, c):
+    # the strings and floats raised a bare TypeError, and True passed for 1
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        random_orthonormal(d, c, 0)
 
 
 def test_itq_train_vertex_fixed_point():

@@ -201,6 +201,9 @@ def test_update_b_balanced_brute_force(n, c):
 def test_update_b_balanced_needs_two_rows():
     with pytest.raises(ValueError):
         update_b_balanced(np.ones((1, 2)))
+    x_t, x_s = two_view_instance(6, 4, 4, seed=5)
+    with pytest.raises(ValueError, match=r"x_t of shape \(1, 4\) .* at least 2 rows"):
+        itq_plus_train(x_t[:1], x_s[:1], 2)
 
 
 def test_update_r_reduces_to_plain_procrustes():
@@ -582,6 +585,16 @@ def test_alternating_solve_refuses_counts_that_are_not_whole(name, value):
         itq_plus_train(x_t, x_s, counts["c"], 0.1, counts["iters"])
 
 
+@pytest.mark.parametrize("tol", [None, "0", -1e-6, np.nan, np.inf])
+def test_alternating_solve_refuses_a_tol_that_is_not_a_weight(tol):
+    # None and "0" raised a bare TypeError at `tol > 0`
+    x_t, x_s = two_view_instance(12, 5, 4, seed=3)
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        itq_train(x_t, 2, 3, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        itq_plus_train(x_t, x_s, 2, 0.1, 3, tol=tol)
+
+
 @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
 def test_alternating_solve_takes_numpy_integers(integer):
     x_t, x_s = two_view_instance(12, 5, 4, seed=4)
@@ -593,18 +606,15 @@ def test_alternating_solve_takes_numpy_integers(integer):
     assert len(state.objective_trace) == 4
 
 
-def test_update_b_balanced_rejects_a_0d_array():
-    # it read shape[0] first, so this raised a bare IndexError
-    with pytest.raises(ValueError, match=r"shape \(\)"):
-        update_b_balanced(np.float64(1.0))
-    with pytest.raises(ValueError, match=r"shape \(4,\)"):
-        update_b_balanced(np.ones(4))
 
 
-def test_itq_plus_train_rejects_a_0d_array():
-    # it read shape[0] first, so this raised a bare IndexError
-    _, x_s = two_view_instance(6, 4, 4, seed=5)
-    with pytest.raises(ValueError, match=r"x_t of shape \(\)"):
-        itq_plus_train(np.float64(1.0), x_s, 2)
-    with pytest.raises(ValueError, match=r"x_t of shape \(1, 4\)"):
-        itq_plus_train(np.ones((1, 4)), x_s[:1], 2)
+@pytest.mark.parametrize("lambda1", [0.0, 0.1])
+@pytest.mark.parametrize("view", ["x_t", "x_sc"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_alternating_solve_refuses_non_finite_views(lambda1, view, bad):
+    # at lambda1 = 0 a non-finite x_sc gave a NaN trace with a RuntimeWarning
+    views = dict(zip(("x_t", "x_sc"), two_view_instance(12, 5, 4, seed=3)))
+    views[view] = views[view].copy()
+    views[view][2, 1] = bad
+    with pytest.raises(NumericalError, match="non-finite values in the training views"):
+        itq_plus_train(views["x_t"], views["x_sc"], 2, lambda1, 3)

@@ -101,6 +101,20 @@ def test_knn_graph_k_range():
         knn_hamming_graph(codes, 3)
 
 
+@pytest.mark.parametrize("k", [2.5, True, "3", None])
+def test_knn_graph_refuses_a_k_that_is_not_a_count(k):
+    # each raised a bare TypeError, or took True for 1
+    codes = codes_from([[1, 1], [1, -1], [-1, 1]])
+    with pytest.raises(ValueError, match=re.escape(f"k={k} must be an integer >= 1")):
+        knn_hamming_graph(codes, k)
+
+
+def test_knn_graph_takes_a_small_unsigned_k_over_many_rows():
+    # n * k overflowed uint8 (an OverflowError) once n passed 255
+    codes = BinaryCodeMatrix(sgn(np.random.default_rng(3).standard_normal((300, 8))))
+    assert (knn_hamming_graph(codes, np.uint8(5)) != knn_hamming_graph(codes, 5)).nnz == 0
+
+
 def dense_knn_reference(signs, k):
     """The dense graph algorithm, kept as the reference: an n x n distance table
     with self at bits + 1, a stable argsort of every row, the union of the
@@ -532,6 +546,15 @@ def test_box_qp_rejects_a_negative_step_cap():
         box_qp_minimize(np.ones((2, 5)), lap, 0.1, -1)
 
 
+@pytest.mark.parametrize("integer", [np.uint8, np.uint64, np.int8])
+def test_box_qp_takes_no_steps_for_a_numpy_zero_cap(integer):
+    # an unsigned 0 - 1 wrapped around, so np.uint8(0) ran 256 steps
+    lap = laplacian(random_graph(5, 1, 1))
+    k_mat = np.random.default_rng(4).standard_normal((2, 5))
+    relaxed, trace = box_qp_minimize(k_mat, lap, 0.1, integer(0))
+    assert len(trace) == 1 and np.array_equal(relaxed, sgn(k_mat.T))
+
+
 @pytest.mark.parametrize("inner_iters", [2.5, 3.0, True, False, "4", None])
 def test_box_qp_rejects_a_step_cap_that_is_not_an_integer(inner_iters):
     lap = laplacian(random_graph(5, 1, 1))
@@ -694,7 +717,8 @@ def test_lap_train_validation():
         lap_itq_plus_train(x_t, x_s, np.ones((5, 4)), 4, 0.1, 0.1, 5, iters=5, seed=0)
 
 
-@pytest.mark.parametrize("lambdas", [(-1.0, 0.1), (0.1, -1.0), (np.nan, 0.1), (0.1, np.inf)])
+@pytest.mark.parametrize("lambdas", [(-1.0, 0.1), (0.1, -1.0), (np.nan, 0.1), (0.1, np.inf),
+                                     ("0.1", 0.1), (0.1, None)])
 def test_lap_train_checks_lambdas_before_the_source_fit(monkeypatch, lambdas):
     def no_fit(*args, **kwargs):
         raise AssertionError("the offline source codes were fitted")
@@ -717,3 +741,18 @@ def test_lap_train_checks_its_counts_before_the_source_fit(monkeypatch, name, va
     counts = {"c": 4, "k": 5, name: value}
     with pytest.raises(ValueError, match=re.escape(f"{name}={value} must be an integer >= 1")):
         lap_itq_plus_train(x_t, x_s, None, counts["c"], 0.1, 0.1, counts["k"], iters=5)
+
+
+@pytest.mark.parametrize("view, bad", [("x_sc", np.float64(1.0)), ("x_sc", np.ones(30)),
+                                       ("x_sc", None), ("x_t", np.float64(1.0)),
+                                       ("x_t", np.ones(30)), ("x_su", np.ones(6))])
+def test_lap_train_checks_its_views_before_the_source_fit(monkeypatch, view, bad):
+    # it read x_sc.shape[1] first, so a 0-d, 1-d or None view raised a bare IndexError
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the offline source codes were fitted")
+
+    monkeypatch.setattr(lap_itq_plus, "itq_train", no_fit)
+    x_t, x_s = two_view_instance(30, 8, 6, seed=10)
+    views = {"x_t": x_t, "x_sc": x_s, "x_su": None, view: bad}
+    with pytest.raises(ValueError, match=re.escape(f"{view} of shape")):
+        lap_itq_plus_train(views["x_t"], views["x_sc"], views["x_su"], 4, 0.1, 0.1, 5, iters=5)

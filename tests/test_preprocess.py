@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from transferhash.baselines import cca_itq_fit
 from transferhash.errors import NumericalError
 from transferhash.model import LinearProjection
 from transferhash.preprocess import cca_fit, pca_fit, project
@@ -118,6 +121,50 @@ def test_cca_errors():
     degenerate = np.hstack([x_b, x_b[:, :1]])
     with pytest.raises(NumericalError):
         cca_fit(x_a, degenerate, 1, ridge=0.0)
+
+
+@pytest.mark.parametrize("c", [-1, 0, True, 2.5, float("nan"), "3", None])
+def test_cca_refuses_a_code_length_that_is_not_a_count(c):
+    # -1, 0 and True once passed `c > min(d_a, d_b)` and sliced 4, 0 and 1
+    # canonical columns; the rest raised a bare TypeError
+    rng = np.random.default_rng(7)
+    x_a = centered(rng.standard_normal((50, 6)))
+    x_b = centered(rng.standard_normal((50, 5)))
+    message = re.escape(f"c={c} must be an integer >= 1")
+    with pytest.raises(ValueError, match=message):
+        cca_fit(x_a, x_b, c)
+    with pytest.raises(ValueError, match=message):
+        cca_itq_fit(x_a, x_b, c, iters=2)
+
+
+@pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf"), "0.1"])
+def test_cca_refuses_a_ridge_that_is_not_a_weight(ridge):
+    rng = np.random.default_rng(7)
+    x = centered(rng.standard_normal((30, 3)))
+    with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+        cca_fit(x, x.copy(), 2, ridge)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cca_refuses_non_finite_views(bad):
+    rng = np.random.default_rng(7)
+    x_a = centered(rng.standard_normal((30, 3)))
+    x_b = x_a.copy()
+    x_b[4, 1] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        cca_fit(x_a, x_b, 2)
+
+
+@pytest.mark.parametrize("x", [np.float64(1.0), np.ones(2), np.ones((1, 2, 1)), None])
+def test_project_refuses_an_input_that_is_not_a_matrix(x):
+    # it read x.shape[1] first, so a 0-d or 1-d input raised a bare IndexError
+    with pytest.raises(ValueError, match=r"x of shape \(.*\) is not a matrix"):
+        project(x, LinearProjection.identity(2))
+
+
+def test_project_refuses_non_finite_input():
+    with pytest.raises(NumericalError, match="non-finite"):
+        project(np.array([[1.0, np.inf]]), LinearProjection.identity(2))
 
 
 def test_project_identity_and_selection():
