@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 
 from .data import MATRIX_FORMATS, read_text_lines
-from .errors import ConfigError
+from .errors import ConfigError, check_count, check_weight, check_whole
 from .evaluate import DEFAULT_GT_RANK, DEFAULT_KS
 from .itq import DEFAULT_ITERS
 from .itq_plus import DEFAULT_LAMBDA1
@@ -41,38 +40,44 @@ class RunConfig:
     ks: tuple = DEFAULT_KS
 
     def validate(self) -> "RunConfig":
+        """self, or ConfigError for the first value out of its range; counts
+        and weights follow errors.py's rules, as the library's arguments do."""
+        for name in ("methods", "bits", "seeds", "ks"):
+            values = getattr(self, name)
+            if not (isinstance(values, (tuple, list)) and values):
+                raise ConfigError(f"{name} must be a non-empty tuple, got {values!r}")
         for method in self.methods:
             if method not in METHODS:
                 raise ConfigError(f"unknown method {method!r}")
-        if not self.methods:
-            raise ConfigError("at least one method is required")
-        if not self.bits or any(b < 1 for b in self.bits):
-            raise ConfigError(f"bits must be positive, got {self.bits}")
+        try:
+            for bits in self.bits:
+                check_count("bits", bits, 1)
+            for seed in self.seeds:
+                check_count("seed", seed, 0)
+            check_count("k_graph", self.k_graph, 1)
+            check_count("iters", self.iters, 1)
+            for name in ("alpha", "test_fraction", "lambda1", "lambda2"):
+                check_weight(name, getattr(self, name))
+            if self.pca_energy is not None:
+                check_weight("pca_energy", self.pca_energy)
+            check_whole("r_groundtruth", self.r_groundtruth, 1)
+            for k in self.ks:
+                check_whole("K", k, 1)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not 0.0 <= self.test_fraction < 1.0:
+        if not self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in [0, 1), got {self.test_fraction}")
-        if not (0.0 <= self.lambda1 < math.inf and 0.0 <= self.lambda2 < math.inf):
-            raise ConfigError("lambda1 and lambda2 must be finite and >= 0")
-        if self.k_graph < 1:
-            raise ConfigError(f"k_graph must be >= 1, got {self.k_graph}")
-        if self.iters < 1:
-            raise ConfigError(f"iters must be >= 1, got {self.iters}")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
+        if self.pca_energy is not None and not 0.0 < self.pca_energy <= 1.0:
+            raise ConfigError(f"pca_energy must be in (0, 1], got {self.pca_energy}")
         # each (method, bits, seed) cell is run and written once
         for name in ("methods", "bits", "seeds"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} must not repeat a value, got {values}")
-        if self.pca_energy is not None and not 0.0 < self.pca_energy <= 1.0:
-            raise ConfigError(f"pca_energy must be in (0, 1], got {self.pca_energy}")
         if self.format not in MATRIX_FORMATS:
             raise ConfigError(f"unknown matrix format {self.format!r}")
-        if self.r_groundtruth < 1:
-            raise ConfigError(f"r_groundtruth must be >= 1, got {self.r_groundtruth}")
-        if not self.ks or any(k < 1 for k in self.ks):
-            raise ConfigError(f"ks must be positive, got {self.ks}")
         return self
 
 

@@ -1,5 +1,5 @@
 """Exception types mapped to CLI exit codes (config=2, data=3, numerical=4),
-and the argument checks shared by every trainer and step (ValueError)."""
+and the argument checks shared by every trainer, step and setting (ValueError)."""
 
 import numbers
 
@@ -49,3 +49,14 @@ def check_weight(name: str, value) -> None:
     """ValueError unless value is a finite real number >= 0."""
     if not (isinstance(value, numbers.Real) and 0.0 <= value < np.inf):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def check_whole(name: str, value, minimum: int) -> int:
+    """value as an int; ValueError unless it is a real number with a whole
+    value >= minimum (unlike check_count, whole floats such as 5.0 count)."""
+    if not (isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)

@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
-from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .codes import WORD_BITS, BinaryCodeMatrix, sgn
-from .errors import DataError
+from .errors import DataError, check_whole
 from .model import HashModel
 
 log = logging.getLogger(__name__)
@@ -97,51 +94,53 @@ def search(codes: BinaryCodeMatrix, query_code) -> np.ndarray:
     return _hamming_order(codes.packed, query_code)[0]
 
 
-class _FlatRelevance(NamedTuple):
-    """A GroundTruth's relevant sets in one array: query q's ids are
-    ids[bounds[q]:bounds[q + 1]], sizes[q] of them."""
-
-    ids: np.ndarray  # intp, query after query
-    sizes: np.ndarray
-    bounds: np.ndarray
-    evaluated: np.ndarray  # the queries with a nonempty set, ascending
-    lowest: int  # smallest and largest id; 0 and -1 when there is none
-    highest: int
-
-
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Per-query relevant-id sets under a Euclidean distance threshold.
+    """Per-query relevant database rows under a Euclidean distance threshold.
 
-    evaluate_codes flattens and checks the relevant sets on first use and
-    keeps that view for every later call, so the sets must not change after
-    the first evaluation.  ground_truth() returns them read-only; sets built
-    by hand (arrays or lists of whole numbers) are the caller's to keep.
+    Query q's rows are ids[bounds[q]:bounds[q + 1]], query after query.
+    Construction copies both into read-only intp arrays and checks them:
+    ids must be whole numbers and bounds rise from 0 to ids.size, else
+    DataError.  So no GroundTruth is malformed or changes after it is
+    built.  Per-query sets built by hand go through from_sets().
     """
 
-    relevant: tuple
+    ids: np.ndarray
+    bounds: np.ndarray
     threshold: float
     r: int
+    _id_range: tuple = field(init=False, repr=False)  # lowest, highest; 0, -1 if none
 
-    @cached_property
-    def _flat(self) -> _FlatRelevance:
-        """The relevant sets flattened once.  An id that is not a whole
-        number raises DataError, and then nothing is kept."""
-        relevant = [np.asarray(rel).reshape(-1) for rel in self.relevant]
-        given = np.concatenate(relevant) if relevant else np.empty(0, dtype=np.intp)
-        with np.errstate(invalid="ignore"):
-            ids = given.astype(np.intp)
-        if not np.array_equal(ids, given):
-            raise DataError("evaluate_codes: ground truth names rows that are not "
-                            "whole numbers")
-        sizes = np.array([rel.size for rel in relevant], dtype=np.intp)
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        evaluated = np.flatnonzero(sizes)
-        for array in (ids, sizes, bounds, evaluated):
-            array.flags.writeable = False
-        return _FlatRelevance(ids, sizes, bounds, evaluated,
-                              lowest=int(ids.min()) if ids.size else 0,
-                              highest=int(ids.max()) if ids.size else -1)
+    def __post_init__(self):
+        for name in ("ids", "bounds"):
+            given = np.asarray(getattr(self, name))
+            with np.errstate(invalid="ignore"):
+                whole = given.astype(np.intp) if given.dtype.kind in "iuf" else None
+            if given.ndim != 1 or whole is None or not np.array_equal(whole, given):
+                raise DataError(f"GroundTruth: {name} of shape {given.shape} is not 1-D "
+                                f"or holds values that are not whole numbers")
+            whole.flags.writeable = False
+            object.__setattr__(self, name, whole)
+        ids, bounds = self.ids, self.bounds
+        if not (bounds.size and bounds[0] == 0 and bounds[-1] == ids.size
+                and np.all(bounds[1:] >= bounds[:-1])):
+            raise DataError(f"GroundTruth: bounds must rise from 0 to {ids.size}, "
+                            f"the number of ids")
+        object.__setattr__(self, "_id_range",
+                           (int(ids.min()), int(ids.max())) if ids.size else (0, -1))
+
+    @classmethod
+    def from_sets(cls, relevant, threshold: float, r: int) -> "GroundTruth":
+        """A GroundTruth copied from per-query sets of row ids (arrays or lists)."""
+        sets = [np.asarray(rel).reshape(-1) for rel in relevant]
+        return cls(np.concatenate([np.empty(0, dtype=np.intp), *sets]),
+                   np.cumsum([0] + [rel.size for rel in sets]), threshold, r)
+
+    @property
+    def relevant(self) -> tuple:
+        """Query q's relevant rows, as read-only views of ids, one per query."""
+        edges = self.bounds.tolist()
+        return tuple(self.ids[lo:hi] for lo, hi in zip(edges, edges[1:]))
 
 
 def _squared_distances(a, b, b_norms, out, product) -> np.ndarray:
@@ -179,11 +178,7 @@ def ground_truth(database_features, query_features,
     database points.  r must be a whole number >= 1 (whole floats such as
     5.0 read as integers); above n - 1 it is clamped.
     """
-    if not (isinstance(r, numbers.Real) and float(r).is_integer()):
-        raise ValueError(f"r must be a whole number, got {r!r}")
-    r = int(r)
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    r = check_whole("r", r, 1)
     db = np.asarray(database_features, dtype=np.float64)
     queries = np.asarray(query_features, dtype=np.float64)
     if db.ndim != 2 or queries.ndim != 2 or queries.shape[1] != db.shape[1]:
@@ -226,15 +221,15 @@ def ground_truth(database_features, query_features,
     threshold = float(np.sqrt(np.clip(kth, 0.0, None)).mean())
 
     bound = _square_bound(threshold)
-    relevant = []
+    flat = [np.empty(0, dtype=np.intp)]
     for lo, hi in query_blocks:
         cross = _squared_distances(queries[lo:hi], db, db_norms, out[:hi - lo], product[:hi - lo])
-        # flat index q * n + row of every relevant pair, query after query
-        flat = np.flatnonzero(cross <= bound)
-        ids = flat % n
-        ids.flags.writeable = False  # and so are the per-query views of it
-        relevant += np.split(ids, np.searchsorted(flat, np.arange(1, hi - lo) * n))
-    return GroundTruth(relevant=tuple(relevant), threshold=threshold, r=r_eff)
+        flat.append(lo * n + np.flatnonzero(cross <= bound))
+    # flat index q * n + row of every relevant pair, query after query, so
+    # query q's pairs start at the first index >= q * n
+    flat = np.concatenate(flat)
+    return GroundTruth(flat % n, np.searchsorted(flat, np.arange(queries.shape[0] + 1) * n),
+                       threshold, r_eff)
 
 
 def average_precision(ranked_ids, relevant_set) -> float:
@@ -261,8 +256,7 @@ def precision_at_k(ranked_ids, relevant_set, ks) -> list[tuple[int, float]]:
     ranked = list(ranked_ids)
     out = []
     for k in ks:
-        if k < 1:
-            raise ValueError(f"K must be >= 1, got {k}")
+        k = check_whole("K", k, 1)
         k_eff = min(k, len(ranked))
         if k_eff < k:
             log.warning("precision_at_k: K=%d clamped to %d (list size %d)",
@@ -297,33 +291,28 @@ def evaluate_codes(db_codes: BinaryCodeMatrix, query_codes: BinaryCodeMatrix,
     """Rank every query against the database and aggregate MAP/precision@K.
 
     K larger than the database is clamped once here, with one logged warning.
-    gt's relevant sets are flattened and checked for whole-number ids once,
-    on the first call that scores against gt (see GroundTruth); each call
-    checks only what depends on its own arguments: K, the code widths, the
-    query count, and that every id names one of this database's rows.
+    gt's ids were checked when it was built (see GroundTruth); each call
+    checks what depends on its own arguments: K, the code widths, the query
+    count, and that every id names one of this database's rows.
     Queries are ranked and scored a block at a time, from the ranks of their
     relevant rows alone: the j-th hit at rank r adds j / r to the AP, and
     P@K counts the hits ranked K or better.  A query's terms are added one
     after another, as average_precision adds them, so both give the same
     bits; a pairwise sum (np.sum) would round differently.
     """
-    ks = list(ks)
-    if not all(isinstance(k, numbers.Real) and float(k).is_integer() for k in ks):
-        raise ValueError(f"K must be a whole number, got {ks}")
-    ks = [int(k) for k in ks]
-    if any(k < 1 for k in ks):
-        raise ValueError(f"K must be >= 1, got {ks}")
+    ks = [check_whole("K", k, 1) for k in ks]
     if query_codes.bits != db_codes.bits:
         raise ValueError(f"query codes have {query_codes.bits} bits, "
                          f"database codes {db_codes.bits}")
     n = db_codes.rows
-    if len(gt.relevant) != query_codes.rows:
-        raise DataError(f"evaluate_codes: ground truth has {len(gt.relevant)} "
+    sizes = np.diff(gt.bounds)
+    if sizes.size != query_codes.rows:
+        raise DataError(f"evaluate_codes: ground truth has {sizes.size} "
                         f"relevant sets for {query_codes.rows} queries")
-    flat = gt._flat
-    if flat.lowest < 0 or flat.highest >= n:
-        raise DataError(f"evaluate_codes: ground truth names rows {flat.lowest}.."
-                        f"{flat.highest} of a {n}-row database")
+    lowest, highest = gt._id_range
+    if lowest < 0 or highest >= n:
+        raise DataError(f"evaluate_codes: ground truth names rows {lowest}.."
+                        f"{highest} of a {n}-row database")
     if any(k > n for k in ks):
         log.warning("evaluate_codes: K=%s clamped to the database size %d",
                     [k for k in ks if k > n], n)
@@ -331,7 +320,7 @@ def evaluate_codes(db_codes: BinaryCodeMatrix, query_codes: BinaryCodeMatrix,
     k_values = np.array(sorted(set(ks)), dtype=np.intp)
 
     # queries with an empty relevant set are not ranked
-    ids, sizes, bounds, evaluated = flat[:4]
+    ids, bounds, evaluated = gt.ids, gt.bounds, np.flatnonzero(sizes)
     ap_blocks, precision_blocks = [], []
     for lo, hi in _row_blocks(evaluated.size, n, _SCORE_BLOCK_ELEMENTS):
         block = evaluated[lo:hi]

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError, check_count, check_matrix
+from .errors import NumericalError, check_count, check_matrix, check_weight
 
 DEFAULT_ITERS = 150
 DEFAULT_TOL = 1e-6
@@ -90,13 +90,15 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
     serves a start with no warm start, square R, and the fallback.  The
     best iterate is returned, so the result is never worse than r0, which
     must be d x c with orthonormal columns (ValueError) and finite
-    (NumericalError).
+    (NumericalError).  max_iter must be an integer >= 0, tol a real >= 0.
     Trainers pass max_iter=DEFAULT_STEP_ITERS (5), a short descent that
     the next sweep warms again, and gram=gram_bound(x), computed once per
     fit since X does not change; without it G and mu are computed per call.
     """
     a = check_matrix("a", a)
     x = check_matrix("x", x, rows=a.shape[0])
+    check_count("max_iter", max_iter, 0)
+    check_weight("tol", tol)
     if a.shape[1] > x.shape[1]:
         raise ValueError(
             f"target has {a.shape[1]} columns but data only {x.shape[1]} dims"

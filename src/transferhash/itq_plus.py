@@ -227,7 +227,7 @@ def itq_plus_train(x_t, x_sc, c: int, lambda1: float = DEFAULT_LAMBDA1,
     Returns (HashModel, ItqPlusState).
     """
     x_t = check_matrix("x_t", x_t, 2)
-    if b_step not in CODE_STEPS:
+    if not (isinstance(b_step, str) and b_step in CODE_STEPS):
         raise ValueError(f"unknown b_step {b_step!r}")
     codes, rotation, slack_rotation, trace = alternating_solve(
         x_t, x_sc, c, lambda1, iters, seed, CODE_STEPS[b_step], tol=tol)

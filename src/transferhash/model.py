@@ -60,7 +60,7 @@ def default_hyperparams(**overrides):
     for key, value in overrides.items():
         if key not in params:
             raise ValueError(f"unknown hyperparameter {key!r}")
-        params[key] = value
+        params[key] = value.item() if isinstance(value, np.generic) else value  # JSON takes these
     return params
 
 

@@ -87,6 +87,33 @@ def test_compare_verdicts_in_both_directions(better):
     assert verdict([p * (1 - sign * 0.5) for p in PARENT]) == "WORSE THAN BOUND"
 
 
+# graph-dense peak_rss_mb, parent runs of BENCH_groundtruth-buffers.json: two
+# levels, ~117 and ~122 MB, a quartile spread of 3.3% of the median
+BIMODAL = [117.38671875, 119.23828125, 117.375, 116.94140625, 117.10546875,
+           117.3984375, 123.59375, 121.6484375, 117.125, 123.3515625]
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_a_spread_wider_than_the_bound_leaves_the_metric_unresolved(better):
+    sign = 1.0 if better == "higher" else -1.0
+
+    def verdict(bound, change):
+        return bench_pairs.compare(metric(better, bound), BIMODAL, change)["verdict"]
+
+    entry = bench_pairs.compare(metric(better, 0.05), BIMODAL, list(BIMODAL))
+    assert entry["parent_iqr_over_median"] == pytest.approx(0.033, abs=0.001)
+    # the same levels in another order: within the 5% bound, unresolved at 3%
+    shuffled = BIMODAL[1:] + BIMODAL[:1]
+    assert verdict(0.05, shuffled) in ("within bound", "no worse")
+    assert verdict(0.03, shuffled) == "unresolved"
+    assert verdict(0.03, [v * (1 - sign * 0.5) for v in BIMODAL]) == "unresolved"
+    assert verdict(0.03, list(BIMODAL)) == "identical in every pair"
+    # every change run better than every parent run resolves it
+    best = max(BIMODAL) if better == "higher" else min(BIMODAL)
+    assert verdict(0.03, [best * (1 + sign * 0.05)] * 10) == "no worse (improved)"
+    assert verdict(0.03, [best] * 10) == "unresolved"  # a tie is not better
+
+
 @pytest.mark.parametrize("better", ["lower", "higher"])
 def test_claim_needs_nine_wins_in_ten_and_a_move_beyond_the_spread(better):
     sign = 1.0 if better == "higher" else -1.0

@@ -3,7 +3,8 @@
 Every trainer and step below is called with its valid arguments, except for
 one or two positions that hypothesis replaces with a malformed array (0-d,
 1-d, 3-d, empty, one row, another shape, NaN, inf, None) or a malformed
-count or weight (2.5, True, 0, -1, nan, "3", None, numpy numbers).  Valid
+count or weight (2.5, True, 0, -1, nan, "3", None, numpy numbers), or, for
+itq_plus_train's b_step, a name that is unknown or not a string.  Valid
 replacements, such as a numpy integer count, simply run.  Whatever the call
 does, only ValueError, DataError, NumericalError or ConfigError may escape:
 no bare TypeError, IndexError or AttributeError.
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from transferhash.baselines import cca_itq_fit, lsh_fit
 from transferhash.bench import fit_model
 from transferhash.codes import BinaryCodeMatrix, sgn
+from transferhash.config import RunConfig
 from transferhash.errors import ConfigError, DataError, NumericalError
 from transferhash.itq import balanced_signs, itq_train, procrustes, random_orthonormal
 from transferhash.itq_plus import alternating_solve, itq_plus_train, update_b_balanced
@@ -72,6 +74,9 @@ COUNTS = st.one_of(st.sampled_from(ODD_NUMBERS),
                    st.sampled_from([np.int64, np.int32, np.uint8]).flatmap(
                        lambda kind: st.integers(0, 4).map(kind)))
 WEIGHTS = st.one_of(COUNTS, st.sampled_from([np.float64(0.5), np.float32(0.25), -np.inf]))
+# names of a code step: valid ones, and others that are not strings or not known
+B_STEPS = st.sampled_from(["balanced", "sign", "relaxed", "", [1], ["sign"], ("sign",), None,
+                           1, b"sign", np.array(["sign"]), np.str_("sign")])
 
 
 def array(valid):
@@ -103,8 +108,10 @@ FIT_ARGS = [array(X_T), array(X_S), array(X_SU), count(C), weight(0.1), weight(0
 # name -> (callable, [(valid value, strategy of malformed values)] per positional argument)
 CONTRACTS = {
     "itq_train": (itq_train, [array(X_T), count(C), count(2)]),
-    "itq_plus_train": (itq_plus_train,
-                       [array(X_T), array(X_S), count(C), weight(0.1), count(2)]),
+    "itq_plus_train": (
+        lambda x_t, x_sc, c, lambda1, iters, b_step: itq_plus_train(
+            x_t, x_sc, c, lambda1, iters, b_step=b_step),
+        [array(X_T), array(X_S), count(C), weight(0.1), count(2), ("sign", B_STEPS)]),
     "lap_itq_plus_train": (lap_itq_plus_train,
                            [array(X_T), array(X_S), array(X_SU), count(C), weight(0.1),
                             weight(0.1), count(3), count(2)]),
@@ -112,8 +119,10 @@ CONTRACTS = {
         lambda x_t, x_sc, c, lambda1, iters: alternating_solve(
             x_t, x_sc, c, lambda1, iters, 0, sign_step, tol=0.0),
         [array(X_T), array(X_S), count(C), weight(0.1), count(2)]),
-    "procrustes": (procrustes, [array(SCORES), array(X_T),
-                                (None, malformed_arrays(np.eye(D_T)[:, :C]))]),
+    "procrustes": (
+        lambda a, x, r0, max_iter, tol: procrustes(a, x, r0, max_iter=max_iter, tol=tol),
+        [array(SCORES), array(X_T), (None, malformed_arrays(np.eye(D_T)[:, :C])),
+         count(3), weight(1e-13)]),
     "balanced_signs": (balanced_signs, [array(SCORES)]),
     "update_b_balanced": (update_b_balanced, [array(SCORES)]),
     "box_qp_minimize": (lambda k_mat, lambda2, inner_iters: box_qp_minimize(
@@ -174,3 +183,34 @@ def test_fit_model_refuses_bits_that_are_not_a_count(bits):
     rows = np.random.default_rng(0).standard_normal((20, 6))
     with pytest.raises(ConfigError, match=re.escape(f"bits={bits} must be an integer >= 1")):
         fit_model("itq", rows, bits=bits, iters=4)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("iters", 2.5, "iters=2.5 must be an integer >= 1"),
+    ("k_graph", 2.5, "k_graph=2.5 must be an integer >= 1"),
+    ("iters", True, "iters=True must be an integer >= 1"),
+    ("bits", (8, 2.5), "bits=2.5 must be an integer >= 1"),
+    ("seeds", (1.5,), "seed=1.5 must be an integer >= 0"),
+    ("seeds", (-1,), "seed=-1 must be an integer >= 0"),
+    ("ks", (2.5,), "K must be a whole number, got 2.5"),
+    ("ks", (5, 0), "K must be >= 1, got 0"),
+    ("r_groundtruth", "5", "r_groundtruth must be a whole number, got '5'"),
+    ("alpha", "0.5", "alpha must be finite and >= 0, got '0.5'"),
+    ("lambda1", float("nan"), "lambda1 must be finite and >= 0, got nan"),
+    ("pca_energy", "0.9", "pca_energy must be finite and >= 0, got '0.9'"),
+    ("bits", 8, "bits must be a non-empty tuple, got 8"),
+    ("methods", "itq", "methods must be a non-empty tuple, got 'itq'"),
+    ("ks", (), "ks must be a non-empty tuple, got ()"),
+])
+def test_run_config_refuses_counts_and_weights_out_of_their_rules(field, value, message):
+    # iters, k_graph or ks of 2.5 passed validation, then every bench cell
+    # failed; a float seed, a string weight or a scalar bits raised a bare
+    # TypeError
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        RunConfig(**{field: value}).validate()
+
+
+def test_run_config_takes_numpy_counts_and_whole_float_ranks():
+    config = RunConfig(bits=(np.int64(8),), seeds=(np.uint8(0),), iters=np.int32(3),
+                       ks=(1.0, np.float64(5)), r_groundtruth=5.0)
+    assert config.validate() is config

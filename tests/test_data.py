@@ -214,6 +214,27 @@ def test_model_round_trip_trained(tmp_path):
     assert loaded.hyperparams == model.hyperparams
 
 
+@pytest.mark.parametrize("c, lambda1, iters", [
+    (np.int64(2), 0.1, np.int64(3)),
+    (2, np.float32(0.1), 3),
+])
+def test_model_trained_with_numpy_numbers_round_trips(tmp_path, c, lambda1, iters):
+    # the hyperparameter record once refused numpy numbers with a bare TypeError
+    rng = np.random.default_rng(9)
+    x_t = rng.standard_normal((30, 5)); x_t -= x_t.mean(0)
+    x_s = rng.standard_normal((30, 4)); x_s -= x_s.mean(0)
+    model, _ = itq_plus_train(x_t, x_s, c, lambda1, iters)
+    path = tmp_path / "numpy.model"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.hyperparams == model.hyperparams
+    assert {type(model.hyperparams[key]) for key in ("lambda1", "iters")} == {float, int}
+    if type(lambda1) is float:  # the same model from Python numbers, byte for byte
+        as_python, _ = itq_plus_train(x_t, x_s, int(c), lambda1, int(iters))
+        save_model(as_python, tmp_path / "python.model")
+        assert (tmp_path / "python.model").read_bytes() == path.read_bytes()
+
+
 def test_model_reserialization_is_byte_exact(tmp_path):
     rng = np.random.default_rng(8)
     x_t = rng.standard_normal((40, 6)); x_t -= x_t.mean(0)

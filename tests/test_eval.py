@@ -3,6 +3,7 @@ import math
 import numbers
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -257,7 +258,7 @@ def test_evaluate_codes_map_is_mean_of_per_query():
         np.sort(rng.choice(40, size=rng.integers(0, 6), replace=False))
         for _ in range(12)
     )
-    gt = GroundTruth(relevant=relevant, threshold=1.0, r=3)
+    gt = GroundTruth.from_sets(relevant, threshold=1.0, r=3)
     report = evaluate_codes(db, queries, gt, ks=(1, 5))
     included = [rel for rel in relevant if len(rel)]
     assert report.n_evaluated == len(included)
@@ -335,7 +336,7 @@ def test_evaluate_codes_equals_per_query_loop(monkeypatch, data):
     block = data.draw(st.integers(1, 3 * n), label="block elements")
     monkeypatch.setattr(evaluate, "_SCORE_BLOCK_ELEMENTS", block)
 
-    gt = GroundTruth(relevant=relevant, threshold=1.0, r=1)
+    gt = GroundTruth.from_sets(relevant, threshold=1.0, r=1)
     report = evaluate_codes(db, queries, gt, ks)
     mean_ap, per_ap, curve = reference_report(db, queries, gt, ks)
     assert report.map == mean_ap
@@ -476,18 +477,16 @@ def test_evaluate_codes_takes_whole_float_ks_as_integers():
 
 @pytest.mark.parametrize("rows", [[1.7, 2.2], [0.0, np.nan], [3.0, np.inf], [1e30]])
 def test_evaluate_codes_rejects_rows_that_are_not_whole(rows):
-    rng = np.random.default_rng(18)
-    db_codes, query_codes, _ = codes_and_truth(rng, 30, 2)
-    gt = GroundTruth(relevant=(np.array([0, 4]), np.array(rows)), threshold=1.0, r=1)
+    # such a truth cannot be built, so it never reaches evaluate_codes
     with pytest.raises(DataError, match="not whole numbers"):
-        evaluate_codes(db_codes, query_codes, gt, ks=(1, 5))
+        GroundTruth.from_sets((np.array([0, 4]), np.array(rows)), threshold=1.0, r=1)
 
 
 def test_evaluate_codes_accepts_whole_float_rows_and_empty_lists():
     rng = np.random.default_rng(18)
     db_codes, query_codes, _ = codes_and_truth(rng, 30, 3)
-    as_float = GroundTruth(relevant=(np.array([0.0, 4.0]), [], [7.0]), threshold=1.0, r=1)
-    as_int = GroundTruth(relevant=(np.array([0, 4]), [], [7]), threshold=1.0, r=1)
+    as_float = GroundTruth.from_sets((np.array([0.0, 4.0]), [], [7.0]), threshold=1.0, r=1)
+    as_int = GroundTruth.from_sets((np.array([0, 4]), [], [7]), threshold=1.0, r=1)
     got = evaluate_codes(db_codes, query_codes, as_float, ks=(1, 5))
     expected = evaluate_codes(db_codes, query_codes, as_int, ks=(1, 5))
     assert got.per_query_ap == expected.per_query_ap and got.n_evaluated == 2
@@ -629,41 +628,77 @@ def test_one_ground_truth_scored_repeatedly_equals_the_per_call_oracle(monkeypat
     if n_queries and data.draw(st.booleans(), label="one id not whole"):
         relevant[-1] = np.append(np.asarray(relevant[-1], dtype=np.float64),
                                  data.draw(st.sampled_from([0.5, np.nan, np.inf, 1e30])))
-    gt = GroundTruth(relevant=tuple(relevant), threshold=1.0, r=1)
+    # the oracle reads the sets as given; a truth with an id that is not whole
+    # cannot be built, where the oracle raises on every call
+    as_given = SimpleNamespace(relevant=tuple(relevant))
+    try:
+        gt = GroundTruth.from_sets(relevant, threshold=1.0, r=1)
+    except DataError as err:
+        assert "not whole numbers" in str(err)
+        gt = None
     monkeypatch.setattr(evaluate, "_SCORE_BLOCK_ELEMENTS",
                         data.draw(st.integers(1, 3 * n_truth + 10), label="block elements"))
     ks = data.draw(st.lists(st.integers(1, n_truth + 3), min_size=1, max_size=3), label="ks")
-    highest = max((int(np.max(rel)) for rel in gt.relevant
+    highest = max((int(np.max(rel)) for rel in relevant
                    if len(rel) and np.all(np.isfinite(rel))), default=-1)
     pool = sgn(rng.standard_normal((data.draw(st.integers(1, 4), label="codes"), bits)))
     for n in data.draw(st.lists(st.integers(1, n_truth + 5), min_size=2, max_size=4),
                        label="database rows per call"):
         db = BinaryCodeMatrix(pool[rng.integers(0, len(pool), n)])
         queries = BinaryCodeMatrix(pool[rng.integers(0, len(pool), n_queries)])
+        expected = outcome(evaluate_codes_before_flat_view, db, queries, as_given, ks)
+        if gt is None:
+            assert expected[0] == "DataError" and "not whole numbers" in expected[1]
+            continue
         got = outcome(evaluate_codes, db, queries, gt, ks)
-        assert got == outcome(evaluate_codes_before_flat_view, db, queries, gt, ks)
+        assert got == expected
         if highest >= n:
             assert got[0] == "DataError"
 
 
-def test_the_flat_view_is_built_once_per_ground_truth():
+def test_from_sets_of_a_ground_truth_rebuilds_it():
     rng = np.random.default_rng(19)
     db_codes, query_codes, gt = codes_and_truth(rng, 40, 6)
-    first = evaluate_codes(db_codes, query_codes, gt, ks=(1, 5))
-    view = gt._flat
-    again = evaluate_codes(db_codes, query_codes, gt, ks=(1, 5))
-    assert gt._flat is view and repr(again) == repr(first)
-    assert not any(array.flags.writeable for array in view[:4])
+    rebuilt = GroundTruth.from_sets(gt.relevant, gt.threshold, gt.r)
+    for got, want in ((rebuilt.ids, gt.ids), (rebuilt.bounds, gt.bounds)):
+        assert got.dtype == want.dtype == np.intp and np.array_equal(got, want)
+    assert (repr(evaluate_codes(db_codes, query_codes, rebuilt, ks=(1, 5)))
+            == repr(evaluate_codes(db_codes, query_codes, gt, ks=(1, 5))))
 
 
-def test_a_failed_flat_view_is_not_kept():
-    rng = np.random.default_rng(18)
-    db_codes, query_codes, _ = codes_and_truth(rng, 30, 2)
-    gt = GroundTruth(relevant=(np.array([0, 4]), np.array([1.5])), threshold=1.0, r=1)
-    for _ in range(2):
-        with pytest.raises(DataError, match="not whole numbers"):
-            evaluate_codes(db_codes, query_codes, gt, ks=(1, 5))
-        assert "_flat" not in vars(gt)
+def test_a_ground_truth_keeps_its_own_copy_of_the_sets():
+    rng = np.random.default_rng(19)
+    db_codes, query_codes, built = codes_and_truth(rng, 40, 6)
+    sets = [rel.copy() for rel in built.relevant]
+    gt = GroundTruth.from_sets(sets, built.threshold, built.r)
+    first = repr(evaluate_codes(db_codes, query_codes, gt, ks=(1, 5)))
+    for rel in sets:
+        rel[:] = 0
+    direct_ids, direct_bounds = gt.ids.copy(), gt.bounds.copy()
+    direct = GroundTruth(direct_ids, direct_bounds, gt.threshold, gt.r)
+    direct_ids[:] = 0
+    direct_bounds[1:] = direct_bounds[-1]
+    for truth in (gt, direct):
+        assert repr(evaluate_codes(db_codes, query_codes, truth, ks=(1, 5))) == first
+        assert not (truth.ids.flags.writeable or truth.bounds.flags.writeable)
+
+
+@pytest.mark.parametrize("ids, bounds, message", [
+    ([0, 1.5], [0, 2], "not whole numbers"),
+    ([0, np.nan], [0, 2], "not whole numbers"),
+    ([[0, 1]], [0, 2], "ids of shape"),
+    (["0"], [0, 1], "ids of shape"),
+    ([True], [0, 1], "ids of shape"),
+    ([0, 1], [0, 1.5, 2], "bounds of shape (3,)"),
+    ([0, 1], [], "bounds must rise from 0 to 2"),
+    ([0, 1], [1, 2], "bounds must rise from 0 to 2"),
+    ([0, 1], [0, 1], "bounds must rise from 0 to 2"),
+    ([0, 1], [0, 2, 1, 2], "bounds must rise from 0 to 2"),
+    ([0, 1], [0, 3], "bounds must rise from 0 to 2"),
+])
+def test_a_malformed_ground_truth_cannot_be_built(ids, bounds, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        GroundTruth(ids, bounds, threshold=1.0, r=1)
 
 
 def test_ground_truth_relevant_sets_are_read_only():
@@ -732,8 +767,8 @@ def test_square_bound_is_the_largest_square_whose_root_is_at_most_t(t):
 
 def ground_truth_before_buffers(database_features, query_features, r, block_elements):
     """ground_truth as it was before its block buffers were reused: verbatim
-    but for its input checks and clamp warning, and the block budget, which
-    is an argument here."""
+    but for its input checks and clamp warning, the block budget, which is
+    an argument here, and its GroundTruth, built by from_sets."""
     def _squared_distances(a, b, b_norms):
         out = np.add.outer(np.sum(a * a, axis=1), b_norms)
         product = a @ b.T
@@ -765,7 +800,7 @@ def ground_truth_before_buffers(database_features, query_features, r, block_elem
     for lo, hi in evaluate._row_blocks(queries.shape[0], n, block_elements):
         cross = _distances(_squared_distances(queries[lo:hi], db, db_norms))
         relevant += [np.flatnonzero(row <= threshold) for row in cross]
-    return GroundTruth(relevant=tuple(relevant), threshold=threshold, r=r_eff)
+    return GroundTruth.from_sets(relevant, threshold, r_eff)
 
 
 @pytest.mark.parametrize("n, d", [(300, 33), (2000, 64)])

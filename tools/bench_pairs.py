@@ -17,6 +17,9 @@ For every end-to-end metric of BENCHMARK.json the file holds both sides'
 runs (in seed order), medians and quartiles, the change's relative median
 change, the pairs it won and lost, and a verdict:
   - "identical in every pair";
+  - "unresolved" when the parent's quartile spread, over its median, is
+    wider than the metric's bound, unless every change run reads better
+    than every parent run: such runs cannot show a move within the bound;
   - "no worse", with " (improved)" when the change won every pair and its
     median moved by more than the parent's quartile spread;
   - "within bound" when the median is worse by at most the metric's bound;
@@ -112,8 +115,12 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
     rel = (c["median"] - p["median"]) / p["median"] if p["median"] else 0.0
     iqr = p["q3"] - p["q1"]
     gain = sign * (c["median"] - p["median"])
+    spread = iqr / p["median"] if p["median"] else 0.0
+    every_run_better = min(sign * b for b in change) > max(sign * a for a in parent)
     if parent == change:
         verdict = "identical in every pair"
+    elif spread > metric["bound"] and not every_run_better:
+        verdict = "unresolved"
     elif gain >= 0:
         improved = wins == len(parent) and gain > iqr
         verdict = "no worse (improved)" if improved else "no worse"
@@ -124,7 +131,7 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
     return {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             "parent": p, "change": c, "median_change": rel,
             "change_wins": wins, "change_losses": losses,
-            "parent_iqr_over_median": iqr / p["median"] if p["median"] else 0.0,
+            "parent_iqr_over_median": spread,
             "verdict": verdict}
 
 
