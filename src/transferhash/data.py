@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, check_count, check_weight
 from .model import CenteringInfo, HashModel, LinearProjection
 
 MAGIC = b"THPI"
@@ -191,9 +191,12 @@ def make_split(target_all, source_all, alpha: float, test_fraction: float, seed:
             f"make_split: target has {target_all.shape[0]} rows, "
             f"source has {source_all.shape[0]}"
         )
+    check_weight("alpha", alpha)
+    check_weight("test_fraction", test_fraction)
+    check_count("seed", seed, 0)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if not 0.0 <= test_fraction < 1.0:
+    if not test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in [0, 1), got {test_fraction}")
 
     total = target_all.shape[0]

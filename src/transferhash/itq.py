@@ -167,29 +167,25 @@ def balanced_signs(scores) -> np.ndarray:
 
 
 def itq_train(x, c: int, iters: int = DEFAULT_ITERS, seed=0, *,
-              tol: float = DEFAULT_TOL, r0=None, balanced: bool = False):
+              tol: float = DEFAULT_TOL):
     """Alternating minimization of ||B - X R||_F^2 over sign codes and rotations.
 
     This is the shared alternating solve of itq_plus run with no privileged
-    view: the code step reads B off X R, and the rotation step is the
-    procrustes fit of X R to B.
+    view and the sign code step: the code step reads B = sgn(X R), and the
+    rotation step is the procrustes fit of X R to B.
 
     Parameters
     ----------
     x : centered data matrix, n x d with d >= c
     c : code length
     iters : maximum outer iterations
-    seed : seeds the random orthonormal start when r0 is not given
+    seed : seeds the random orthonormal start
     tol : relative-change early stop; 0 disables
-    r0 : optional starting rotation, d x c with orthonormal columns
-    balanced : use the balanced (half +1 per column) code step instead of sgn
 
     Returns (codes, rotation, losses) with one loss per executed iteration;
     the loss sequence is non-increasing.
     """
-    from .itq_plus import CODE_STEPS, alternating_solve  # itq_plus builds on this module
+    from .itq_plus import alternating_solve, sign_step  # itq_plus builds on this module
 
-    code_step = CODE_STEPS["balanced" if balanced else "sign"]
-    codes, rotation, _, losses = alternating_solve(
-        x, None, c, 0.0, iters, seed, code_step, tol=tol, r0=r0)
+    codes, rotation, _, losses = alternating_solve(x, None, c, 0.0, iters, seed, sign_step, tol=tol)
     return codes, rotation, losses

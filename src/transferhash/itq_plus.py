@@ -3,8 +3,8 @@
 Home of the alternating solve shared by every trainer.  Each sweep runs a
 code step on the blended target/source scores, a target rotation step,
 and a slack rotation step fitting the quantization error from the
-privileged view.  itq is the solve with no privileged view, itq+ uses the
-balanced or sign code step, and lapitq+ a graph-regularized relaxed one.
+privileged view.  itq is the solve with sign codes and no privileged view,
+itq+ with balanced codes, and lapitq+ with a graph-regularized relaxed step.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def update_b_balanced(scores) -> BinaryCodeMatrix:
     broken by ascending row index; |column sum| <= 1, and 0 for even n.
     scores must be a matrix with at least 2 rows, else ValueError.
     """
-    return BinaryCodeMatrix(balanced_signs(check_matrix("scores", scores, 2)))
+    return BinaryCodeMatrix(balanced_step(scores)[0])
 
 
 def update_r(codes, x_t, x_sc, slack_rotation, lambda1, previous=None, *,
@@ -111,14 +111,41 @@ def update_p(codes, x_t, rotation, x_sc, previous=None, *, gram) -> np.ndarray:
     return procrustes(err, x_sc, previous, max_iter=DEFAULT_STEP_ITERS, gram=gram)
 
 
-# code steps by name: scores -> (int8 signs, the codes' own term of the
-# objective, which sign and balanced codes do not have)
-CODE_STEPS = {"sign": lambda scores: (sgn(scores), 0.0),
-              "balanced": lambda scores: (balanced_signs(check_matrix("scores", scores, 2)), 0.0)}
+def sign_step(scores):
+    """itq's code step: B = sgn(scores), with no objective term of its own."""
+    return sgn(scores), 0.0
+
+
+def balanced_step(scores):
+    """itq+'s code step: balanced_signs of scores with at least 2 rows, no term."""
+    return balanced_signs(check_matrix("scores", scores, 2)), 0.0
+
+
+def check_solve_args(x_t, x_sc, c, lambda1, iters, tol):
+    """alternating_solve's entry check; returns x_t and x_sc as float64 arrays.
+
+    ValueError unless x_t is a matrix with rows, x_sc None (then lambda1 = 0) or
+    a matrix with as many rows, c and iters counts >= 1, lambda1 and tol weights,
+    and c at most each view's width; NumericalError for non-finite views.
+    """
+    x_t = check_matrix("x_t", x_t, 1)
+    check_count("c", c, 1)
+    check_count("iters", iters, 1)
+    check_weight("lambda1", lambda1)
+    check_weight("tol", tol)
+    if x_sc is None and lambda1 != 0:
+        raise ValueError("lambda1 must be 0 without a privileged view")
+    x_sc = None if x_sc is None else check_matrix("x_sc", x_sc, rows=x_t.shape[0])
+    width = x_t.shape[1] if x_sc is None else min(x_t.shape[1], x_sc.shape[1])
+    if c > width:
+        raise ValueError(f"code length {c} exceeds view width {width}")
+    if not (np.isfinite(x_t).all() and (x_sc is None or np.isfinite(x_sc).all())):
+        raise NumericalError("non-finite values in the training views")
+    return x_t, x_sc
 
 
 def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
-                      code_step, *, tol: float, r0=None):
+                      code_step, *, tol: float):
     """The alternating minimization behind itq, itq+ and lapitq+.
 
     Each sweep runs the code step on the blended scores (blend_scores), a
@@ -135,36 +162,15 @@ def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
     No rotation step ends worse than its warm start, so the trace cannot
     rise if no code step scores worse than the last sweep's codes on its
     scores.  x_sc = None runs without a privileged view: plain
-    quantization, with lambda1 = 0.
-    x_t must be a matrix with at least one row, x_sc one with as many
-    rows, c and iters integers >= 1 (bool refused) and lambda1 and tol
-    finite reals >= 0, else ValueError; non-finite views raise
-    NumericalError.
-    The target rotation starts from r0, a finite d_t x c matrix with
-    orthonormal columns (else ValueError), or a seeded random orthonormal
-    one; the slack rotation from a random one with the same seed.  A code
-    length above either view's dimension raises ValueError there.
+    quantization, with lambda1 = 0.  check_solve_args checks the arguments;
+    both rotations start from random_orthonormal with the given seed.
 
     Returns (codes, rotation, slack_rotation, trace).
     """
-    x_t = check_matrix("x_t", x_t, 1)
-    n, d_t = x_t.shape
-    check_count("c", c, 1)
-    check_count("iters", iters, 1)
-    check_weight("lambda1", lambda1)
-    check_weight("tol", tol)
-    if x_sc is None and lambda1 != 0:
-        raise ValueError("lambda1 must be 0 without a privileged view")
-    slack_rotation = None
-    if x_sc is not None:
-        x_sc = check_matrix("x_sc", x_sc, rows=n)
-        slack_rotation = random_orthonormal(x_sc.shape[1], c, seed)
-    if not (np.isfinite(x_t).all() and (x_sc is None or np.isfinite(x_sc).all())):
-        raise NumericalError("non-finite values in the training views")
-    rotation = random_orthonormal(d_t, c, seed) if r0 is None else np.asarray(r0, dtype=np.float64)
-    if not (rotation.shape == (d_t, c) and np.isfinite(rotation).all()
-            and np.linalg.norm(rotation.T @ rotation - np.eye(c)) <= 1e-8):
-        raise ValueError(f"r0 must be a finite {d_t}x{c} matrix with orthonormal columns")
+    x_t, x_sc = check_solve_args(x_t, x_sc, c, lambda1, iters, tol)
+    d_t = x_t.shape[1]
+    slack_rotation = None if x_sc is None else random_orthonormal(x_sc.shape[1], c, seed)
+    rotation = random_orthonormal(d_t, c, seed)
     # X_t and X_sc stay fixed, so each rotation step's majorizer is built
     # once per fit; a square rotation has a closed form and needs none
     gram_t = gram_bound(x_t) if d_t > c else None
@@ -216,21 +222,18 @@ def identity_model(method: str, rotation, **hyperparams) -> HashModel:
 
 def itq_plus_train(x_t, x_sc, c: int, lambda1: float = DEFAULT_LAMBDA1,
                    iters: int = DEFAULT_ITERS, seed=0, *,
-                   tol: float = DEFAULT_TOL, b_step: str = "balanced"):
+                   tol: float = DEFAULT_TOL):
     """Alternating optimization over codes, target rotation, and slack rotation.
 
-    x_t and x_sc are centered, row-aligned views of the n training instances.
-    This is alternating_solve with the code step b_step selects, "balanced"
-    or "sign" codes; the latter matches the relaxed trainer at zero graph
-    weight.  The objective is recorded after each full sweep.
+    x_t and x_sc are centered, row-aligned views of the n >= 2 training
+    instances.  This is alternating_solve with the balanced code step
+    (balanced_step).  The objective is recorded after each full sweep.
 
     Returns (HashModel, ItqPlusState).
     """
     x_t = check_matrix("x_t", x_t, 2)
-    if not (isinstance(b_step, str) and b_step in CODE_STEPS):
-        raise ValueError(f"unknown b_step {b_step!r}")
     codes, rotation, slack_rotation, trace = alternating_solve(
-        x_t, x_sc, c, lambda1, iters, seed, CODE_STEPS[b_step], tol=tol)
+        x_t, x_sc, c, lambda1, iters, seed, balanced_step, tol=tol)
     state = ItqPlusState(codes, rotation, slack_rotation, lambda1, trace)
     model = identity_model("itq+", rotation, lambda1=lambda1, iters=iters, seed=seed)
     return model, state

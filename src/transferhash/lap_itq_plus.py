@@ -21,6 +21,7 @@ from .itq_plus import (
     DEFAULT_LAMBDA1,
     ItqPlusState,
     alternating_solve,
+    check_solve_args,
     identity_model,
 )
 
@@ -201,20 +202,16 @@ def lap_itq_plus_train(x_t, x_sc, x_su, c: int,
     Returns (HashModel, ItqPlusState); the state holds the neighbor graph.
     """
     # everything is checked before the offline source fit
-    x_t = check_matrix("x_t", x_t)
-    n, d_t = x_t.shape
-    x_sc = check_matrix("x_sc", x_sc, rows=n)
-    d_s = x_sc.shape[1]
+    x_t, x_sc = check_solve_args(x_t, check_matrix("x_sc", x_sc), c, lambda1, iters, tol)
+    n, d_s = x_sc.shape
     x_su = check_matrix("x_su", x_su) if x_su is not None else np.empty((0, d_s))
     if x_su.size and x_su.shape[1] != d_s:
         raise ValueError(f"extra source rows have {x_su.shape[1]} dims, expected {d_s}")
-    check_count("c", c, 1)
+    if not np.isfinite(x_su).all():
+        raise NumericalError("non-finite values in the extra source rows")
     check_count("k", k, 1)
-    if c > min(d_t, d_s):
-        raise ValueError(f"code length {c} exceeds min dimension {min(d_t, d_s)}")
     if k >= n:
         raise ValueError(f"k={k} out of range for {n} correspondence rows")
-    check_weight("lambda1", lambda1)
     check_weight("lambda2", lambda2)
 
     x_stack = np.vstack([x_sc, x_su]) if x_su.size else x_sc

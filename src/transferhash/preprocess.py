@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError, check_count, check_matrix, check_weight
+from .errors import NumericalError, check_count, check_matrix
 from .model import LinearProjection
 
 _EPS = 1e-12
@@ -47,17 +47,16 @@ def pca_fit(x, energy: float) -> LinearProjection:
 def _inverse_sqrt(cov: np.ndarray, origin: str) -> np.ndarray:
     vals, vecs = np.linalg.eigh(cov)
     if vals[-1] <= 0 or vals[0] <= _EPS * vals[-1]:
-        raise NumericalError(
-            f"{origin}: covariance is singular; use a positive ridge"
-        )
+        raise NumericalError(f"{origin}: covariance is singular")
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 
-def cca_fit(x_a, x_b, c: int, ridge: float | None = None):
+def cca_fit(x_a, x_b, c: int):
     """Top-c canonical direction pairs of two centered, row-aligned views.
 
-    Solves the whitened cross-covariance SVD with ridge*I added to both
-    autocovariances; ridge=None picks 1e-6 * trace(cov)/d per side.  Returns
+    Solves the whitened cross-covariance SVD with ridge*I added to each
+    autocovariance, ridge = 1e-6 * trace(cov)/d per side; an all-zero
+    view leaves its covariance singular (NumericalError).  Returns
     (left projection, right projection, correlations descending); each
     canonical pair is sign-fixed jointly so the result is reproducible and
     symmetric under swapping the views.  Non-finite views raise
@@ -70,18 +69,14 @@ def cca_fit(x_a, x_b, c: int, ridge: float | None = None):
     check_count("c", c, 1)
     if c > min(d_a, d_b):
         raise ValueError(f"c={c} exceeds min view dimension {min(d_a, d_b)}")
-    if ridge is not None:
-        check_weight("ridge", ridge)
     if not (np.isfinite(x_a).all() and np.isfinite(x_b).all()):
         raise NumericalError("non-finite values in cca_fit inputs")
 
     caa = (x_a.T @ x_a) / n
     cbb = (x_b.T @ x_b) / n
     cab = (x_a.T @ x_b) / n
-    ridge_a = 1e-6 * np.trace(caa) / d_a if ridge is None else ridge
-    ridge_b = 1e-6 * np.trace(cbb) / d_b if ridge is None else ridge
-    caa = caa + ridge_a * np.eye(d_a)
-    cbb = cbb + ridge_b * np.eye(d_b)
+    caa = caa + 1e-6 * np.trace(caa) / d_a * np.eye(d_a)
+    cbb = cbb + 1e-6 * np.trace(cbb) / d_b * np.eye(d_b)
 
     isa = _inverse_sqrt(caa, "cca_fit left view")
     isb = _inverse_sqrt(cbb, "cca_fit right view")

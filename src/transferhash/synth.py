@@ -7,11 +7,13 @@ what makes desk-scale transfer experiments meaningful.
 
 from __future__ import annotations
 
+import numbers
 import os
 
 import numpy as np
 
 from .data import save_matrix
+from .errors import check_count, check_weight
 
 DEFAULT_CENTER_SPREAD = 4.0
 
@@ -26,15 +28,18 @@ def make_two_view_clusters(n_pairs: int, d_target: int, d_source: int,
     Returns (target, source, labels).  noise scales the additive Gaussian
     noise of the target view; source_noise defaults to the same value.
     """
-    if source_noise is None:
-        source_noise = noise
+    source_noise = noise if source_noise is None else source_noise
+    for name, value in (("n_pairs", n_pairs), ("d_target", d_target),
+                        ("d_source", d_source), ("clusters", clusters)):
+        check_count(name, value, 1)
+    check_count("seed", seed, 0)
     if latent_dim is None:
         latent_dim = min(d_target, d_source, 16)
-    if min(n_pairs, d_target, d_source, clusters, latent_dim) < 1:
-        raise ValueError("n_pairs, dimensions, clusters, and latent_dim must be positive")
-    if not (np.isfinite([noise, source_noise, center_spread]).all()
-            and min(noise, source_noise) >= 0):
-        raise ValueError("noise and source_noise must be finite and >= 0, center_spread finite")
+    check_count("latent_dim", latent_dim, 1)
+    check_weight("noise", noise)
+    check_weight("source_noise", source_noise)
+    if not (isinstance(center_spread, numbers.Real) and np.isfinite(center_spread)):
+        raise ValueError(f"center_spread must be finite, got {center_spread!r}")
 
     rng = np.random.default_rng(seed)
     # a huge noise or center_spread overflows somewhere in here; the check

@@ -14,8 +14,14 @@ from transferhash.bench import run_bench
 from transferhash.codes import BinaryCodeMatrix, sgn
 from transferhash.config import RunConfig
 from transferhash.evaluate import average_precision, ground_truth, precision_at_k
-from transferhash.itq import itq_train, procrustes, random_orthonormal
-from transferhash.itq_plus import itq_plus_train, update_b_balanced
+from transferhash.itq import procrustes, random_orthonormal
+from transferhash.itq_plus import (
+    alternating_solve,
+    balanced_step,
+    itq_plus_train,
+    sign_step,
+    update_b_balanced,
+)
 from transferhash.lap_itq_plus import (
     box_qp_minimize,
     knn_hamming_graph,
@@ -103,17 +109,16 @@ def test_criterion_3_procrustes_optimality():
 def test_criterion_4_reduction_identities():
     x_t, x_s = two_view(90, 12, 10, seed=44)
     for seed in (0, 1, 2):
-        codes_itq, rot_itq, losses = itq_train(x_t, 6, iters=40, seed=seed,
-                                               tol=0, balanced=True)
+        codes_itq, _, _, losses = alternating_solve(x_t, None, 6, 0.0, 40, seed,
+                                                    balanced_step, tol=0)
         _, state = itq_plus_train(x_t, x_s, 6, 0.0, iters=40, seed=seed, tol=0)
         assert abs(state.objective_trace[-1] - losses[-1]) <= 1e-9
         assert np.array_equal(codes_itq.signs, state.codes.signs)
     for seed in (0, 1, 2):
-        _, state_sign = itq_plus_train(x_t, x_s, 6, 0.05, iters=30, seed=seed,
-                                       tol=0, b_step="sign")
+        codes_sign, *_ = alternating_solve(x_t, x_s, 6, 0.05, 30, seed, sign_step, tol=0)
         _, state_lap = lap_itq_plus_train(x_t, x_s, None, 6, 0.05, 0.0, 5,
                                           iters=30, seed=seed, tol=0)
-        assert np.array_equal(state_sign.codes.signs, state_lap.codes.signs)
+        assert np.array_equal(codes_sign.signs, state_lap.codes.signs)
     report(4, "reduction identities")
 
 

@@ -13,7 +13,6 @@ from transferhash.cli import _config_from_args, build_parser, main
 from transferhash.config import PARSERS, RunConfig, read_config_file, write_config_file
 from transferhash.data import load_matrix, load_model
 from transferhash.evaluate import encode
-from transferhash.itq import itq_train
 from transferhash.model import METHODS
 from transferhash.synth import make_two_view_clusters
 
@@ -165,7 +164,8 @@ def test_train_lambda_zero_matches_balanced_itq_loss(tmp_path, dataset):
     last = float(log_path.read_text().splitlines()[-1].split("objective=")[1])
     raw = load_matrix(dataset / "target_train.bin")
     centered = raw - raw.mean(axis=0)
-    _, _, losses = itq_train(centered, 8, iters=30, seed=7, balanced=True)
+    *_, losses = itq_plus.alternating_solve(centered, None, 8, 0.0, 30, 7,
+                                            itq_plus.balanced_step, tol=itq.DEFAULT_TOL)
     assert last == pytest.approx(losses[-1], abs=1e-9)
 
 

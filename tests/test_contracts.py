@@ -3,8 +3,7 @@
 Every trainer and step below is called with its valid arguments, except for
 one or two positions that hypothesis replaces with a malformed array (0-d,
 1-d, 3-d, empty, one row, another shape, NaN, inf, None) or a malformed
-count or weight (2.5, True, 0, -1, nan, "3", None, numpy numbers), or, for
-itq_plus_train's b_step, a name that is unknown or not a string.  Valid
+count or weight (2.5, True, 0, -1, nan, "3", None, numpy numbers).  Valid
 replacements, such as a numpy integer count, simply run.  Whatever the call
 does, only ValueError, DataError, NumericalError or ConfigError may escape:
 no bare TypeError, IndexError or AttributeError.
@@ -21,6 +20,7 @@ from transferhash.baselines import cca_itq_fit, lsh_fit
 from transferhash.bench import fit_model
 from transferhash.codes import BinaryCodeMatrix, sgn
 from transferhash.config import RunConfig
+from transferhash.data import make_split
 from transferhash.errors import ConfigError, DataError, NumericalError
 from transferhash.itq import balanced_signs, itq_train, procrustes, random_orthonormal
 from transferhash.itq_plus import alternating_solve, itq_plus_train, update_b_balanced
@@ -32,6 +32,7 @@ from transferhash.lap_itq_plus import (
 )
 from transferhash.model import LinearProjection
 from transferhash.preprocess import cca_fit, project
+from transferhash.synth import make_two_view_clusters
 
 LIBRARY_ERRORS = (ValueError, DataError, NumericalError, ConfigError)
 
@@ -74,9 +75,6 @@ COUNTS = st.one_of(st.sampled_from(ODD_NUMBERS),
                    st.sampled_from([np.int64, np.int32, np.uint8]).flatmap(
                        lambda kind: st.integers(0, 4).map(kind)))
 WEIGHTS = st.one_of(COUNTS, st.sampled_from([np.float64(0.5), np.float32(0.25), -np.inf]))
-# names of a code step: valid ones, and others that are not strings or not known
-B_STEPS = st.sampled_from(["balanced", "sign", "relaxed", "", [1], ["sign"], ("sign",), None,
-                           1, b"sign", np.array(["sign"]), np.str_("sign")])
 
 
 def array(valid):
@@ -108,10 +106,8 @@ FIT_ARGS = [array(X_T), array(X_S), array(X_SU), count(C), weight(0.1), weight(0
 # name -> (callable, [(valid value, strategy of malformed values)] per positional argument)
 CONTRACTS = {
     "itq_train": (itq_train, [array(X_T), count(C), count(2)]),
-    "itq_plus_train": (
-        lambda x_t, x_sc, c, lambda1, iters, b_step: itq_plus_train(
-            x_t, x_sc, c, lambda1, iters, b_step=b_step),
-        [array(X_T), array(X_S), count(C), weight(0.1), count(2), ("sign", B_STEPS)]),
+    "itq_plus_train": (itq_plus_train,
+                       [array(X_T), array(X_S), count(C), weight(0.1), count(2)]),
     "lap_itq_plus_train": (lap_itq_plus_train,
                            [array(X_T), array(X_S), array(X_SU), count(C), weight(0.1),
                             weight(0.1), count(3), count(2)]),
@@ -129,10 +125,14 @@ CONTRACTS = {
         k_mat, LAP, lambda2, inner_iters), [array(SCORES.T), weight(0.5), count(3)]),
     "knn_hamming_graph": (lambda k: knn_hamming_graph(CODES, k), [count(2)]),
     "random_orthonormal": (lambda d, c: random_orthonormal(d, c, 0), [count(D_T), count(C)]),
-    "cca_fit": (cca_fit, [array(X_T), array(X_S), count(C), weight(None)]),
+    "cca_fit": (cca_fit, [array(X_T), array(X_S), count(C)]),
     "cca_itq_fit": (cca_itq_fit, [array(X_T), array(X_S), count(C), count(2)]),
     "lsh_fit": (lambda d, c: lsh_fit(d, c, 0), [count(D_T), count(C)]),
     "project": (lambda x: project(x, LinearProjection.identity(D_T)), [array(X_T)]),
+    "make_split": (make_split, [array(X_T), array(X_S), weight(0.5), weight(0.25), count(0)]),
+    "make_two_view_clusters": (make_two_view_clusters,
+                               [count(N), count(D_T), count(D_S), count(C), weight(0.5),
+                                count(0)]),
     **{f"fit_model[{method}]": (fit(method), FIT_ARGS)
        for method in ("itq", "itq+", "lapitq+", "cca-itq", "lsh")},
 }

@@ -18,9 +18,11 @@ from transferhash.itq import (
 )
 from transferhash.itq_plus import (
     alternating_solve,
+    balanced_step,
     blend_scores,
     itq_plus_objective,
     itq_plus_train,
+    sign_step,
     update_b_balanced,
     update_p,
     update_r,
@@ -286,8 +288,8 @@ def test_update_p_dimension_error():
 def test_train_lambda_zero_matches_balanced_itq():
     x_t, x_s = two_view_instance(80, 10, 8, seed=18)
     for seed in (0, 1):
-        codes_itq, rot_itq, losses = itq_train(x_t, 6, iters=30, seed=seed,
-                                               tol=0, balanced=True)
+        codes_itq, rot_itq, _, losses = alternating_solve(x_t, None, 6, 0.0, 30, seed,
+                                                          balanced_step, tol=0)
         _, state = itq_plus_train(x_t, x_s, 6, 0.0, iters=30, seed=seed, tol=0)
         assert np.array_equal(codes_itq.signs, state.codes.signs)
         assert np.array_equal(rot_itq, state.rotation)
@@ -409,8 +411,6 @@ def test_train_validation_errors():
         itq_plus_train(x_t, x_s, 6, 0.1)  # c > d_s
     with pytest.raises(ValueError):
         itq_plus_train(x_t, x_s, 4, -0.1)
-    with pytest.raises(ValueError):
-        itq_plus_train(x_t, x_s, 4, 0.1, b_step="other")
 
 
 # The parent's alternating solve and code steps, verbatim but for their
@@ -486,6 +486,20 @@ def relaxed_step_before_signs(lap, lambda2):
     return relaxed_step
 
 
+def trainer_fit(step, x_t, x_sc, c, lambda1, iters, seed, tol):
+    """(codes, R, P, trace) of the trainer that runs this code step on these
+    views, or of the bare solve where none does: itq runs the sign step
+    without a privileged view, itq+ the balanced step with one."""
+    if step == "sign" and x_sc is None:
+        codes, rotation, losses = itq_train(x_t, c, iters, seed, tol=tol)
+        return codes, rotation, None, losses
+    if step == "balanced" and x_sc is not None:
+        _, state = itq_plus_train(x_t, x_sc, c, lambda1, iters, seed, tol=tol)
+        return state.codes, state.rotation, state.slack_rotation, state.objective_trace
+    code_step = {"sign": sign_step, "balanced": balanced_step}[step]
+    return alternating_solve(x_t, x_sc, c, lambda1, iters, seed, code_step, tol=tol)
+
+
 def assert_same_fit(got, expected):
     """Codes, rotations and trace of two (codes, R, P, trace) fits, bit for bit."""
     (codes, rotation, slack, trace), (codes_0, rotation_0, slack_0, trace_0) = got, expected
@@ -523,18 +537,13 @@ def sweep_cases(draw):
 @given(case=sweep_cases())
 def test_sweep_once_matches_the_former_alternating_solve(case):
     x_t, x_s, c, lam, step, tol, iters, seed, extra = case
-    # itq: no privileged view; the sign and balanced steps, from r0 or not
+    # the sign and balanced steps, without a privileged view and with one
     if step != "relaxed":
-        r0 = random_orthonormal(x_t.shape[1], c, seed + 1) if seed % 2 else None
-        codes, rotation, losses = itq_train(x_t, c, iters, seed, tol=tol, r0=r0,
-                                            balanced=step == "balanced")
-        assert_same_fit((codes, rotation, None, losses), alternating_solve_before_sweep_once(
-            x_t, None, c, 0.0, iters, seed, CODE_STEPS_BEFORE_SIGNS[step], tol=tol, r0=r0))
-        _, state = itq_plus_train(x_t, x_s, c, lam, iters, seed, tol=tol, b_step=step)
-        assert_same_fit(
-            (state.codes, state.rotation, state.slack_rotation, state.objective_trace),
-            alternating_solve_before_sweep_once(x_t, x_s, c, lam, iters, seed,
-                                                CODE_STEPS_BEFORE_SIGNS[step], tol=tol))
+        for x_sc, lambda1 in ((None, 0.0), (x_s, lam)):
+            assert_same_fit(trainer_fit(step, x_t, x_sc, c, lambda1, iters, seed, tol),
+                            alternating_solve_before_sweep_once(
+                                x_t, x_sc, c, lambda1, iters, seed,
+                                CODE_STEPS_BEFORE_SIGNS[step], tol=tol))
         return
     # lapitq+: the offline source codes, the graph and the fit
     n, lambda2, k = x_t.shape[0], 0.1, min(3, x_t.shape[0] - 1)

@@ -15,7 +15,7 @@ from transferhash import evaluate, lap_itq_plus
 from transferhash.codes import BinaryCodeMatrix, sgn
 from transferhash.errors import NumericalError
 from transferhash.itq import itq_train
-from transferhash.itq_plus import itq_plus_train
+from transferhash.itq_plus import alternating_solve, sign_step
 from transferhash.synth import make_two_view_clusters
 from transferhash.lap_itq_plus import (
     DEFAULT_INNER_ITERS,
@@ -638,12 +638,11 @@ def two_view_instance(n=100, d_t=12, d_s=10, seed=0, noise=0.3):
 def test_lap_train_zero_lambda2_reduces_to_sign_step():
     x_t, x_s = two_view_instance(seed=6)
     for seed in (0, 1):
-        _, state_plain = itq_plus_train(x_t, x_s, 6, 0.05, iters=25, seed=seed,
-                                        tol=0, b_step="sign")
+        codes, rotation, _, _ = alternating_solve(x_t, x_s, 6, 0.05, 25, seed, sign_step, tol=0)
         _, state_lap = lap_itq_plus_train(x_t, x_s, None, 6, 0.05, 0.0, 5,
                                           iters=25, seed=seed, tol=0)
-        assert np.array_equal(state_plain.codes.signs, state_lap.codes.signs)
-        assert np.array_equal(state_plain.rotation, state_lap.rotation)
+        assert np.array_equal(codes.signs, state_lap.codes.signs)
+        assert np.array_equal(rotation, state_lap.rotation)
 
 
 def test_lap_train_zero_lambdas_match_plain_itq_rotation():
@@ -756,3 +755,22 @@ def test_lap_train_checks_its_views_before_the_source_fit(monkeypatch, view, bad
     views = {"x_t": x_t, "x_sc": x_s, "x_su": None, view: bad}
     with pytest.raises(ValueError, match=re.escape(f"{view} of shape")):
         lap_itq_plus_train(views["x_t"], views["x_sc"], views["x_su"], 4, 0.1, 0.1, 5, iters=5)
+
+
+@pytest.mark.parametrize("view", ["x_t", "x_sc", "x_su"])
+def test_lap_train_checks_finiteness_before_the_source_fit(monkeypatch, view):
+    # a NaN in x_t once surfaced only after the offline fit and the graph build
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args)
+        return itq_train(*args, **kwargs)
+
+    monkeypatch.setattr(lap_itq_plus, "itq_train", counting_fit)
+    x_t, x_s = two_view_instance(30, 8, 6, seed=10)
+    views = {"x_t": x_t, "x_sc": x_s, "x_su": np.ones((5, 6))}
+    views[view] = views[view].copy()
+    views[view][2, 1] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        lap_itq_plus_train(views["x_t"], views["x_sc"], views["x_su"], 4, 0.1, 0.1, 5, iters=5)
+    assert calls == []

@@ -69,7 +69,7 @@ def test_pca_rank_zero_errors():
 def test_cca_identical_views():
     rng = np.random.default_rng(3)
     x = centered(rng.standard_normal((120, 4)))
-    _, _, corr = cca_fit(x, x.copy(), 1, ridge=1e-6)
+    _, _, corr = cca_fit(x, x.copy(), 1)
     assert abs(corr[0] - 1.0) < 1e-3
 
 
@@ -117,10 +117,9 @@ def test_cca_errors():
     x_b = centered(rng.standard_normal((30, 2)))
     with pytest.raises(ValueError):
         cca_fit(x_a, x_b, 3)
-    # rank-deficient view with no ridge
-    degenerate = np.hstack([x_b, x_b[:, :1]])
-    with pytest.raises(NumericalError):
-        cca_fit(x_a, degenerate, 1, ridge=0.0)
+    # a view with no variance: the trace-scaled ridge is 0 as well
+    with pytest.raises(NumericalError, match="right view: covariance is singular"):
+        cca_fit(x_a, np.zeros_like(x_b), 1)
 
 
 @pytest.mark.parametrize("c", [-1, 0, True, 2.5, float("nan"), "3", None])
@@ -135,14 +134,6 @@ def test_cca_refuses_a_code_length_that_is_not_a_count(c):
         cca_fit(x_a, x_b, c)
     with pytest.raises(ValueError, match=message):
         cca_itq_fit(x_a, x_b, c, iters=2)
-
-
-@pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf"), "0.1"])
-def test_cca_refuses_a_ridge_that_is_not_a_weight(ridge):
-    rng = np.random.default_rng(7)
-    x = centered(rng.standard_normal((30, 3)))
-    with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
-        cca_fit(x, x.copy(), 2, ridge)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
