@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,13 +86,23 @@ def _hamming_order(db_packed, query_packed) -> np.ndarray:
 
 
 def search(codes: BinaryCodeMatrix, query_code) -> np.ndarray:
-    """All database rows by ascending Hamming distance, ties by ascending row."""
+    """All database rows by ascending Hamming distance, ties by ascending row.
+
+    query_code is a packed code, one word per 64 bits of the codes as
+    codes.packed holds them: integers in [0, 2**64), Python or numpy.
+    Anything else (a negative or larger integer, a float even if whole, a
+    bool, None, text) or another word count is a ValueError.
+    """
     if codes.rows == 0:
         raise ValueError("cannot search an empty code matrix")
-    query_code = np.asarray(query_code, dtype=np.uint64).reshape(1, -1)
-    if query_code.shape[1] != codes.packed.shape[1]:
+    words = np.asarray(query_code, dtype=object).ravel().tolist()  # no float detour
+    if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool)
+               and 0 <= w < 1 << WORD_BITS for w in words):
+        raise ValueError(f"query code {query_code!r} must hold integers in [0, 2**64), "
+                         f"one per {WORD_BITS}-bit word")
+    if len(words) != codes.packed.shape[1]:
         raise ValueError("query code width does not match the database codes")
-    return _hamming_order(codes.packed, query_code)[0]
+    return _hamming_order(codes.packed, np.array(words, dtype=np.uint64).reshape(1, -1))[0]
 
 
 @dataclass(frozen=True, eq=False)

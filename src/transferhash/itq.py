@@ -6,6 +6,7 @@ rotation steps and of the balanced sign rule.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -37,6 +38,14 @@ def random_orthonormal(d: int, c: int, seed) -> np.ndarray:
     return q * signs
 
 
+@functools.lru_cache(maxsize=16)
+def _identity(c: int) -> np.ndarray:
+    """The c x c identity, built once per code length and read-only."""
+    eye = np.eye(c)
+    eye.flags.writeable = False
+    return eye
+
+
 def _polar(w) -> np.ndarray:
     """Orthonormal polar factor U V^T, the Stiefel maximizer of tr(R^T W).
 
@@ -46,18 +55,25 @@ def _polar(w) -> np.ndarray:
     products.  It converges whenever ||I - X^T X||_F < 1 at the start;
     otherwise (an ill-conditioned, rank-deficient or zero w), or when it
     has not converged within _NS_MAX_STEPS, the SVD gives the factor.
+    A step allocates only the X^T X product and the next X: the c x c
+    identity is cached, and I - X^T X, then I + (I - X^T X) / 2, are
+    formed in the product's own buffer.  w must be finite; procrustes
+    checks X^T A, the w it starts from, and nothing here checks again.
     """
     c = w.shape[1]
     sq_norm = float(np.vdot(w, w))
     if sq_norm > 0.0:
         x = w * math.sqrt(c / sq_norm)
-        eye = np.eye(c)
+        eye = _identity(c)
         for _ in range(_NS_MAX_STEPS):
-            resid = eye - x.T @ x
-            err2 = float(np.vdot(resid, resid))
+            step = x.T @ x
+            np.subtract(eye, step, out=step)  # the residual I - X^T X
+            err2 = float(np.vdot(step, step))
             if err2 >= 1.0:
                 break
-            x = x @ (eye + 0.5 * resid)
+            step *= 0.5
+            step += eye
+            x = x @ step
             if err2 <= _NS_LAST_STEP**2:
                 return x  # the error squares each step: now at rounding level
     u, _, vt = np.linalg.svd(w, full_matrices=False)
@@ -68,9 +84,15 @@ def gram_bound(x) -> tuple[np.ndarray, float]:
     """G = X^T X and mu = lambda_max(G), the majorizer procrustes builds from X.
 
     A trainer holds X fixed for a whole fit, so it computes these once and
-    passes them to every procrustes call as gram=.
+    passes them to every procrustes call as gram=.  A G that is not
+    finite, from non-finite X or from X^T X overflowing float64, is a
+    NumericalError.
     """
-    gram = x.T @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x.T @ x
+    if not np.isfinite(gram).all():
+        raise NumericalError("X^T X is not finite: the data are non-finite or "
+                             "their Gram matrix overflows float64")
     return gram, float(np.linalg.eigvalsh(gram)[-1])
 
 
@@ -88,12 +110,20 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
     2 <R, X^T A> + <R, G R>, so a step costs O(d^2 c) whatever n is, and
     _polar factors its nearly orthonormal input by Newton-Schulz; the SVD
     serves a start with no warm start, square R, and the fallback.  The
-    best iterate is returned, so the result is never worse than r0, which
-    must be d x c with orthonormal columns (ValueError) and finite
-    (NumericalError).  max_iter must be an integer >= 0, tol a real >= 0.
+    best iterate is returned, so the result is never worse than r0.
+
+    Checks, in order: a and x are matrices with equal row counts,
+    max_iter an integer >= 0 and tol a real >= 0, c <= d, r0 of shape
+    d x c (ValueError).  Then one finiteness test on the d x c product
+    X^T A stands for a and x, since a NaN or +-inf anywhere in either
+    makes a whole row or column of X^T A non-finite (0 * inf is NaN; with
+    c = 0, x itself is tested); a finite a and x whose X^T A overflows
+    float64 fail it too (NumericalError).
+    r0 must be finite (NumericalError) with ||r0^T r0 - I||_F <= 1e-8
+    (ValueError).  gram=None computes G and mu here, through gram_bound.
     Trainers pass max_iter=DEFAULT_STEP_ITERS (5), a short descent that
     the next sweep warms again, and gram=gram_bound(x), computed once per
-    fit since X does not change; without it G and mu are computed per call.
+    fit since X does not change.
     """
     a = check_matrix("a", a)
     x = check_matrix("x", x, rows=a.shape[0])
@@ -108,13 +138,21 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
         if r0.shape != (x.shape[1], a.shape[1]):
             raise ValueError(f"warm start has shape {r0.shape}, "
                              f"expected {(x.shape[1], a.shape[1])}")
-    if not (np.isfinite(a).all() and np.isfinite(x).all()
-            and (r0 is None or np.isfinite(r0).all())):
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = x.T @ a
+    # with no code column, X^T A has no entries to carry a bad value of x
+    if not (np.isfinite(cross).all() if cross.size else np.isfinite(x).all()):
+        if np.isfinite(a).all() and np.isfinite(x).all():
+            raise NumericalError("X^T A overflows float64 in procrustes")
         raise NumericalError("non-finite values in procrustes inputs")
-    if r0 is not None and not np.linalg.norm(r0.T @ r0 - np.eye(r0.shape[1])) <= 1e-8:
-        raise ValueError("warm start r0 must have orthonormal columns")
+    if r0 is not None:
+        if not np.isfinite(r0).all():
+            raise NumericalError("non-finite values in procrustes inputs")
+        off = (r0.T @ r0).ravel()  # ||r0^T r0 - I||_F, as np.linalg.norm forms it
+        off[::r0.shape[1] + 1] -= 1.0
+        if not math.sqrt(off.dot(off)) <= 1e-8:
+            raise ValueError("warm start r0 must have orthonormal columns")
 
-    cross = x.T @ a
     d, c = cross.shape
     if d == c:
         # ||X R||^2 is fixed for square R; a zero X^T A leaves nothing to fit
@@ -122,17 +160,21 @@ def procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
 
     gram, mu = gram_bound(x) if gram is None else gram
     a_sq = float(np.vdot(a, a))
+    cross2 = 2.0 * cross
 
     def evaluate(r):
         """||X R - A||^2, and G R, which the next majorizer reuses."""
         gr = gram @ r
-        return a_sq + float(np.vdot(r, gr - 2.0 * cross)), gr
+        return a_sq + float(np.vdot(r, gr - cross2)), gr
 
     best_r = r = _polar(cross) if r0 is None else r0
     best_f, gr = evaluate(r)
     f_cur = best_f
     for _ in range(max_iter):
-        r = _polar(cross + mu * r - gr)
+        majorizer = mu * r  # X^T A + mu R - G R, in one buffer
+        majorizer += cross
+        majorizer -= gr
+        r = _polar(majorizer)
         f_new, gr = evaluate(r)
         if f_new < best_f:
             best_r, best_f = r, f_new

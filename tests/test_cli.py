@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from transferhash import bench, evaluate, itq, itq_plus, lap_itq_plus
 from transferhash.cli import _config_from_args, build_parser, main
 from transferhash.config import PARSERS, RunConfig, read_config_file, write_config_file
-from transferhash.data import load_matrix, load_model
+from transferhash.data import load_matrix, load_model, save_matrix
 from transferhash.evaluate import encode
 from transferhash.model import METHODS
 from transferhash.synth import make_two_view_clusters
@@ -363,6 +363,24 @@ def test_non_finite_lambda_exits_2(tmp_path, dataset, command):
                    "--source", data_dir / "source.bin",
                    "--bits", 8, "--iters", 3, "--out", tmp_path / "out") == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("method, scaled", [("itq", "target_train"),
+                                           ("lapitq+", "source_corr")])
+def test_train_exits_4_when_a_gram_matrix_overflows(tmp_path, dataset, method, scaled):
+    # views scaled by 1e155 are finite, but X^T X overflows float64
+    paths = {}
+    for name in ("target_train", "source_corr", "source_extra"):
+        rows = load_matrix(dataset / f"{name}.bin")
+        if name == scaled or (scaled == "source_corr" and name == "source_extra"):
+            rows = rows * 1e155
+        paths[name] = tmp_path / f"{name}.bin"
+        save_matrix(rows, paths[name])
+    assert run_cli("train", "--method", method, "--target", paths["target_train"],
+                   "--source", paths["source_corr"],
+                   "--source-extra", paths["source_extra"], "--bits", 8,
+                   "--iters", 3, "--out", tmp_path / "m.model") == 4
+    assert not (tmp_path / "m.model").exists()
 
 
 def test_train_dump_graph_rejected_before_training(tmp_path, dataset):

@@ -2,8 +2,9 @@
 
 Every trainer and step below is called with its valid arguments, except for
 one or two positions that hypothesis replaces with a malformed array (0-d,
-1-d, 3-d, empty, one row, another shape, NaN, inf, None) or a malformed
-count or weight (2.5, True, 0, -1, nan, "3", None, numpy numbers).  Valid
+1-d, 3-d, empty, one row, another shape, NaN, inf, None), a malformed
+count or weight (2.5, True, 0, -1, nan, "3", None, numpy numbers) or a
+malformed query code (words out of [0, 2**64), floats, text).  Valid
 replacements, such as a numpy integer count, simply run.  Whatever the call
 does, only ValueError, DataError, NumericalError or ConfigError may escape:
 no bare TypeError, IndexError or AttributeError.
@@ -22,6 +23,7 @@ from transferhash.codes import BinaryCodeMatrix, sgn
 from transferhash.config import RunConfig
 from transferhash.data import make_split
 from transferhash.errors import ConfigError, DataError, NumericalError
+from transferhash.evaluate import search
 from transferhash.itq import balanced_signs, itq_train, procrustes, random_orthonormal
 from transferhash.itq_plus import alternating_solve, itq_plus_train, update_b_balanced
 from transferhash.lap_itq_plus import (
@@ -75,6 +77,9 @@ COUNTS = st.one_of(st.sampled_from(ODD_NUMBERS),
                    st.sampled_from([np.int64, np.int32, np.uint8]).flatmap(
                        lambda kind: st.integers(0, 4).map(kind)))
 WEIGHTS = st.one_of(COUNTS, st.sampled_from([np.float64(0.5), np.float32(0.25), -np.inf]))
+WORDS = st.one_of(st.integers(-2**65, 2**65), st.floats(), st.none(), st.booleans(), st.text())
+QUERY_CODES = st.one_of(COUNTS, WORDS, st.lists(WORDS, max_size=3),
+                        malformed_arrays(CODES.packed[:1].astype(np.float64)))
 
 
 def array(valid):
@@ -125,6 +130,7 @@ CONTRACTS = {
         k_mat, LAP, lambda2, inner_iters), [array(SCORES.T), weight(0.5), count(3)]),
     "knn_hamming_graph": (lambda k: knn_hamming_graph(CODES, k), [count(2)]),
     "random_orthonormal": (lambda d, c: random_orthonormal(d, c, 0), [count(D_T), count(C)]),
+    "search": (lambda query: search(CODES, query), [(CODES.packed[0], QUERY_CODES)]),
     "cca_fit": (cca_fit, [array(X_T), array(X_S), count(C)]),
     "cca_itq_fit": (cca_itq_fit, [array(X_T), array(X_S), count(C), count(2)]),
     "lsh_fit": (lambda d, c: lsh_fit(d, c, 0), [count(D_T), count(C)]),

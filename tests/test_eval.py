@@ -163,6 +163,29 @@ def test_search_matches_naive_sort():
     assert list(search(db, query)) == list(ranked)  # stable rerun
 
 
+@pytest.mark.parametrize("query", [[-1], [2**64], None, [1.5], [1.0], [True], ["3"],
+                                   np.array([2**64], dtype=object), np.float64(2.0),
+                                   np.array([1.0]), [[1], [2, 3]]])
+def test_search_refuses_a_query_that_is_not_64_bit_words(query):
+    # -1 and 2**64 raised a bare OverflowError, None a TypeError, and 1.5
+    # was truncated to word 1 and ranked
+    db = BinaryCodeMatrix(sgn(np.random.default_rng(5).standard_normal((6, 24))))
+    with pytest.raises(ValueError, match=r"must hold integers in \[0, 2\*\*64\)"):
+        search(db, query)
+
+
+def test_search_takes_python_and_numpy_integer_words():
+    db = BinaryCodeMatrix(sgn(np.random.default_rng(5).standard_normal((6, 70))))
+    query = db.packed[2]
+    expected = search(db, query)
+    for same in ([int(w) for w in query], list(query), query.astype(object),
+                 query.reshape(2, 1)):
+        assert np.array_equal(search(db, same), expected)
+    # numpy reads [13, 2**63] as float64; the words must not take that detour
+    assert np.array_equal(search(db, [13, 2**64 - 1]),
+                          search(db, np.array([13, 2**64 - 1], dtype=np.uint64)))
+
+
 def test_ground_truth_collinear_example():
     db = np.array([[0.0], [1.0], [2.0]])
     queries = np.array([[0.5]])

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transferhash import itq
+from transferhash.bench import fit_model
 from transferhash.codes import BinaryCodeMatrix, sgn
-from transferhash.errors import NumericalError
+from transferhash.errors import NumericalError, check_count, check_matrix, check_weight
 from transferhash.itq import (
+    _NS_LAST_STEP,
+    _NS_MAX_STEPS,
     DEFAULT_STEP_ITERS,
     _polar,
     balanced_signs,
@@ -287,6 +292,185 @@ def test_procrustes_never_worse_than_warm_start(case, steps):
     # procrustes compares candidates in Gram form, so allow its rounding
     slack = 1e-12 * (float(np.sum(a * a)) + float(np.sum(x * x)) * a.shape[1])
     assert frob_objective(x, r, a) <= frob_objective(x, r0, a) + slack
+
+
+# The rotation step as it was before it checked X^T A in place of its
+# inputs and reused its buffers, verbatim but for the names (former_ in
+# front), kept as the oracle the current step must match bit for bit.
+def former_polar(w) -> np.ndarray:
+    c = w.shape[1]
+    sq_norm = float(np.vdot(w, w))
+    if sq_norm > 0.0:
+        x = w * math.sqrt(c / sq_norm)
+        eye = np.eye(c)
+        for _ in range(_NS_MAX_STEPS):
+            resid = eye - x.T @ x
+            err2 = float(np.vdot(resid, resid))
+            if err2 >= 1.0:
+                break
+            x = x @ (eye + 0.5 * resid)
+            if err2 <= _NS_LAST_STEP**2:
+                return x  # the error squares each step: now at rounding level
+    u, _, vt = np.linalg.svd(w, full_matrices=False)
+    return u @ vt
+
+
+def former_gram_bound(x) -> tuple[np.ndarray, float]:
+    gram = x.T @ x
+    return gram, float(np.linalg.eigvalsh(gram)[-1])
+
+
+def former_procrustes(a, x, r0=None, *, max_iter: int = 500, tol: float = 1e-13,
+                      gram=None) -> np.ndarray:
+    a = check_matrix("a", a)
+    x = check_matrix("x", x, rows=a.shape[0])
+    check_count("max_iter", max_iter, 0)
+    check_weight("tol", tol)
+    if a.shape[1] > x.shape[1]:
+        raise ValueError(
+            f"target has {a.shape[1]} columns but data only {x.shape[1]} dims"
+        )
+    if r0 is not None:
+        r0 = np.asarray(r0, dtype=np.float64)
+        if r0.shape != (x.shape[1], a.shape[1]):
+            raise ValueError(f"warm start has shape {r0.shape}, "
+                             f"expected {(x.shape[1], a.shape[1])}")
+    if not (np.isfinite(a).all() and np.isfinite(x).all()
+            and (r0 is None or np.isfinite(r0).all())):
+        raise NumericalError("non-finite values in procrustes inputs")
+    if r0 is not None and not np.linalg.norm(r0.T @ r0 - np.eye(r0.shape[1])) <= 1e-8:
+        raise ValueError("warm start r0 must have orthonormal columns")
+
+    cross = x.T @ a
+    d, c = cross.shape
+    if d == c:
+        # ||X R||^2 is fixed for square R; a zero X^T A leaves nothing to fit
+        return r0 if r0 is not None and not np.any(cross) else former_polar(cross)
+
+    gram, mu = former_gram_bound(x) if gram is None else gram
+    a_sq = float(np.vdot(a, a))
+
+    def evaluate(r):
+        """||X R - A||^2, and G R, which the next majorizer reuses."""
+        gr = gram @ r
+        return a_sq + float(np.vdot(r, gr - 2.0 * cross)), gr
+
+    best_r = r = former_polar(cross) if r0 is None else r0
+    best_f, gr = evaluate(r)
+    f_cur = best_f
+    for _ in range(max_iter):
+        r = former_polar(cross + mu * r - gr)
+        f_new, gr = evaluate(r)
+        if f_new < best_f:
+            best_r, best_f = r, f_new
+        if abs(f_cur - f_new) <= tol * max(abs(f_cur), 1.0):
+            break
+        f_cur = f_new
+    return best_r
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=polar_inputs())
+def test_polar_is_bit_identical_to_the_former_polar(case):
+    w, _ = case
+    assert _polar(w).tobytes() == former_polar(w).tobytes()
+
+
+@st.composite
+def rotation_step_inputs(draw):
+    """(A, X, r0) as a trainer's rotation step sees them, square or tall,
+    with d up to 40, A of signs or Gaussian, and X^T A = 0 from a zero A or
+    a zero X."""
+    d = draw(st.integers(1, 40))
+    c = d if draw(st.booleans()) else draw(st.integers(1, d))
+    n = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * 10.0 ** draw(st.floats(-2.0, 2.0))
+    a = rng.standard_normal((n, c))
+    kind = draw(st.sampled_from(["signs", "gauss", "zero a", "zero x"]))
+    if kind == "signs":
+        a = sgn(a).astype(float)
+    elif kind == "zero a":
+        a[:] = 0.0
+    elif kind == "zero x":
+        x[:] = 0.0
+    return a, x, random_orthonormal(d, c, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rotation_step_inputs(), warm=st.booleans(), with_gram=st.booleans(),
+       steps=st.integers(0, DEFAULT_STEP_ITERS))
+def test_procrustes_is_bit_identical_to_the_former_procrustes(case, warm, with_gram, steps):
+    a, x, r0 = case
+    r0 = r0 if warm else None
+    gram = gram_bound(x) if with_gram else None
+    expected = former_procrustes(a, x, r0, max_iter=steps, gram=gram)
+    assert procrustes(a, x, r0, max_iter=steps, gram=gram).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=procrustes_inputs(), where=st.sampled_from(["a", "x", "r0"]),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       spot=st.tuples(st.integers(0, 99), st.integers(0, 99)),
+       zeros=st.sampled_from(["none", "row", "all"]))
+def test_procrustes_refuses_a_non_finite_value_anywhere(case, where, bad, spot, zeros):
+    # one finiteness test on X^T A stands for a and x: the bad value spoils
+    # a whole row or column of it, even against zeros, since 0 * inf is NaN
+    a, x, r0 = case
+    clean_gram = gram_bound(x) if x.shape[1] > a.shape[1] else None
+    spoiled = {"a": a, "x": x, "r0": r0}[where]
+    row, col = spot[0] % spoiled.shape[0], spot[1] % spoiled.shape[1]
+    spoiled[row, col] = bad
+    if where != "r0":
+        other = x if where == "a" else a
+        if zeros == "row":
+            other[row] = 0.0
+        elif zeros == "all":
+            other[:] = 0.0
+    with pytest.raises(NumericalError, match="non-finite"):
+        procrustes(a, x, r0, max_iter=DEFAULT_STEP_ITERS, gram=clean_gram)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_procrustes_checks_x_itself_when_there_is_no_code_column(bad):
+    # with c = 0, X^T A has no entries to carry a bad value of x
+    x = np.random.default_rng(3).standard_normal((9, 4))
+    x[2, 1] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        procrustes(np.zeros((9, 0)), x, gram=gram_bound(np.ones((9, 4))))
+
+
+@pytest.mark.parametrize("d", [2, 6])  # square and tall
+def test_procrustes_refuses_finite_inputs_whose_cross_product_overflows(d):
+    # before, inf reached the polar factor and the SVD failed to converge
+    a = np.full((9, 2), 1e200)
+    x = np.full((9, d), 1e200)
+    with pytest.raises(NumericalError, match=r"X\^T A overflows"):
+        procrustes(a, x)
+
+
+def test_gram_bound_names_an_overflowing_gram_matrix():
+    # before, eigvalsh raised a bare LinAlgError on the infinite X^T X
+    x = np.random.default_rng(4).standard_normal((20, 5)) * 1e160
+    with pytest.raises(NumericalError, match="overflows"):
+        gram_bound(x)
+    # procrustes(gram=None) builds it per call: X^T A is finite here, X^T X not
+    a = sgn(np.random.default_rng(5).standard_normal((20, 2))).astype(float) * 1e-100
+    with pytest.raises(NumericalError, match="overflows"):
+        procrustes(a, x)
+
+
+@pytest.mark.parametrize("method, target_scale, source_scale", [
+    ("itq", 1e155, 1.0), ("itq+", 1e155, 1e155), ("lapitq+", 1e155, 1e155),
+    ("lapitq+", 1.0, 1e155)])
+def test_fit_model_names_an_overflowing_gram_matrix(method, target_scale, source_scale):
+    rng = np.random.default_rng(6)
+    target, source = rng.standard_normal((40, 10)), rng.standard_normal((40, 8))
+    extra = rng.standard_normal((10, 8))
+    with pytest.raises(NumericalError, match="overflows"):
+        fit_model(method, target * target_scale, source * source_scale,
+                  extra * source_scale, bits=4, iters=3, k_graph=3)
 
 
 def test_procrustes_zero_cross_term():

@@ -44,3 +44,43 @@ def test_main_writes_the_record_as_json(tmp_path, monkeypatch, capsys):
     assert [r["method"] for r in written["runs"]] == ["itq", "itq+", "lapitq+"]
     assert set(written["mean_map"]) == {"itq", "itq+", "lapitq+"}
     assert "lapitq+  mean MAP" in capsys.readouterr().out
+
+
+def test_compare_names_every_cell_that_differs_or_is_missing():
+    config, target, source = tiny(2)
+    parent = quality_record.record(config, target, source)
+    assert quality_record.compare(parent, parent) == (
+        [], {"itq": 1.0, "itq+": 1.0, "lapitq+": 1.0})
+    result = json.loads(json.dumps(parent))  # the record as a file holds it
+    result["runs"][0]["map"] += 1e-12
+    result["runs"][1]["fit_s"] = 2 * parent["runs"][1]["fit_s"]
+    result["runs"][4]["fit_s"] = 4 * parent["runs"][4]["fit_s"]
+    moved = result["runs"].pop(2)
+    result["runs"].append({**moved, "seed": 7})
+    problems, ratios = quality_record.compare(parent, result)
+    assert problems == [
+        f"seed 0 itq 4 bits: MAP {parent['runs'][0]['map']!r} -> "
+        f"{result['runs'][0]['map']!r}",
+        "seed 0 lapitq+ 4 bits: in the parent record only",
+        "seed 7 lapitq+ 4 bits: not in the parent record",
+    ]
+    assert ratios == {"itq": 1.0, "itq+": 3.0, "lapitq+": 1.0}
+
+
+def test_main_compare_exits_1_naming_the_cells_that_differ(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(quality_record, "criterion_8", tiny)
+    parent = tmp_path / "parent.json"
+    assert quality_record.main(["--out", str(parent), "--seeds", "1"]) == 0
+    out = str(tmp_path / "quality.json")
+    assert quality_record.main(["--out", out, "--seeds", "1", "--compare", str(parent)]) == 0
+    printed = capsys.readouterr().out
+    assert f"itq+     fit seconds, median ratio to {parent}: " in printed
+    assert f"0 cell(s) differ from {parent}" in printed
+    record = json.loads(parent.read_text())
+    record["runs"][1]["map"] = 0.5
+    parent.write_text(json.dumps(record))
+    assert quality_record.main(["--out", out, "--seeds", "2", "--compare", str(parent)]) == 1
+    printed = capsys.readouterr().out
+    assert "differs: seed 0 itq+ 4 bits: MAP 0.5 -> " in printed
+    assert "differs: seed 1 itq 4 bits: not in the parent record" in printed
+    assert f"4 cell(s) differ from {parent}" in printed

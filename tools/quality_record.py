@@ -2,7 +2,8 @@
 
 Usage, from anywhere:
 
-    python3 tools/quality_record.py --out QUALITY_name.json [--seeds 10]
+    python3 tools/quality_record.py --out QUALITY_name.json [--seeds 10] \
+        [--compare QUALITY_parent.json]
 
 The workload is criterion 8's (tests/test_acceptance.py): 1,250 synthetic
 pairs (64-d target, 40-d source), split seeds 0..N-1 with alpha 0.1 and
@@ -12,6 +13,12 @@ is fitted and scored as run_bench does, so its MAP is run_bench's; the
 record adds the seconds fit_model took.  MAP repeats exactly across runs
 on one machine and numpy build, so two records' MAP fields compare with
 ==; fit times are wall-clock readings and do not repeat.
+
+--compare PARENT.json checks the new record against an earlier one: it
+names every (seed, method, bits) cell whose MAP differs or that either
+record lacks, and prints each method's median, over its cells, of the
+new fit seconds over the parent's.  The exit code is then 1 when some
+cell was named, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -79,21 +86,58 @@ def record(config: RunConfig, target, source) -> dict:
     }
 
 
+def compare(parent: dict, result: dict) -> tuple[list[str], dict]:
+    """(one line per cell whose MAP differs or that one record lacks,
+    each method's median ratio of the result's fit seconds to the parent's
+    over the cells both records hold)."""
+    def cells(rec):
+        return {(r["seed"], r["method"], r["bits"]): r for r in rec["runs"]}
+
+    old, new = cells(parent), cells(result)
+    problems = []
+    for key in sorted(old.keys() | new.keys()):
+        cell = f"seed {key[0]} {key[1]} {key[2]} bits"
+        if key not in new:
+            problems.append(f"{cell}: in the parent record only")
+        elif key not in old:
+            problems.append(f"{cell}: not in the parent record")
+        elif new[key]["map"] != old[key]["map"]:
+            problems.append(f"{cell}: MAP {old[key]['map']!r} -> {new[key]['map']!r}")
+    ratios = {}
+    for key in sorted(old.keys() & new.keys()):
+        ratios.setdefault(key[1], []).append(new[key]["fit_s"] / old[key]["fit_s"])
+    return problems, {method: statistics.median(r) for method, r in ratios.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the JSON file to write")
     parser.add_argument("--seeds", type=int, default=10,
                         help="split seeds 0..N-1 (default 10, criterion 8's)")
+    parser.add_argument("--compare", metavar="PARENT.json",
+                        help="an earlier record whose MAP every cell must equal")
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error("--seeds must be >= 1")
+    parent = None
+    if args.compare:
+        with open(args.compare, encoding="utf-8") as fh:
+            parent = json.load(fh)
     result = record(*criterion_8(args.seeds))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
     for method, value in result["mean_map"].items():
         print(f"{method:8s} mean MAP {value:.4f}")
-    return 0
+    if parent is None:
+        return 0
+    problems, ratios = compare(parent, result)
+    for method, ratio in ratios.items():
+        print(f"{method:8s} fit seconds, median ratio to {args.compare}: {ratio:.3f}")
+    for line in problems:
+        print(f"differs: {line}")
+    print(f"{len(problems)} cell(s) differ from {args.compare}")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
