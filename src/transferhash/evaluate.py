@@ -5,7 +5,8 @@ point is relevant to a query when their original-feature Euclidean
 distance is at most the mean distance-to-rth-neighbor over the database.
 
 Ground truth and scoring work on blocks of rows against the whole
-database: ground truth peaks at about 2 x _BLOCK_ELEMENTS values, not db x db.
+database: ground truth peaks at about _BLOCK_ELEMENTS + _CHUNK_ELEMENTS
+values, not db x db.
 """
 
 from __future__ import annotations
@@ -28,14 +29,18 @@ DEFAULT_GT_RANK = 50
 
 # rows per block = element budget // database rows (at least one).  Ground
 # truth's BLAS products run slower on small blocks (2^16 took twice as long as
-# 2^21); with reused buffers, 2^19, 2^20 and 2^21 took 0.54, 0.54 and 0.57 s
-# on an 8,000-row database, and 2^20 keeps up to 1,024 rows in one block.
+# 2^21); with a reused product buffer, 2^19, 2^20 and 2^21 took 0.54, 0.54 and
+# 0.57 s on an 8,000-row database, and 2^20 keeps up to 1,024 rows in one
+# block.  Each block's product is then finished in chunks of 2^16 values
+# (512 KB, within L2), so the passes after the GEMM do not stream the block
+# through L3 one after another.
 # Scoring's largest temporary is a block's ranking, 8 bytes a value: 1 MB at
 # 2^17.  At 2^21 values the allocator served its temporaries from reused heap
 # or from newly faulted pages depending on what the process freed before, so
 # its speed varied from run to run; from 2^15 to 2^21 no size beat 2^17 by
 # more than the spread of repeated calls.
 _BLOCK_ELEMENTS = 1 << 20
+_CHUNK_ELEMENTS = 1 << 16
 _SCORE_BLOCK_ELEMENTS = 1 << 17
 
 
@@ -154,17 +159,24 @@ class GroundTruth:
         return tuple(self.ids[lo:hi] for lo, hi in zip(edges, edges[1:]))
 
 
-def _squared_distances(a, b, b_norms, out, product) -> np.ndarray:
+def _squared_distance_chunks(a, b, b_norms, product, sums):
     """|a|^2 + |b|^2 - 2ab per row pair, given b's squared row norms; may dip below 0.
 
-    Built in out, with product for ab, as (|a|^2 + |b|^2) - (2 * ab) in that
-    order, so every value has the bits of the plain numpy expression.
+    One np.matmul writes ab for all of a's rows into product; the rows are
+    then finished in place a chunk of about _CHUNK_ELEMENTS values at a
+    time, with sums (at least a chunk's rows) for |a|^2 + |b|^2, as
+    (|a|^2 + |b|^2) - (2 * ab) in that order, so every value has the bits
+    of the plain numpy expression.  Yields (first row, finished chunk).
     """
-    np.add.outer(np.sum(a * a, axis=1), b_norms, out=out)
+    product = product[:a.shape[0]]
     np.matmul(a, b.T, out=product)
-    product *= 2.0
-    out -= product
-    return out
+    a_norms = np.sum(a * a, axis=1)
+    for lo, hi in _row_blocks(a.shape[0], b.shape[0], _CHUNK_ELEMENTS):
+        chunk = product[lo:hi]
+        chunk *= 2.0
+        np.add.outer(a_norms[lo:hi], b_norms, out=sums[:hi - lo])
+        np.subtract(sums[:hi - lo], chunk, out=chunk)
+        yield lo, chunk
 
 
 def _square_bound(t: float) -> float:
@@ -215,27 +227,26 @@ def ground_truth(database_features, query_features,
     db_norms = np.sum(db * db, axis=1)
     db_blocks = _row_blocks(n, n, _BLOCK_ELEMENTS)
     query_blocks = _row_blocks(queries.shape[0], n, _BLOCK_ELEMENTS)
-    # reused, they spare the kernel faulting in fresh pages per block; two, not
-    # one of twice the size: glibc's mmap threshold rises to the largest block
-    # freed, and below it freed heap stays resident
+    # reused, they spare the kernel faulting in fresh pages per block
     block_rows = max(hi - lo for lo, hi in db_blocks + query_blocks)
-    out, product = np.empty((block_rows, n)), np.empty((block_rows, n))
+    product = np.empty((block_rows, n))
+    sums = np.empty((min(block_rows, max(1, _CHUNK_ELEMENTS // n)), n))
     kth = np.empty(n)
     for lo, hi in db_blocks:
-        inner = _squared_distances(db[lo:hi], db, db_norms, out[:hi - lo], product[:hi - lo])
-        rows = np.arange(hi - lo)
-        inner[rows, lo + rows] = np.inf
-        # sqrt(clip(.)) is monotone, so it maps the r-th smallest square to
-        # the r-th smallest distance: only the selected values need it
-        inner.partition(r_eff - 1, axis=1)
-        kth[lo:hi] = inner[:, r_eff - 1]
+        for start, inner in _squared_distance_chunks(db[lo:hi], db, db_norms, product, sums):
+            first, rows = lo + start, np.arange(inner.shape[0])
+            inner[rows, first + rows] = np.inf
+            # sqrt(clip(.)) is monotone, so it maps the r-th smallest square to
+            # the r-th smallest distance: only the selected values need it
+            inner.partition(r_eff - 1, axis=1)
+            kth[first:first + rows.size] = inner[:, r_eff - 1]
     threshold = float(np.sqrt(np.clip(kth, 0.0, None)).mean())
 
     bound = _square_bound(threshold)
     flat = [np.empty(0, dtype=np.intp)]
     for lo, hi in query_blocks:
-        cross = _squared_distances(queries[lo:hi], db, db_norms, out[:hi - lo], product[:hi - lo])
-        flat.append(lo * n + np.flatnonzero(cross <= bound))
+        for start, cross in _squared_distance_chunks(queries[lo:hi], db, db_norms, product, sums):
+            flat.append((lo + start) * n + np.flatnonzero(cross <= bound))
     # flat index q * n + row of every relevant pair, query after query, so
     # query q's pairs start at the first index >= q * n
     flat = np.concatenate(flat)

@@ -9,6 +9,7 @@ itq+ with balanced codes, and lapitq+ with a graph-regularized relaxed step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,7 +164,8 @@ def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
     rise if no code step scores worse than the last sweep's codes on its
     scores.  x_sc = None runs without a privileged view: plain
     quantization, with lambda1 = 0.  check_solve_args checks the arguments;
-    both rotations start from random_orthonormal with the given seed.
+    both rotations start from random_orthonormal with the given seed.  A
+    sweep whose objective is not finite raises NumericalError.
 
     Returns (codes, rotation, slack_rotation, trace).
     """
@@ -195,11 +197,18 @@ def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
             slack_rotation = procrustes(err, x_sc, slack_rotation,
                                         max_iter=DEFAULT_STEP_ITERS, gram=gram_sc)
             x_p = x_sc @ slack_rotation
-        loss = float(np.sum(err * err))
-        if x_sc is not None:
-            slack = err - x_p
-            loss = loss + float(lambda1) * float(np.sum(slack * slack))
-        trace.append(loss + term)
+        # a square rotation builds no gram_bound, so views whose squares
+        # overflow reach this sum: refuse it rather than record inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = float(np.sum(err * err))
+            if x_sc is not None:
+                slack = err - x_p
+                loss = loss + float(lambda1) * float(np.sum(slack * slack))
+        total = loss + term
+        if not math.isfinite(total):
+            raise NumericalError("the objective overflows float64: the views' "
+                                 "values are too large")
+        trace.append(total)
         if tol > 0 and len(trace) >= 2:
             prev, cur = trace[-2], trace[-1]
             if abs(prev - cur) < tol * max(abs(prev), 1e-30):

@@ -383,6 +383,15 @@ def test_train_exits_4_when_a_gram_matrix_overflows(tmp_path, dataset, method, s
     assert not (tmp_path / "m.model").exists()
 
 
+def test_train_exits_4_when_a_square_rotation_overflows(tmp_path, dataset):
+    # 12 bits on the 12-column target view: a square rotation, no gram_bound
+    path = tmp_path / "target_train.bin"
+    save_matrix(load_matrix(dataset / "target_train.bin") * 1e155, path)
+    assert run_cli("train", "--method", "itq", "--target", path, "--bits", 12,
+                   "--iters", 3, "--out", tmp_path / "m.model") == 4
+    assert not (tmp_path / "m.model").exists()
+
+
 def test_train_dump_graph_rejected_before_training(tmp_path, dataset):
     model_path = tmp_path / "m.model"
     assert run_cli("train", "--method", "itq",

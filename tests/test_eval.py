@@ -828,18 +828,24 @@ def ground_truth_before_buffers(database_features, query_features, r, block_elem
 
 @pytest.mark.parametrize("n, d", [(300, 33), (2000, 64)])
 @pytest.mark.parametrize("n_queries", [0, 70])
-@pytest.mark.parametrize("block", ["7n", 1 << 19, 1 << 21])
+@pytest.mark.parametrize("block, chunk", [
+    pytest.param(block, chunk, id=str(block) + (f"-chunk{chunk}" if chunk else ""))
+    for chunk in (None, "3n", "1") for block in ("7n", 1 << 19, 1 << 21)])
 def test_ground_truth_in_reused_buffers_equals_the_per_block_allocation(
-        monkeypatch, n, d, n_queries, block):
-    # same products in the same order, written into reused buffers, and
+        monkeypatch, n, d, n_queries, block, chunk):
+    # same products in the same order, finished in place chunk by chunk, and
     # squares compared against the largest square whose root is <= the
-    # threshold: every bit of the result stays
+    # threshold: every bit of the result stays.  chunk None keeps the
+    # budget; "3n" splits a 7-row block into chunks of 2, 2 and 3 rows and
+    # 70 queries into chunks of 2 or 3; "1" finishes one row at a time
     block = 7 * n if block == "7n" else block
     rng = np.random.default_rng(n + n_queries)
     db = rng.standard_normal((n, d)) * 4.0
     queries = rng.standard_normal((n_queries, d)) * 4.0
     expected = ground_truth_before_buffers(db, queries, 20, block)
     monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", block)
+    if chunk is not None:
+        monkeypatch.setattr(evaluate, "_CHUNK_ELEMENTS", 3 * n if chunk == "3n" else 1)
     gt = ground_truth(db, queries, 20)
     assert gt.threshold == expected.threshold and gt.r == expected.r
     assert len(gt.relevant) == len(expected.relevant) == n_queries
@@ -848,9 +854,10 @@ def test_ground_truth_in_reused_buffers_equals_the_per_block_allocation(
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_ground_truth_peak_memory_is_two_block_buffers(monkeypatch):
-    # every database and query block reuses the same two buffers of the
-    # block budget; what else is live grows with n * d + n, not with blocks
+def test_ground_truth_peak_memory_is_one_block_and_one_chunk_buffer(monkeypatch):
+    # every database and query block reuses one product buffer of the block
+    # budget and one sums buffer of the chunk budget; what else is live grows
+    # with n * d + n, not with blocks or chunks
     block = 1 << 19
     monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", block)
     rng = np.random.default_rng(21)
@@ -863,7 +870,7 @@ def test_ground_truth_peak_memory_is_two_block_buffers(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * block + 8 * (n * d + n)
+    assert peak <= 8 * (block + evaluate._CHUNK_ELEMENTS + n * d + n)
 
 
 @pytest.mark.parametrize("n, block", [(300, 7 * 300), (257, 1 << 21), (40, 40)])

@@ -473,6 +473,20 @@ def test_fit_model_names_an_overflowing_gram_matrix(method, target_scale, source
                   extra * source_scale, bits=4, iters=3, k_graph=3)
 
 
+@pytest.mark.parametrize("method, target_scale, source_scale", [
+    ("itq", 1e155, 1.0), ("itq+", 1.0, 1e155), ("itq+", 1e155, 1.0)])
+def test_fit_model_refuses_an_overflowing_objective_with_square_rotations(
+        method, target_scale, source_scale):
+    # bits equal to both views' widths: no rotation is tall, so no gram_bound
+    # is built, and the first sweep's loss is the first sum that overflows;
+    # the suite turns any RuntimeWarning before the refusal into an error
+    rng = np.random.default_rng(6)
+    target, source = rng.standard_normal((40, 10)), rng.standard_normal((40, 10))
+    with pytest.raises(NumericalError, match="objective overflows"):
+        fit_model(method, target * target_scale, source * source_scale,
+                  bits=10, iters=3)
+
+
 def test_procrustes_zero_cross_term():
     x = np.random.default_rng(9).standard_normal((10, 5))
     zero_a = np.zeros((10, 2))
