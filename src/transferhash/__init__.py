@@ -30,7 +30,7 @@ from .evaluate import (
 from .itq import itq_train
 from .itq_plus import ItqPlusState, itq_plus_train
 from .lap_itq_plus import lap_itq_plus_train
-from .model import HashModel, with_pipeline
+from .model import HashModel
 from .synth import make_two_view_clusters
 
 __version__ = "0.1.0"
@@ -60,6 +60,5 @@ __all__ = [
     "save_matrix",
     "save_model",
     "search",
-    "with_pipeline",
     "zero_center",
 ]

@@ -15,8 +15,8 @@ def lsh_fit(d: int, c: int, seed=0) -> HashModel:
 
     d and c must be integers >= 1 (ValueError).  Thresholds are zero, so
     codes are signs of linear functionals of the centered input.  The model
-    carries a zero mean; attach a training mean with model.with_pipeline()
-    before encoding raw data.
+    carries a zero mean; bench.fit_model gives it the training mean, so that
+    it encodes raw data.
     """
     check_count("d", d, 1)
     check_count("c", c, 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .evaluate import EvalReport, evaluate_model, ground_truth
 from .itq import itq_train
 from .itq_plus import itq_plus_train
 from .lap_itq_plus import lap_itq_plus_train
-from .model import HashModel, LinearProjection, default_hyperparams, with_pipeline
+from .model import HashModel, LinearProjection, default_hyperparams
 from .preprocess import pca_fit, project
 
 log = logging.getLogger(__name__)
@@ -44,11 +44,13 @@ def fit_model(method: str, target_train, source_corr=None, source_extra=None, *,
 
     Target rows are centered on their own mean; source rows are centered on
     the mean over all available source rows (correspondences plus extras),
-    since privileged data never appears at query time.  When pca_energy is
-    set, the target side is reduced before rotation learning (cca-itq uses
-    its canonical projection instead); a rotation learned on it needs at
-    least bits components, so keeping fewer raises ConfigError, as do bits
-    that are not an integer >= 1.
+    since privileged data never appears at query time; extras as wide as
+    source_corr, possibly none, else DataError.  When pca_energy is set,
+    the target side is reduced before rotation learning (cca-itq uses its
+    canonical projection instead); a rotation learned on it needs at least
+    bits components, so keeping fewer raises ConfigError, as do bits that
+    are not an integer >= 1.  The fit's one HashModel is built here from
+    the trainer's rotation; lsh and cca-itq models get the centering.
     """
     try:
         check_count("bits", bits, 1)
@@ -59,52 +61,57 @@ def fit_model(method: str, target_train, source_corr=None, source_extra=None, *,
     x_sc = x_su = None
     if source_corr is not None:
         source_corr = check_matrix("source_corr", source_corr, 1)
-        extra = source_extra is not None and np.asarray(source_extra).size
-        source_extra = np.asarray(source_extra, dtype=np.float64) if extra else None
-        source_mean = (np.vstack([source_corr, source_extra]) if extra else source_corr).mean(axis=0)
+        source_rows = source_corr
+        if source_extra is not None:
+            source_extra = check_matrix("source_extra", source_extra)
+            if source_extra.shape[1] != source_corr.shape[1]:
+                raise DataError(f"source_extra has {source_extra.shape[1]} columns but "
+                                f"source_corr has {source_corr.shape[1]}")
+            if source_extra.shape[0]:
+                source_rows = np.vstack([source_corr, source_extra])
+        source_mean = source_rows.mean(axis=0)
         if not np.isfinite(source_mean).all():  # NaN or inf in a row spoils its column mean
             raise DataError("source rows hold non-finite values")
         x_sc = source_corr - source_mean
-        x_su = source_extra - source_mean if extra else None
+        x_su = None if source_extra is None else source_extra - source_mean
 
-    preprocessing = None
+    projection = LinearProjection.identity(centered_t.shape[1])
     trainer_input = centered_t
     if pca_energy is not None and method != "cca-itq":
-        preprocessing = pca_fit(centered_t, pca_energy)
-        trainer_input = project(centered_t, preprocessing)
+        projection = pca_fit(centered_t, pca_energy)
+        trainer_input = project(centered_t, projection)
         if method != "lsh" and trainer_input.shape[1] < bits:
             raise ConfigError(f"pca_energy={pca_energy} keeps {trainer_input.shape[1]} "
                               f"components, fewer than bits={bits}")
-    # cca-itq keeps the canonical projection its trainer fitted
-    projection = None if method == "cca-itq" else _proj_for(preprocessing, trainer_input)
 
     if method in ("itq+", "lapitq+", "cca-itq") and x_sc is None:
         raise ConfigError(f"method {method} needs source correspondence data")
-    trace, graph = [], None
+    if method == "lsh":
+        model = replace(lsh_fit(trainer_input.shape[1], bits, seed),
+                        centering=centering, preprocessing=projection)
+        return FitResult(model, [])
+    if method == "cca-itq":
+        # cca-itq keeps the canonical projection its trainer fitted
+        model = cca_itq_fit(centered_t, x_sc, bits, iters, seed)
+        return FitResult(replace(model, centering=centering), [])
+    graph = None
     if method == "itq":
         _, rotation, trace = itq_train(trainer_input, bits, iters, seed)
-        model = HashModel("itq", centering, projection, rotation, bits,
-                          default_hyperparams(iters=iters, seed=seed))
-    elif method == "lsh":
-        model = lsh_fit(trainer_input.shape[1], bits, seed)
-    elif method == "cca-itq":
-        model = cca_itq_fit(centered_t, x_sc, bits, iters, seed)
+        weights = {}
     elif method == "itq+":
-        model, state = itq_plus_train(trainer_input, x_sc, bits, lambda1, iters, seed)
-        trace = state.objective_trace
+        state = itq_plus_train(trainer_input, x_sc, bits, lambda1, iters, seed)
+        rotation, trace = state.rotation, state.objective_trace
+        weights = {"lambda1": lambda1}
     elif method == "lapitq+":
-        model, state = lap_itq_plus_train(trainer_input, x_sc, x_su, bits, lambda1,
-                                          lambda2, k_graph, iters, seed)
-        trace, graph = state.objective_trace, state.graph
+        state = lap_itq_plus_train(trainer_input, x_sc, x_su, bits, lambda1,
+                                   lambda2, k_graph, iters, seed)
+        rotation, trace, graph = state.rotation, state.objective_trace, state.graph
+        weights = {"lambda1": lambda1, "lambda2": lambda2, "k_graph": k_graph}
     else:
         raise ConfigError(f"unknown method {method!r}")
-    return FitResult(with_pipeline(model, centering, projection), trace, graph)
-
-
-def _proj_for(preprocessing, trainer_input):
-    if preprocessing is not None:
-        return preprocessing
-    return LinearProjection.identity(trainer_input.shape[1])
+    model = HashModel(method, centering, projection, rotation, bits,
+                      default_hyperparams(iters=iters, seed=seed, **weights))
+    return FitResult(model, trace, graph)
 
 
 def run_cell(config: RunConfig, split, gt, method: str, bits: int,

@@ -229,5 +229,5 @@ def itq_train(x, c: int, iters: int = DEFAULT_ITERS, seed=0, *,
     """
     from .itq_plus import alternating_solve, sign_step  # itq_plus builds on this module
 
-    codes, rotation, _, losses = alternating_solve(x, None, c, 0.0, iters, seed, sign_step, tol=tol)
-    return codes, rotation, losses
+    state = alternating_solve(x, None, c, 0.0, iters, seed, sign_step, tol=tol)
+    return state.codes, state.rotation, state.objective_trace

@@ -10,7 +10,7 @@ itq+ with balanced codes, and lapitq+ with a graph-regularized relaxed step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,20 +25,18 @@ from .itq import (
     procrustes,
     random_orthonormal,
 )
-from .model import CenteringInfo, HashModel, LinearProjection, default_hyperparams
 
 DEFAULT_LAMBDA1 = 0.01
 
 
 @dataclass
 class ItqPlusState:
-    """Final blocks of the alternating solve, per-sweep objective, lapitq+'s graph."""
+    """One fit: the solve's final blocks, its per-sweep objective, lapitq+'s graph."""
 
     codes: BinaryCodeMatrix
     rotation: np.ndarray
-    slack_rotation: np.ndarray
-    lambda1: float
-    objective_trace: list = field(default_factory=list)
+    slack_rotation: np.ndarray | None
+    objective_trace: list
     graph: object = None
 
 
@@ -167,7 +165,8 @@ def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
     both rotations start from random_orthonormal with the given seed.  A
     sweep whose objective is not finite raises NumericalError.
 
-    Returns (codes, rotation, slack_rotation, trace).
+    Returns ItqPlusState(codes, rotation, slack_rotation, trace); the
+    slack rotation is None without a privileged view.
     """
     x_t, x_sc = check_solve_args(x_t, x_sc, c, lambda1, iters, tol)
     d_t = x_t.shape[1]
@@ -213,20 +212,7 @@ def alternating_solve(x_t, x_sc, c: int, lambda1: float, iters: int, seed,
             prev, cur = trace[-2], trace[-1]
             if abs(prev - cur) < tol * max(abs(prev), 1e-30):
                 break
-    return BinaryCodeMatrix(signs), rotation, slack_rotation, trace
-
-
-def identity_model(method: str, rotation, **hyperparams) -> HashModel:
-    """A trained rotation as a HashModel with zero mean and no projection."""
-    d = rotation.shape[0]
-    return HashModel(
-        method=method,
-        centering=CenteringInfo(np.zeros(d)),
-        preprocessing=LinearProjection.identity(d),
-        rotation=rotation,
-        bits=rotation.shape[1],
-        hyperparams=default_hyperparams(**hyperparams),
-    )
+    return ItqPlusState(BinaryCodeMatrix(signs), rotation, slack_rotation, trace)
 
 
 def itq_plus_train(x_t, x_sc, c: int, lambda1: float = DEFAULT_LAMBDA1,
@@ -238,11 +224,7 @@ def itq_plus_train(x_t, x_sc, c: int, lambda1: float = DEFAULT_LAMBDA1,
     instances.  This is alternating_solve with the balanced code step
     (balanced_step).  The objective is recorded after each full sweep.
 
-    Returns (HashModel, ItqPlusState).
+    Returns the solve's ItqPlusState; bench.fit_model builds the HashModel.
     """
     x_t = check_matrix("x_t", x_t, 2)
-    codes, rotation, slack_rotation, trace = alternating_solve(
-        x_t, x_sc, c, lambda1, iters, seed, balanced_step, tol=tol)
-    state = ItqPlusState(codes, rotation, slack_rotation, lambda1, trace)
-    model = identity_model("itq+", rotation, lambda1=lambda1, iters=iters, seed=seed)
-    return model, state
+    return alternating_solve(x_t, x_sc, c, lambda1, iters, seed, balanced_step, tol=tol)

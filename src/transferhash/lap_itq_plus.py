@@ -17,13 +17,7 @@ from . import evaluate
 from .codes import BinaryCodeMatrix, sgn
 from .errors import NumericalError, check_count, check_matrix, check_weight
 from .itq import DEFAULT_ITERS, DEFAULT_TOL, itq_train
-from .itq_plus import (
-    DEFAULT_LAMBDA1,
-    ItqPlusState,
-    alternating_solve,
-    check_solve_args,
-    identity_model,
-)
+from .itq_plus import DEFAULT_LAMBDA1, alternating_solve, check_solve_args
 
 DEFAULT_LAMBDA2 = 0.01
 DEFAULT_K = 5
@@ -199,7 +193,7 @@ def lap_itq_plus_train(x_t, x_sc, x_su, c: int,
     term lambda2 tr(B^T L B) at the binary codes; like the itq and itq+
     traces it never rises.
 
-    Returns (HashModel, ItqPlusState); the state holds the neighbor graph.
+    Returns the solve's ItqPlusState with graph set to the neighbor graph.
     """
     # everything is checked before the offline source fit
     x_t, x_sc = check_solve_args(x_t, check_matrix("x_sc", x_sc), c, lambda1, iters, tol)
@@ -235,9 +229,6 @@ def lap_itq_plus_train(x_t, x_sc, x_su, c: int,
         previous = signs, term
         return previous
 
-    codes, rotation, slack_rotation, trace = alternating_solve(
-        x_t, x_sc, c, lambda1, iters, seed, relaxed_step, tol=tol)
-    state = ItqPlusState(codes, rotation, slack_rotation, lambda1, trace, graph)
-    model = identity_model("lapitq+", rotation, lambda1=lambda1, lambda2=lambda2,
-                           k_graph=k, iters=iters, seed=seed)
-    return model, state
+    state = alternating_solve(x_t, x_sc, c, lambda1, iters, seed, relaxed_step, tol=tol)
+    state.graph = graph
+    return state

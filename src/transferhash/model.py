@@ -7,7 +7,7 @@ rotate, and take signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,10 +111,3 @@ class HashModel:
     def input_dim(self) -> int:
         return self.centering.mean.shape[0]
 
-
-def with_pipeline(model: HashModel, centering: CenteringInfo,
-                  preprocessing: LinearProjection | None = None) -> HashModel:
-    """Attach real centering (and optionally a projection) to a trained model."""
-    if preprocessing is None:
-        preprocessing = model.preprocessing
-    return replace(model, centering=centering, preprocessing=preprocessing)

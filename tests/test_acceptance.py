@@ -46,7 +46,7 @@ def report(number, name):
 def test_criterion_1_objective_monotonicity():
     start = time.perf_counter()
     x_t, x_s = two_view(200, 16, 12, seed=11)
-    _, state = itq_plus_train(x_t, x_s, 8, 0.01, iters=150, seed=0, tol=0)
+    state = itq_plus_train(x_t, x_s, 8, 0.01, iters=150, seed=0, tol=0)
     trace = np.asarray(state.objective_trace)
     assert len(trace) == 150
     assert np.all(np.diff(trace) <= 1e-9)
@@ -109,15 +109,15 @@ def test_criterion_3_procrustes_optimality():
 def test_criterion_4_reduction_identities():
     x_t, x_s = two_view(90, 12, 10, seed=44)
     for seed in (0, 1, 2):
-        codes_itq, _, _, losses = alternating_solve(x_t, None, 6, 0.0, 40, seed,
-                                                    balanced_step, tol=0)
-        _, state = itq_plus_train(x_t, x_s, 6, 0.0, iters=40, seed=seed, tol=0)
+        solve = alternating_solve(x_t, None, 6, 0.0, 40, seed, balanced_step, tol=0)
+        codes_itq, losses = solve.codes, solve.objective_trace
+        state = itq_plus_train(x_t, x_s, 6, 0.0, iters=40, seed=seed, tol=0)
         assert abs(state.objective_trace[-1] - losses[-1]) <= 1e-9
         assert np.array_equal(codes_itq.signs, state.codes.signs)
     for seed in (0, 1, 2):
-        codes_sign, *_ = alternating_solve(x_t, x_s, 6, 0.05, 30, seed, sign_step, tol=0)
-        _, state_lap = lap_itq_plus_train(x_t, x_s, None, 6, 0.05, 0.0, 5,
-                                          iters=30, seed=seed, tol=0)
+        codes_sign = alternating_solve(x_t, x_s, 6, 0.05, 30, seed, sign_step, tol=0).codes
+        state_lap = lap_itq_plus_train(x_t, x_s, None, 6, 0.05, 0.0, 5,
+                                       iters=30, seed=seed, tol=0)
         assert np.array_equal(codes_sign.signs, state_lap.codes.signs)
     report(4, "reduction identities")
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from transferhash.baselines import cca_itq_fit, lsh_fit
 from transferhash.data import zero_center
 from transferhash.evaluate import encode, evaluate_model
 from transferhash.itq import itq_train
-from transferhash.model import CenteringInfo, HashModel, LinearProjection, with_pipeline
+from transferhash.model import HashModel, LinearProjection
 
 
 def hamming_distance(a, b) -> int:
@@ -124,9 +126,8 @@ def test_cca_itq_identical_views_close_to_plain_itq():
         queries = raw[100:]
         db = raw[:100]
         centered, info = zero_center(db)
-        model_cca = with_pipeline(cca_itq_fit(centered, centered.copy(), 4,
-                                              iters=30, seed=seed),
-                                  info)
+        model_cca = replace(cca_itq_fit(centered, centered.copy(), 4, iters=30, seed=seed),
+                            centering=info)
         _, rotation, _ = itq_train(centered, 4, iters=30, seed=seed)
         model_itq = HashModel("itq", info, LinearProjection.identity(8), rotation, 4)
         maps_cca.append(evaluate_model(model_cca, db, queries, r=5, ks=(5,)).map)
@@ -137,7 +138,6 @@ def test_cca_itq_identical_views_close_to_plain_itq():
 def test_cca_itq_bits_roughly_balanced():
     x_t, x_s = two_views(n=200, seed=7)
     model = cca_itq_fit(x_t, x_s, 6, iters=30, seed=2)
-    raw_model = with_pipeline(model, CenteringInfo(np.zeros(x_t.shape[1])))
-    signs = encode(raw_model, x_t).signs
+    signs = encode(model, x_t).signs  # cca_itq_fit's model carries a zero mean
     imbalance = np.abs(signs.sum(axis=0)) / signs.shape[0]
     assert np.all(imbalance < 0.5)

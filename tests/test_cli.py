@@ -164,8 +164,8 @@ def test_train_lambda_zero_matches_balanced_itq_loss(tmp_path, dataset):
     last = float(log_path.read_text().splitlines()[-1].split("objective=")[1])
     raw = load_matrix(dataset / "target_train.bin")
     centered = raw - raw.mean(axis=0)
-    *_, losses = itq_plus.alternating_solve(centered, None, 8, 0.0, 30, 7,
-                                            itq_plus.balanced_step, tol=itq.DEFAULT_TOL)
+    losses = itq_plus.alternating_solve(centered, None, 8, 0.0, 30, 7, itq_plus.balanced_step,
+                                        tol=itq.DEFAULT_TOL).objective_trace
     assert last == pytest.approx(losses[-1], abs=1e-9)
 
 
@@ -457,6 +457,20 @@ def test_config_out_key_rejected(tmp_path, dataset, caplog):
                        "--out", tmp_path / "split") == 2
         assert key in caplog.text
     assert not (tmp_path / "split").exists()
+
+
+@pytest.mark.parametrize("method", ["itq+", "lapitq+"])
+def test_train_extra_source_of_another_width_exits_3(tmp_path, dataset, method, caplog):
+    # np.vstack refused it with numpy's own message, a config error (2)
+    extra = tmp_path / "extra.bin"
+    save_matrix(load_matrix(dataset / "source_extra.bin")[:, :5], extra)
+    model_path = tmp_path / "m.model"
+    assert run_cli("train", "--method", method,
+                   "--target", dataset / "target_train.bin",
+                   "--source", dataset / "source_corr.bin", "--source-extra", extra,
+                   "--bits", 4, "--iters", 3, "--out", model_path) == 3
+    assert "source_extra has 5 columns but source_corr has 10" in caplog.text
+    assert not model_path.exists()
 
 
 def test_train_zero_bits_exits_2(tmp_path, dataset):

@@ -171,6 +171,10 @@ def test_fit_model_refuses_a_source_that_is_not_a_matrix(method):
     rows = np.random.default_rng(0).standard_normal((40, 10))
     with pytest.raises(ValueError, match=r"source_corr of shape \(20,\) is not a matrix"):
         fit_model(method, rows[:20, :6], rows[:20, 6], None, bits=3, k_graph=3, iters=4)
+    # a 1-D extra as wide as the source was stacked as one more source row
+    with pytest.raises(ValueError, match=r"source_extra of shape \(4,\) is not a matrix"):
+        fit_model(method, rows[:20, :6], rows[:20, 6:], rows[20, 6:], bits=3, k_graph=3,
+                  iters=4)
 
 
 @pytest.mark.parametrize("extra", [False, True])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transferhash.bench import fit_model
 from transferhash.cli import main
 from transferhash.data import (
     MAGIC,
@@ -202,7 +203,8 @@ def test_model_round_trip_trained(tmp_path):
     rng = np.random.default_rng(7)
     x_t = rng.standard_normal((60, 8)); x_t -= x_t.mean(0)
     x_s = rng.standard_normal((60, 6)); x_s -= x_s.mean(0)
-    model, state = itq_plus_train(x_t, x_s, 4, 0.05, iters=25, seed=0)
+    state = itq_plus_train(x_t, x_s, 4, 0.05, iters=25, seed=0)
+    model = fit_model("itq+", x_t, x_s, bits=4, lambda1=0.05, iters=25, seed=0).model
     path = tmp_path / "trained.model"
     save_model(model, path)
     loaded = load_model(path)
@@ -223,14 +225,15 @@ def test_model_trained_with_numpy_numbers_round_trips(tmp_path, c, lambda1, iter
     rng = np.random.default_rng(9)
     x_t = rng.standard_normal((30, 5)); x_t -= x_t.mean(0)
     x_s = rng.standard_normal((30, 4)); x_s -= x_s.mean(0)
-    model, _ = itq_plus_train(x_t, x_s, c, lambda1, iters)
+    model = fit_model("itq+", x_t, x_s, bits=c, lambda1=lambda1, iters=iters).model
     path = tmp_path / "numpy.model"
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.hyperparams == model.hyperparams
     assert {type(model.hyperparams[key]) for key in ("lambda1", "iters")} == {float, int}
     if type(lambda1) is float:  # the same model from Python numbers, byte for byte
-        as_python, _ = itq_plus_train(x_t, x_s, int(c), lambda1, int(iters))
+        as_python = fit_model("itq+", x_t, x_s, bits=int(c), lambda1=lambda1,
+                              iters=int(iters)).model
         save_model(as_python, tmp_path / "python.model")
         assert (tmp_path / "python.model").read_bytes() == path.read_bytes()
 
@@ -239,7 +242,7 @@ def test_model_reserialization_is_byte_exact(tmp_path):
     rng = np.random.default_rng(8)
     x_t = rng.standard_normal((40, 6)); x_t -= x_t.mean(0)
     x_s = rng.standard_normal((40, 5)); x_s -= x_s.mean(0)
-    model, _ = itq_plus_train(x_t, x_s, 3, 0.01, iters=10, seed=1)
+    model = fit_model("itq+", x_t, x_s, bits=3, lambda1=0.01, iters=10, seed=1).model
     first = tmp_path / "one.model"
     second = tmp_path / "two.model"
     save_model(model, first)
@@ -259,7 +262,7 @@ def model_file(tmp_path_factory):
     rng = np.random.default_rng(9)
     x_t = rng.standard_normal((20, 4)); x_t -= x_t.mean(0)
     x_s = rng.standard_normal((20, 3)); x_s -= x_s.mean(0)
-    model, _ = itq_plus_train(x_t, x_s, 2, 0.1, iters=3, seed=0)
+    model = fit_model("itq+", x_t, x_s, bits=2, lambda1=0.1, iters=3, seed=0).model
     path = tmp_path_factory.mktemp("model") / "saved.model"
     save_model(model, path)
     return path
@@ -388,10 +391,10 @@ def matrix_files(tmp_path_factory):
     """An itq model over 4 columns plus a database and queries in both formats."""
     rng = np.random.default_rng(10)
     database = rng.standard_normal((12, 4))
-    model, _ = itq_plus_train(database - database.mean(0),
-                              rng.standard_normal((12, 3)), 3, 0.1, iters=3, seed=0)
+    state = itq_plus_train(database - database.mean(0),
+                           rng.standard_normal((12, 3)), 3, 0.1, iters=3, seed=0)
     model = HashModel("itq", CenteringInfo(database.mean(0)),
-                      LinearProjection.identity(4), model.rotation, 3)
+                      LinearProjection.identity(4), state.rotation, 3)
     root = tmp_path_factory.mktemp("matrices")
     save_model(model, root / "m.model")
     paths = {}

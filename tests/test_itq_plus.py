@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transferhash.bench import fit_model
 from transferhash.codes import BinaryCodeMatrix, sgn
 from transferhash.errors import NumericalError
 from transferhash.itq import (
@@ -34,6 +35,7 @@ from transferhash.lap_itq_plus import (
     lap_itq_plus_train,
     laplacian,
 )
+from transferhash.model import HashModel
 
 
 def two_view_instance(n=200, d_t=16, d_s=12, seed=0, latent=6, noise=0.3):
@@ -288,9 +290,9 @@ def test_update_p_dimension_error():
 def test_train_lambda_zero_matches_balanced_itq():
     x_t, x_s = two_view_instance(80, 10, 8, seed=18)
     for seed in (0, 1):
-        codes_itq, rot_itq, _, losses = alternating_solve(x_t, None, 6, 0.0, 30, seed,
-                                                          balanced_step, tol=0)
-        _, state = itq_plus_train(x_t, x_s, 6, 0.0, iters=30, seed=seed, tol=0)
+        solve = alternating_solve(x_t, None, 6, 0.0, 30, seed, balanced_step, tol=0)
+        codes_itq, rot_itq, losses = solve.codes, solve.rotation, solve.objective_trace
+        state = itq_plus_train(x_t, x_s, 6, 0.0, iters=30, seed=seed, tol=0)
         assert np.array_equal(codes_itq.signs, state.codes.signs)
         assert np.array_equal(rot_itq, state.rotation)
         assert state.objective_trace[-1] == pytest.approx(losses[-1], abs=1e-9)
@@ -298,7 +300,7 @@ def test_train_lambda_zero_matches_balanced_itq():
 
 def test_train_trace_monotone():
     x_t, x_s = two_view_instance(200, 16, 12, seed=19)
-    _, state = itq_plus_train(x_t, x_s, 8, 0.01, iters=60, seed=0, tol=0)
+    state = itq_plus_train(x_t, x_s, 8, 0.01, iters=60, seed=0, tol=0)
     trace = np.array(state.objective_trace)
     assert len(trace) == 60
     assert np.all(np.diff(trace) <= 1e-9)
@@ -328,10 +330,10 @@ def test_itq_and_itq_plus_traces_never_rise(case):
     x_t, x_s, c, lam, seed, (lambda2, k, x_su) = case
     _, _, losses = itq_train(x_t, c, iters=8, seed=seed, tol=0)
     assert np.all(np.diff(losses) <= 1e-9)
-    _, state = itq_plus_train(x_t, x_s, c, lam, iters=8, seed=seed, tol=0)
+    state = itq_plus_train(x_t, x_s, c, lam, iters=8, seed=seed, tol=0)
     assert np.all(np.diff(state.objective_trace) <= 1e-9)
-    _, state = lap_itq_plus_train(x_t, x_s, x_su, c, lam, lambda2, k, iters=8,
-                                  seed=seed, tol=0)
+    state = lap_itq_plus_train(x_t, x_s, x_su, c, lam, lambda2, k, iters=8,
+                               seed=seed, tol=0)
     assert np.all(np.diff(state.objective_trace) <= 1e-9)
 
 
@@ -346,7 +348,7 @@ def test_fit_builds_each_gram_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     x_t, x_s = two_view_instance(120, 14, 11, seed=23)
-    _, state = itq_plus_train(x_t, x_s, 6, 0.1, iters=7, seed=0, tol=0)
+    state = itq_plus_train(x_t, x_s, 6, 0.1, iters=7, seed=0, tol=0)
     assert len(state.objective_trace) == 7
     assert sorted(shapes) == [(11, 11), (14, 14)]
     shapes.clear()
@@ -354,10 +356,43 @@ def test_fit_builds_each_gram_once(monkeypatch):
     assert len(losses) == 7 and shapes == [(14, 14)]
 
 
+@pytest.mark.parametrize("method", ["itq", "itq+", "lapitq+"])
+def test_fit_model_builds_one_model_from_the_trainer_record(monkeypatch, method):
+    # a trainer once built a model of its own, which fit_model then rebuilt
+    # with the training centering
+    built = []
+    post_init = HashModel.__post_init__
+
+    def counting(model):
+        built.append(model.method)
+        post_init(model)
+
+    monkeypatch.setattr(HashModel, "__post_init__", counting)
+    rng = np.random.default_rng(31)
+    target = rng.standard_normal((60, 10)) + 3.0
+    source = rng.standard_normal((90, 8)) - 1.0
+    fit = fit_model(method, target, source[:60], source[60:], bits=4, lambda1=0.2,
+                    lambda2=0.1, k_graph=3, iters=6, seed=2)
+    assert built == [method]
+    # the trainer's record on the inputs fit_model centers
+    x_t, x_s = target - target.mean(axis=0), source - source.mean(axis=0)
+    if method == "itq":
+        _, rotation, trace = itq_train(x_t, 4, 6, 2)
+        graph = None
+    else:
+        state = (itq_plus_train(x_t, x_s[:60], 4, 0.2, 6, 2) if method == "itq+" else
+                 lap_itq_plus_train(x_t, x_s[:60], x_s[60:], 4, 0.2, 0.1, 3, 6, 2))
+        rotation, trace, graph = state.rotation, state.objective_trace, state.graph
+    assert fit.model.rotation.tobytes() == rotation.tobytes()
+    assert fit.trace == trace
+    assert (fit.graph is None) == (graph is None) == (method != "lapitq+")
+    assert graph is None or (fit.graph != graph).nnz == 0
+
+
 def test_train_deterministic_per_seed():
     x_t, x_s = two_view_instance(100, 12, 10, seed=20)
-    _, state_a = itq_plus_train(x_t, x_s, 8, 0.05, iters=25, seed=4)
-    _, state_b = itq_plus_train(x_t, x_s, 8, 0.05, iters=25, seed=4)
+    state_a = itq_plus_train(x_t, x_s, 8, 0.05, iters=25, seed=4)
+    state_b = itq_plus_train(x_t, x_s, 8, 0.05, iters=25, seed=4)
     assert np.array_equal(state_a.codes.signs, state_b.codes.signs)
     assert np.array_equal(state_a.rotation, state_b.rotation)
 
@@ -390,15 +425,15 @@ def test_train_per_block_monotonicity():
 
 def test_train_codes_balanced():
     x_t, x_s = two_view_instance(101, 12, 9, seed=22)  # odd row count
-    _, state = itq_plus_train(x_t, x_s, 5, 0.05, iters=15, seed=0)
+    state = itq_plus_train(x_t, x_s, 5, 0.05, iters=15, seed=0)
     sums = state.codes.signs.sum(axis=0)
     assert np.all(np.abs(sums) <= 1)
 
 
 def test_train_privileged_path_inert_at_lambda_zero():
     x_t, x_s = two_view_instance(70, 9, 7, seed=23)
-    _, state_a = itq_plus_train(x_t, x_s, 5, 0.0, iters=20, seed=2, tol=0)
-    _, state_b = itq_plus_train(x_t, 10.0 * x_s, 5, 0.0, iters=20, seed=2, tol=0)
+    state_a = itq_plus_train(x_t, x_s, 5, 0.0, iters=20, seed=2, tol=0)
+    state_b = itq_plus_train(x_t, 10.0 * x_s, 5, 0.0, iters=20, seed=2, tol=0)
     assert np.array_equal(state_a.rotation, state_b.rotation)
     assert np.array_equal(state_a.codes.signs, state_b.codes.signs)
 
@@ -494,10 +529,11 @@ def trainer_fit(step, x_t, x_sc, c, lambda1, iters, seed, tol):
         codes, rotation, losses = itq_train(x_t, c, iters, seed, tol=tol)
         return codes, rotation, None, losses
     if step == "balanced" and x_sc is not None:
-        _, state = itq_plus_train(x_t, x_sc, c, lambda1, iters, seed, tol=tol)
-        return state.codes, state.rotation, state.slack_rotation, state.objective_trace
-    code_step = {"sign": sign_step, "balanced": balanced_step}[step]
-    return alternating_solve(x_t, x_sc, c, lambda1, iters, seed, code_step, tol=tol)
+        state = itq_plus_train(x_t, x_sc, c, lambda1, iters, seed, tol=tol)
+    else:
+        code_step = {"sign": sign_step, "balanced": balanced_step}[step]
+        state = alternating_solve(x_t, x_sc, c, lambda1, iters, seed, code_step, tol=tol)
+    return state.codes, state.rotation, state.slack_rotation, state.objective_trace
 
 
 def assert_same_fit(got, expected):
@@ -548,7 +584,7 @@ def test_sweep_once_matches_the_former_alternating_solve(case):
     # lapitq+: the offline source codes, the graph and the fit
     n, lambda2, k = x_t.shape[0], 0.1, min(3, x_t.shape[0] - 1)
     x_su = np.random.default_rng(seed).standard_normal((extra, x_s.shape[1])) if extra else None
-    _, state = lap_itq_plus_train(x_t, x_s, x_su, c, lam, lambda2, k, iters, seed, tol=tol)
+    state = lap_itq_plus_train(x_t, x_s, x_su, c, lam, lambda2, k, iters, seed, tol=tol)
     x_stack = np.vstack([x_s, x_su]) if extra else x_s
     source_codes, *_ = alternating_solve_before_sweep_once(
         x_stack, None, c, 0.0, iters, seed, CODE_STEPS_BEFORE_SIGNS["sign"], tol=tol)
@@ -611,7 +647,7 @@ def test_alternating_solve_takes_numpy_integers(integer):
     codes_0, rotation_0, losses_0 = itq_train(x_t, 3, 4, seed=1, tol=0)
     assert np.array_equal(codes.signs, codes_0.signs) and losses == losses_0
     assert rotation.tobytes() == rotation_0.tobytes()
-    _, state = itq_plus_train(x_t, x_s, integer(3), 0.1, integer(4), seed=1, tol=0)
+    state = itq_plus_train(x_t, x_s, integer(3), 0.1, integer(4), seed=1, tol=0)
     assert len(state.objective_trace) == 4
 
 

@@ -584,7 +584,7 @@ def test_lap_train_matches_a_fit_with_the_capped_box_qp(monkeypatch):
 
     def fit():
         return lap_itq_plus_train(x_t, x_s[:100], x_s[100:], 32, 0.3, 0.01, 5,
-                                  iters=15, seed=1, tol=0)[1]
+                                  iters=15, seed=1, tol=0)
 
     monkeypatch.setattr(lap_itq_plus, "box_qp_minimize", counted)
     stopped = fit()
@@ -638,9 +638,10 @@ def two_view_instance(n=100, d_t=12, d_s=10, seed=0, noise=0.3):
 def test_lap_train_zero_lambda2_reduces_to_sign_step():
     x_t, x_s = two_view_instance(seed=6)
     for seed in (0, 1):
-        codes, rotation, _, _ = alternating_solve(x_t, x_s, 6, 0.05, 25, seed, sign_step, tol=0)
-        _, state_lap = lap_itq_plus_train(x_t, x_s, None, 6, 0.05, 0.0, 5,
-                                          iters=25, seed=seed, tol=0)
+        solve = alternating_solve(x_t, x_s, 6, 0.05, 25, seed, sign_step, tol=0)
+        codes, rotation = solve.codes, solve.rotation
+        state_lap = lap_itq_plus_train(x_t, x_s, None, 6, 0.05, 0.0, 5,
+                                       iters=25, seed=seed, tol=0)
         assert np.array_equal(codes.signs, state_lap.codes.signs)
         assert np.array_equal(rotation, state_lap.rotation)
 
@@ -648,8 +649,8 @@ def test_lap_train_zero_lambda2_reduces_to_sign_step():
 def test_lap_train_zero_lambdas_match_plain_itq_rotation():
     x_t, x_s = two_view_instance(seed=7)
     codes_itq, rot_itq, _ = itq_train(x_t, 6, iters=25, seed=2, tol=0)
-    _, state = lap_itq_plus_train(x_t, x_s, None, 6, 0.0, 0.0, 5,
-                                  iters=25, seed=2, tol=0)
+    state = lap_itq_plus_train(x_t, x_s, None, 6, 0.0, 0.0, 5,
+                               iters=25, seed=2, tol=0)
     assert np.array_equal(rot_itq, state.rotation)
     assert np.array_equal(codes_itq.signs, state.codes.signs)
 
@@ -659,7 +660,7 @@ def test_lap_train_deterministic_with_extra_source():
     x_su = np.random.default_rng(9).standard_normal((50, 9))
     x_su -= x_su.mean(0)
     run = lambda: lap_itq_plus_train(x_t, x_s, x_su, 5, 0.05, 0.05, 4,
-                                     iters=15, seed=1)[1]
+                                     iters=15, seed=1)
     state_a, state_b = run(), run()
     assert np.array_equal(state_a.codes.signs, state_b.codes.signs)
     assert np.array_equal(state_a.rotation, state_b.rotation)
@@ -679,8 +680,8 @@ def test_lap_train_transfer_pulls_clusters_together():
         x_t = z @ rng.standard_normal((5, 12)) + 1.5 * rng.standard_normal((2 * n_half, 12))
         x_s -= x_s.mean(0); x_t -= x_t.mean(0)
         x_s /= np.sqrt((x_s ** 2).mean()); x_t /= np.sqrt((x_t ** 2).mean())
-        _, state = lap_itq_plus_train(x_t, x_s, None, 8, 0.5, 0.1, 5,
-                                      iters=30, seed=seed)
+        state = lap_itq_plus_train(x_t, x_s, None, 8, 0.5, 0.1, 5,
+                                   iters=30, seed=seed)
         table = hamming_table(state.codes)
         same = np.mean([table[i, j] for i in range(2 * n_half)
                         for j in range(2 * n_half)
@@ -698,8 +699,8 @@ def test_lap_train_trace_ends_at_the_objective_of_its_returned_fit():
     x_t, x_s = two_view_instance(70, 10, 9, seed=12)
     x_su = np.random.default_rng(13).standard_normal((40, 9))
     for lambda1, lambda2 in ((0.3, 0.5), (0.0, 2.0), (1.0, 0.0)):
-        _, state = lap_itq_plus_train(x_t, x_s, x_su, 5, lambda1, lambda2, 4,
-                                      iters=12, seed=3, tol=0)
+        state = lap_itq_plus_train(x_t, x_s, x_su, 5, lambda1, lambda2, 4,
+                                   iters=12, seed=3, tol=0)
         b = state.codes.signs.astype(np.float64)
         err = b - x_t @ state.rotation
         slack = err - x_s @ state.slack_rotation

@@ -15,7 +15,7 @@ PUBLIC = {
     "RunConfig", "SplitBundle", "cca_itq_fit", "encode", "evaluate_model", "fit_model",
     "ground_truth", "itq_plus_train", "itq_train", "lap_itq_plus_train", "load_matrix",
     "load_model", "lsh_fit", "make_split", "make_two_view_clusters", "run_bench",
-    "save_matrix", "save_model", "search", "with_pipeline", "zero_center",
+    "save_matrix", "save_model", "search", "zero_center",
 }
 
 
