@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,13 +44,14 @@ def fit_model(method: str, target_train, source_corr=None, source_extra=None, *,
 
     Target rows are centered on their own mean; source rows are centered on
     the mean over all available source rows (correspondences plus extras),
-    since privileged data never appears at query time; extras as wide as
-    source_corr, possibly none, else DataError.  When pca_energy is set,
-    the target side is reduced before rotation learning (cca-itq uses its
-    canonical projection instead); a rotation learned on it needs at least
-    bits components, so keeping fewer raises ConfigError, as do bits that
-    are not an integer >= 1.  The fit's one HashModel is built here from
-    the trainer's rotation; lsh and cca-itq models get the centering.
+    since privileged data never appears at query time.  source_corr must
+    have the target's row count, and extras as wide as source_corr,
+    possibly none, else DataError; extras without source_corr raise
+    ConfigError.  When pca_energy is set, the target side is reduced before
+    rotation learning (cca-itq uses its canonical projection instead); a
+    rotation learned on it needs at least bits components, so keeping
+    fewer raises ConfigError, as do bits that are not an integer >= 1.
+    Every method's one HashModel is built here from its trainer's parts.
     """
     try:
         check_count("bits", bits, 1)
@@ -59,8 +60,13 @@ def fit_model(method: str, target_train, source_corr=None, source_extra=None, *,
     centered_t, centering = zero_center(target_train)
 
     x_sc = x_su = None
+    if source_corr is None and source_extra is not None:
+        raise ConfigError("source_extra needs source_corr")
     if source_corr is not None:
         source_corr = check_matrix("source_corr", source_corr, 1)
+        if source_corr.shape[0] != centered_t.shape[0]:
+            raise DataError(f"target has {centered_t.shape[0]} rows but source has "
+                            f"{source_corr.shape[0]}")
         source_rows = source_corr
         if source_extra is not None:
             source_extra = check_matrix("source_extra", source_extra)
@@ -86,31 +92,29 @@ def fit_model(method: str, target_train, source_corr=None, source_extra=None, *,
 
     if method in ("itq+", "lapitq+", "cca-itq") and x_sc is None:
         raise ConfigError(f"method {method} needs source correspondence data")
+    params = {"iters": iters, "seed": seed}
+    trace, graph = [], None
     if method == "lsh":
-        model = replace(lsh_fit(trainer_input.shape[1], bits, seed),
-                        centering=centering, preprocessing=projection)
-        return FitResult(model, [])
-    if method == "cca-itq":
+        rotation = lsh_fit(trainer_input.shape[1], bits, seed)
+        params = {"seed": seed}
+    elif method == "cca-itq":
         # cca-itq keeps the canonical projection its trainer fitted
-        model = cca_itq_fit(centered_t, x_sc, bits, iters, seed)
-        return FitResult(replace(model, centering=centering), [])
-    graph = None
-    if method == "itq":
+        projection, rotation = cca_itq_fit(centered_t, x_sc, bits, iters, seed)
+    elif method == "itq":
         _, rotation, trace = itq_train(trainer_input, bits, iters, seed)
-        weights = {}
     elif method == "itq+":
         state = itq_plus_train(trainer_input, x_sc, bits, lambda1, iters, seed)
         rotation, trace = state.rotation, state.objective_trace
-        weights = {"lambda1": lambda1}
+        params["lambda1"] = lambda1
     elif method == "lapitq+":
         state = lap_itq_plus_train(trainer_input, x_sc, x_su, bits, lambda1,
                                    lambda2, k_graph, iters, seed)
         rotation, trace, graph = state.rotation, state.objective_trace, state.graph
-        weights = {"lambda1": lambda1, "lambda2": lambda2, "k_graph": k_graph}
+        params.update(lambda1=lambda1, lambda2=lambda2, k_graph=k_graph)
     else:
         raise ConfigError(f"unknown method {method!r}")
     model = HashModel(method, centering, projection, rotation, bits,
-                      default_hyperparams(iters=iters, seed=seed, **weights))
+                      default_hyperparams(**params))
     return FitResult(model, trace, graph)
 
 

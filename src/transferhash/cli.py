@@ -198,10 +198,6 @@ def cmd_train(args) -> int:
     target = _load(config.target, config.format, args.header)
     source = _load(config.source, config.format, args.header) if config.source else None
     extra = _load(args.source_extra, config.format, args.header) if args.source_extra else None
-    if source is not None and source.shape[0] != target.shape[0]:
-        raise DataError(
-            f"target has {target.shape[0]} rows but source has {source.shape[0]}"
-        )
     fit = fit_model(args.method, target, source, extra, bits=config.bits[0],
                     lambda1=config.lambda1, lambda2=config.lambda2,
                     k_graph=config.k_graph, iters=config.iters,

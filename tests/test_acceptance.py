@@ -183,9 +183,13 @@ def test_criterion_6_retrieval_metric_oracles():
 def test_criterion_7_lsh_collision_law():
     from transferhash.baselines import lsh_fit
     from transferhash.evaluate import encode
+    from transferhash.model import (CenteringInfo, HashModel, LinearProjection,
+                                    default_hyperparams)
 
     start = time.perf_counter()
-    model = lsh_fit(24, 512, 77)
+    # a zero mean: the model encodes the unit rows below as given
+    model = HashModel("lsh", CenteringInfo(np.zeros(24)), LinearProjection.identity(24),
+                      lsh_fit(24, 512, 77), 512, default_hyperparams(seed=77))
     rng = np.random.default_rng(78)
     for theta in (np.pi / 6, np.pi / 2, 2 * np.pi / 3):
         first = rng.standard_normal((2000, 24))

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from transferhash.baselines import cca_itq_fit, lsh_fit
 from transferhash.data import zero_center
 from transferhash.evaluate import encode, evaluate_model
 from transferhash.itq import itq_train
-from transferhash.model import HashModel, LinearProjection
+from transferhash.model import CenteringInfo, HashModel, LinearProjection, default_hyperparams
 
 
 def hamming_distance(a, b) -> int:
@@ -32,22 +30,35 @@ def pairs_at_angle(theta, count, dim, seed):
     return first, np.cos(theta) * first + np.sin(theta) * other
 
 
+def lsh_model(d, c, seed):
+    """The zero-mean model around lsh_fit's planes, which encodes centered rows."""
+    return HashModel("lsh", CenteringInfo(np.zeros(d)), LinearProjection.identity(d),
+                     lsh_fit(d, c, seed), c, default_hyperparams(seed=seed))
+
+
+def cca_itq_model(x_t, x_sc, c, iters, seed):
+    """The zero-mean model around cca_itq_fit's (projection, rotation)."""
+    projection, rotation = cca_itq_fit(x_t, x_sc, c, iters=iters, seed=seed)
+    return HashModel("cca-itq", CenteringInfo(np.zeros(projection.d_in)), projection,
+                     rotation, c, default_hyperparams(iters=iters, seed=seed))
+
+
 def test_lsh_identical_inputs_collide():
-    model = lsh_fit(12, 32, 0)
+    model = lsh_model(12, 32, 0)
     row = np.random.default_rng(1).standard_normal((1, 12))
     codes = encode(model, np.vstack([row, row]))
     assert hamming_distance(codes.packed[0], codes.packed[1]) == 0
 
 
 def test_lsh_antipodal_inputs_complement():
-    model = lsh_fit(10, 64, 2)
+    model = lsh_model(10, 64, 2)
     row = np.random.default_rng(3).standard_normal((1, 10))
     codes = encode(model, np.vstack([row, -row]))
     assert hamming_distance(codes.packed[0], codes.packed[1]) == 64
 
 
 def test_lsh_collision_law():
-    model = lsh_fit(24, 512, 7)
+    model = lsh_model(24, 512, 7)
     for theta in (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3):
         first, second = pairs_at_angle(theta, 2000, 24, seed=int(theta * 100))
         codes_a = encode(model, first)
@@ -57,7 +68,7 @@ def test_lsh_collision_law():
 
 
 def test_lsh_scale_invariance():
-    model = lsh_fit(8, 16, 4)
+    model = lsh_model(8, 16, 4)
     x = np.random.default_rng(5).standard_normal((20, 8))
     a = encode(model, x)
     b = encode(model, 37.5 * x)
@@ -71,11 +82,11 @@ def test_lsh_rejects_counts_that_are_not_integers_with_a_value_error(d, c):
 
 
 def test_lsh_takes_numpy_integers():
-    assert lsh_fit(np.int64(6), np.int32(4), 0).rotation.shape == (6, 4)
+    assert lsh_model(np.int64(6), np.int32(4), 0).rotation.shape == (6, 4)
 
 
 def test_lsh_model_tag_and_projection_shape():
-    model = lsh_fit(6, 12, 9)
+    model = lsh_model(6, 12, 9)
     assert model.method == "lsh"
     assert model.rotation.shape == (6, 12)
 
@@ -90,8 +101,8 @@ def two_views(n=150, d_t=10, d_s=8, seed=0, noise=0.2):
 
 def test_cca_itq_deterministic():
     x_t, x_s = two_views()
-    a = cca_itq_fit(x_t, x_s, 4, iters=20, seed=1)
-    b = cca_itq_fit(x_t, x_s, 4, iters=20, seed=1)
+    a = cca_itq_model(x_t, x_s, 4, iters=20, seed=1)
+    b = cca_itq_model(x_t, x_s, 4, iters=20, seed=1)
     assert np.array_equal(a.rotation, b.rotation)
     assert np.array_equal(a.preprocessing.matrix, b.preprocessing.matrix)
     assert a.method == "cca-itq"
@@ -126,8 +137,9 @@ def test_cca_itq_identical_views_close_to_plain_itq():
         queries = raw[100:]
         db = raw[:100]
         centered, info = zero_center(db)
-        model_cca = replace(cca_itq_fit(centered, centered.copy(), 4, iters=30, seed=seed),
-                            centering=info)
+        projection, rotation = cca_itq_fit(centered, centered.copy(), 4, iters=30,
+                                           seed=seed)
+        model_cca = HashModel("cca-itq", info, projection, rotation, 4)
         _, rotation, _ = itq_train(centered, 4, iters=30, seed=seed)
         model_itq = HashModel("itq", info, LinearProjection.identity(8), rotation, 4)
         maps_cca.append(evaluate_model(model_cca, db, queries, r=5, ks=(5,)).map)
@@ -137,7 +149,7 @@ def test_cca_itq_identical_views_close_to_plain_itq():
 
 def test_cca_itq_bits_roughly_balanced():
     x_t, x_s = two_views(n=200, seed=7)
-    model = cca_itq_fit(x_t, x_s, 6, iters=30, seed=2)
-    signs = encode(model, x_t).signs  # cca_itq_fit's model carries a zero mean
+    model = cca_itq_model(x_t, x_s, 6, iters=30, seed=2)
+    signs = encode(model, x_t).signs  # x_t is centered, as the model's zero mean expects
     imbalance = np.abs(signs.sum(axis=0)) / signs.shape[0]
     assert np.all(imbalance < 0.5)

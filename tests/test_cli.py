@@ -473,6 +473,32 @@ def test_train_extra_source_of_another_width_exits_3(tmp_path, dataset, method, 
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_train_source_of_another_row_count_exits_3(tmp_path, dataset, method, caplog):
+    # train has no row check of its own: fit_model's refuses it
+    source = tmp_path / "source.bin"
+    corr = load_matrix(dataset / "source_corr.bin")
+    save_matrix(corr[:-1], source)
+    model_path = tmp_path / "m.model"
+    assert run_cli("train", "--method", method,
+                   "--target", dataset / "target_train.bin", "--source", source,
+                   "--bits", 4, "--iters", 3, "--out", model_path) == 3
+    assert (f"target has {corr.shape[0]} rows but source has {corr.shape[0] - 1}"
+            in caplog.text)
+    assert not model_path.exists()
+
+
+def test_train_source_extra_without_source_exits_2(tmp_path, dataset, caplog):
+    # the extra rows were ignored and itq trained on the target alone
+    model_path = tmp_path / "m.model"
+    assert run_cli("train", "--method", "itq",
+                   "--target", dataset / "target_train.bin",
+                   "--source-extra", dataset / "source_extra.bin",
+                   "--bits", 4, "--iters", 3, "--out", model_path) == 2
+    assert "source_extra needs source_corr" in caplog.text
+    assert not model_path.exists()
+
+
 def test_train_zero_bits_exits_2(tmp_path, dataset):
     model_path = tmp_path / "m.model"
     for method in ("itq", "lsh"):

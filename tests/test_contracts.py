@@ -177,6 +177,24 @@ def test_fit_model_refuses_a_source_that_is_not_a_matrix(method):
                   iters=4)
 
 
+@pytest.mark.parametrize("method", ["itq", "itq+", "lapitq+", "lsh", "cca-itq"])
+def test_fit_model_refuses_a_source_of_another_row_count(method):
+    # itq and lsh trained on it, itq+ failed with a ValueError of its own
+    rows = np.random.default_rng(0).standard_normal((40, 10))
+    with pytest.raises(DataError, match="target has 20 rows but source has 19"):
+        fit_model(method, rows[:20, :6], rows[:19, 6:], rows[20:, 6:], bits=3,
+                  k_graph=3, iters=4)
+
+
+def test_fit_model_refuses_extra_source_rows_without_correspondences():
+    # they were ignored and itq trained on the target alone
+    target = np.random.default_rng(0).standard_normal((20, 6))
+    with pytest.raises(ConfigError, match="source_extra needs source_corr"):
+        fit_model("itq", target, None, np.ones(3), bits=3)
+    with pytest.raises(ConfigError, match="source_extra needs source_corr"):
+        fit_model("itq", target, None, np.ones((4, 5)), bits=3, iters=4)
+
+
 @pytest.mark.parametrize("extra", [False, True])
 def test_fit_model_refuses_a_non_finite_source(extra):
     # inf - inf in the centering once warned and trained on NaN

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transferhash.baselines import cca_itq_fit, lsh_fit
 from transferhash.bench import fit_model
 from transferhash.codes import BinaryCodeMatrix, sgn
 from transferhash.errors import NumericalError
@@ -35,7 +36,7 @@ from transferhash.lap_itq_plus import (
     lap_itq_plus_train,
     laplacian,
 )
-from transferhash.model import HashModel
+from transferhash.model import METHODS, HashModel
 
 
 def two_view_instance(n=200, d_t=16, d_s=12, seed=0, latent=6, noise=0.3):
@@ -356,10 +357,10 @@ def test_fit_builds_each_gram_once(monkeypatch):
     assert len(losses) == 7 and shapes == [(14, 14)]
 
 
-@pytest.mark.parametrize("method", ["itq", "itq+", "lapitq+"])
+@pytest.mark.parametrize("method", METHODS)
 def test_fit_model_builds_one_model_from_the_trainer_record(monkeypatch, method):
     # a trainer once built a model of its own, which fit_model then rebuilt
-    # with the training centering
+    # with the training centering, as lsh's and cca-itq's did last
     built = []
     post_init = HashModel.__post_init__
 
@@ -376,14 +377,20 @@ def test_fit_model_builds_one_model_from_the_trainer_record(monkeypatch, method)
     assert built == [method]
     # the trainer's record on the inputs fit_model centers
     x_t, x_s = target - target.mean(axis=0), source - source.mean(axis=0)
+    projection, trace, graph = np.eye(10), [], None
     if method == "itq":
         _, rotation, trace = itq_train(x_t, 4, 6, 2)
-        graph = None
+    elif method == "lsh":
+        rotation = lsh_fit(10, 4, 2)
+    elif method == "cca-itq":
+        left, rotation = cca_itq_fit(x_t, x_s[:60], 4, 6, 2)
+        projection = left.matrix
     else:
         state = (itq_plus_train(x_t, x_s[:60], 4, 0.2, 6, 2) if method == "itq+" else
                  lap_itq_plus_train(x_t, x_s[:60], x_s[60:], 4, 0.2, 0.1, 3, 6, 2))
         rotation, trace, graph = state.rotation, state.objective_trace, state.graph
     assert fit.model.rotation.tobytes() == rotation.tobytes()
+    assert fit.model.preprocessing.matrix.tobytes() == projection.tobytes()
     assert fit.trace == trace
     assert (fit.graph is None) == (graph is None) == (method != "lapitq+")
     assert graph is None or (fit.graph != graph).nnz == 0

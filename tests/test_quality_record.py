@@ -4,8 +4,9 @@ import importlib.util
 import json
 from pathlib import Path
 
-from transferhash.bench import run_bench
+from transferhash.bench import fit_model, run_bench
 from transferhash.config import RunConfig
+from transferhash.data import make_split
 from transferhash.synth import make_two_view_clusters
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -65,6 +66,26 @@ def test_compare_names_every_cell_that_differs_or_is_missing():
         "seed 7 lapitq+ 4 bits: not in the parent record",
     ]
     assert ratios == {"itq": 1.0, "itq+": 3.0, "lapitq+": 1.0}
+
+
+def test_compare_names_a_cell_whose_model_digest_differs():
+    config, target, source = tiny(1)
+    parent = quality_record.record(config, target, source)
+    split = make_split(target, source, config.alpha, config.test_fraction, 0)
+    fit = fit_model("itq+", split.target_train, split.source_corr, split.source_extra,
+                    bits=4, lambda1=0.3, iters=5, seed=0)
+    assert parent["runs"][1]["model_sha256"] == quality_record.model_sha256(fit.model)
+    assert len({r["model_sha256"] for r in parent["runs"]}) == 3
+    result = json.loads(json.dumps(parent))
+    result["runs"][1]["model_sha256"] = "0" * 64
+    problems, _ = quality_record.compare(parent, result)
+    assert problems == [
+        f"seed 0 itq+ 4 bits: model sha256 {parent['runs'][1]['model_sha256']} -> {'0' * 64}"]
+    # a record written before digests compares on MAP alone
+    for run in parent["runs"]:
+        del run["model_sha256"]
+    assert quality_record.compare(parent, result)[0] == []
+    assert quality_record.compare(result, parent)[0] == []
 
 
 def test_main_compare_exits_1_naming_the_cells_that_differ(tmp_path, monkeypatch, capsys):

@@ -10,25 +10,29 @@ pairs (64-d target, 40-d source), split seeds 0..N-1 with alpha 0.1 and
 test fraction 0.2, then itq, itq+ and lapitq+ at 32 bits with lambda1 0.3,
 lambda2 0.01, k 5 and 150 sweeps, scored at r 10 and K 10.  Every cell
 is fitted and scored as run_bench does, so its MAP is run_bench's; the
-record adds the seconds fit_model took.  MAP repeats exactly across runs
-on one machine and numpy build, so two records' MAP fields compare with
-==; fit times are wall-clock readings and do not repeat.
+record adds the seconds fit_model took and the sha256 of the model's
+save_model bytes.  MAP and model bytes repeat exactly across runs on one
+machine and numpy build, so two records' MAP and digest fields compare
+with ==; fit times are wall-clock readings and do not repeat.
 
 --compare PARENT.json checks the new record against an earlier one: it
-names every (seed, method, bits) cell whose MAP differs or that either
-record lacks, and prints each method's median, over its cells, of the
-new fit seconds over the parent's.  The exit code is then 1 when some
-cell was named, and 0 otherwise.
+names every (seed, method, bits) cell whose MAP differs, whose model
+digest differs (when both records hold digests; older records have
+none), or that either record lacks, and prints each method's median,
+over its cells, of the new fit seconds over the parent's.  The exit code
+is then 1 when some cell was named, and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from dataclasses import asdict
 
@@ -38,7 +42,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from transferhash.bench import fit_model  # noqa: E402
 from transferhash.config import RunConfig  # noqa: E402
-from transferhash.data import make_split  # noqa: E402
+from transferhash.data import make_split, save_model  # noqa: E402
 from transferhash.evaluate import evaluate_model, ground_truth  # noqa: E402
 from transferhash.synth import make_two_view_clusters  # noqa: E402
 
@@ -55,9 +59,18 @@ def criterion_8(seeds: int):
     return config, target, source
 
 
+def model_sha256(model) -> str:
+    """Hex sha256 of the model's save_model bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cell.model")
+        save_model(model, path)
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
 def record(config: RunConfig, target, source) -> dict:
-    """Per (seed, method, bits) cell, its MAP and fit seconds, plus each
-    method's mean MAP, for one run of the config over the corpus."""
+    """Per (seed, method, bits) cell, its MAP, fit seconds and model digest,
+    plus each method's mean MAP, for one run of the config over the corpus."""
     config.validate()
     runs = []
     for seed in config.seeds:
@@ -75,7 +88,8 @@ def record(config: RunConfig, target, source) -> dict:
                                         config.r_groundtruth, config.ks, gt=gt,
                                         seed=seed, alpha=config.alpha)
                 runs.append({"seed": seed, "method": method, "bits": bits,
-                             "map": report.map, "fit_s": fit_s})
+                             "map": report.map, "fit_s": fit_s,
+                             "model_sha256": model_sha256(fit.model)})
     return {
         "config": asdict(config),
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
@@ -87,9 +101,10 @@ def record(config: RunConfig, target, source) -> dict:
 
 
 def compare(parent: dict, result: dict) -> tuple[list[str], dict]:
-    """(one line per cell whose MAP differs or that one record lacks,
-    each method's median ratio of the result's fit seconds to the parent's
-    over the cells both records hold)."""
+    """(one line per cell whose MAP or, where both records hold one, model
+    digest differs, or that one record lacks, each method's median ratio
+    of the result's fit seconds to the parent's over the cells both
+    records hold)."""
     def cells(rec):
         return {(r["seed"], r["method"], r["bits"]): r for r in rec["runs"]}
 
@@ -103,6 +118,10 @@ def compare(parent: dict, result: dict) -> tuple[list[str], dict]:
             problems.append(f"{cell}: not in the parent record")
         elif new[key]["map"] != old[key]["map"]:
             problems.append(f"{cell}: MAP {old[key]['map']!r} -> {new[key]['map']!r}")
+        else:
+            old_sha, new_sha = old[key].get("model_sha256"), new[key].get("model_sha256")
+            if old_sha and new_sha and old_sha != new_sha:
+                problems.append(f"{cell}: model sha256 {old_sha} -> {new_sha}")
     ratios = {}
     for key in sorted(old.keys() & new.keys()):
         ratios.setdefault(key[1], []).append(new[key]["fit_s"] / old[key]["fit_s"])
@@ -115,7 +134,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=10,
                         help="split seeds 0..N-1 (default 10, criterion 8's)")
     parser.add_argument("--compare", metavar="PARENT.json",
-                        help="an earlier record whose MAP every cell must equal")
+                        help="an earlier record whose MAP and model digest every cell must equal")
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error("--seeds must be >= 1")
