@@ -45,11 +45,12 @@ class BinaryCodeMatrix:
     packed: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        signs = np.asarray(self.signs, dtype=np.int8)
-        if signs.ndim != 2:
+        given = np.asarray(self.signs)  # checked before the cast: 1.7 or 255 is no sign
+        if given.ndim != 2:
             raise ValueError("code matrix must be 2-D")
-        if not np.all(np.abs(signs) == 1):
+        if given.dtype.kind not in "biuf" or not np.all(np.abs(given) == 1):
             raise ValueError("code entries must be exactly -1 or +1")
+        signs = given.astype(np.int8, copy=False)
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "packed", pack_signs(signs))
 

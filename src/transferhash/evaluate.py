@@ -45,7 +45,13 @@ _SCORE_BLOCK_ELEMENTS = 1 << 17
 
 
 def encode(model: HashModel, x) -> BinaryCodeMatrix:
-    """Hash raw (uncentered) rows: sgn(((X - mean) @ projection) @ rotation)."""
+    """Hash raw (uncentered) rows: sgn(((X - mean) @ projection) @ rotation).
+
+    An identity projection is skipped, so those codes are sgn((X - mean) @
+    rotation) from one d x c product.  They are the same bits: Z @ I equals
+    Z but for -0.0 read as +0.0, a +-0 term leaves any sum with a nonzero
+    term unchanged, and sgn maps both zeros to +1.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise DataError(
@@ -55,7 +61,8 @@ def encode(model: HashModel, x) -> BinaryCodeMatrix:
     if not np.isfinite(x).all():
         raise DataError("encode: input contains non-finite values")
     z = model.centering.apply(x)
-    z = z @ model.preprocessing.matrix
+    if not model.preprocessing.is_identity:
+        z = z @ model.preprocessing.matrix
     return BinaryCodeMatrix(sgn(z @ model.rotation))
 
 

@@ -1,8 +1,8 @@
 """Shared model records: centering, linear projections, and the hash model.
 
 A trained HashModel is everything needed to encode a new point:
-subtract the training mean, apply the (possibly identity) projection,
-rotate, and take signs.
+subtract the training mean, apply the projection unless it is the
+identity, rotate, and take signs.
 """
 
 from __future__ import annotations
@@ -32,15 +32,29 @@ class CenteringInfo:
 
 @dataclass(frozen=True, eq=False)
 class LinearProjection:
-    """A d_in x d_out projection applied before rotation learning."""
+    """A d_in x d_out projection applied before rotation learning.
+
+    Construction keeps a read-only float64 copy of the matrix and reads
+    is_identity off it: True when the matrix is square and equals np.eye.
+    The flag comes from the matrix, never from kind (a model file may hold
+    any matrix under "identity"), and the copy is read-only so the flag
+    cannot go stale.
+    """
 
     matrix: np.ndarray
     kind: str = "identity"
+    is_identity: bool = field(init=False)
 
     def __post_init__(self):
         if self.kind not in PROJECTION_KINDS:
             raise ValueError(f"unknown projection kind {self.kind!r}")
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=np.float64))
+        matrix = np.array(self.matrix, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise ValueError(f"projection of shape {matrix.shape} is not a 2-D matrix")
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "is_identity",
+                           np.array_equal(matrix, np.eye(matrix.shape[0])))
 
     @property
     def d_in(self) -> int:
@@ -84,6 +98,8 @@ class HashModel:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         rotation = np.asarray(self.rotation, dtype=np.float64)
+        if rotation.ndim != 2:
+            raise ValueError(f"rotation of shape {rotation.shape} is not a 2-D matrix")
         object.__setattr__(self, "rotation", rotation)
         if self.preprocessing.d_out != rotation.shape[0]:
             raise ValueError(

@@ -96,8 +96,15 @@ def test_code_matrix_agrees_with_signs():
 
 
 def test_code_matrix_rejects_non_signs():
-    with pytest.raises(ValueError):
-        BinaryCodeMatrix(np.array([[1, 0], [-1, 1]]))
+    for values in ([[1, 0], [-1, 1]],
+                   [[1.7, -1.2]],    # the int8 cast would read 1, -1
+                   [[257.0, -1.0]],  # 1, -1
+                   [[255, -1]],      # -1, -1
+                   np.array([[255, 1]], dtype=np.uint8),
+                   [[1 + 0j, -1]],
+                   [["1", "-1"]]):
+        with pytest.raises(ValueError, match="exactly -1 or \\+1"):
+            BinaryCodeMatrix(np.array(values))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -316,6 +317,21 @@ def test_hash_model_needs_a_bit_and_a_mean_as_long_as_the_projection_input():
         HashModel("itq", CenteringInfo(np.zeros(4)), identity, np.zeros((4, 0)), 0)
     with pytest.raises(ValueError, match="mean length"):
         HashModel("itq", CenteringInfo(np.zeros(3)), identity, np.eye(4)[:, :2], 2)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 3, 2), (), (3, 2, 1)])
+def test_a_projection_that_is_not_a_matrix_is_refused(shape):
+    with pytest.raises(ValueError, match=f"projection of shape {re.escape(str(shape))} "
+                                         f"is not a 2-D matrix"):
+        LinearProjection(np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2, 1), (), (3, 3, 2)])
+def test_a_rotation_that_is_not_a_matrix_is_refused(shape):
+    with pytest.raises(ValueError, match=f"rotation of shape {re.escape(str(shape))} "
+                                         f"is not a 2-D matrix"):
+        HashModel("itq", CenteringInfo(np.zeros(3)), LinearProjection.identity(3),
+                  np.ones(shape), 2)
 
 
 @pytest.mark.parametrize("field", ["mean", "projection", "rotation"])

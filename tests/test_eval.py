@@ -104,6 +104,60 @@ def test_encode_rejects_non_finite_rows(bad):
         encode(model, x)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_encode_equals_the_projection_then_rotation_bit_for_bit(data):
+    n = data.draw(st.integers(0, 30), label="rows")
+    d = data.draw(st.integers(1, 12), label="d")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    matrices = {"identity": np.eye(d), "random": rng.standard_normal((d, d))}
+    if d > 1:  # kept under kind "identity", yet not the identity
+        matrices.update(permutation=np.roll(np.eye(d), 1, axis=1), twice=2 * np.eye(d),
+                        selection=np.eye(d)[:, :1])
+    name = data.draw(st.sampled_from(sorted(matrices)), label="projection")
+    matrix = matrices[name]
+    c = data.draw(st.integers(1, matrix.shape[1]), label="c")
+    rotation = np.linalg.qr(rng.standard_normal((matrix.shape[1], c)))[0]
+    mean = rng.standard_normal(d) * (rng.random(d) < 0.7)  # some +0.0 columns
+    x = rng.standard_normal((n, d)) * 3.0
+    x[rng.random((n, d)) < 0.2] = -0.0                     # -0.0 less +0.0 stays -0.0
+    x[rng.random(n) < 0.3] = mean                          # rows equal to the mean
+    model = HashModel("itq", CenteringInfo(mean), LinearProjection(matrix), rotation, c)
+    assert model.preprocessing.is_identity == (name == "identity")
+    expected = pack_signs(sgn(((x - mean) @ matrix) @ rotation))
+    got = encode(model, x).packed
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_a_projection_keeps_a_read_only_copy_of_its_matrix():
+    given_matrix = np.eye(3)
+    projection = LinearProjection(given_matrix)
+    assert projection.is_identity
+    given_matrix[0, 1] = 5.0  # the caller's array is not the projection's
+    assert projection.is_identity and np.array_equal(projection.matrix, np.eye(3))
+    with pytest.raises(ValueError, match="read-only"):
+        projection.matrix[0, 1] = 5.0
+    assert projection.is_identity
+
+
+def test_encode_peak_memory_is_one_centered_copy_plus_scores_and_codes():
+    # the identity projection is skipped: no second n x d product is live
+    n, d, c = 20_000, 64, 32
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal((n, d))
+    model = simple_model(np.linalg.qr(rng.standard_normal((d, c)))[0], x.mean(axis=0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        codes = encode(model, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert codes.rows == n and codes.bits == c
+    assert peak <= 8 * n * (d + c) + n * c + 8 * n
+
+
 def test_hamming_identical_and_complement():
     rng = np.random.default_rng(2)
     signs = sgn(rng.standard_normal((1, 32)))

@@ -163,6 +163,7 @@ def test_project_identity_and_selection():
     assert np.array_equal(project(x, LinearProjection.identity(2)), x)
     pick = LinearProjection(np.array([[1.0], [0.0]]), "identity")
     assert np.array_equal(project(x, pick), [[3.0]])
+    assert LinearProjection.identity(2).is_identity and not pick.is_identity
     with pytest.raises(ValueError):
         project(np.ones((2, 3)), pick)
 
