@@ -1,7 +1,8 @@
 """Command-line interface: synth, split, train, encode, eval, bench, inspect-model.
 
 Flags override values from an optional key=value config file.  Exit codes:
-0 success, 2 config error, 3 data error, 4 numerical failure.
+0 success, 2 config error, 3 data error (out of memory included, naming the
+command and, for an input file, its path), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -138,7 +139,10 @@ def _config_from_args(args, base: RunConfig = RunConfig()) -> RunConfig:
 def _load(path, fmt, skip_header: bool = False):
     if not os.path.exists(path):
         raise DataError(f"{path}: no such file")
-    return load_matrix(path, fmt, skip_header=skip_header)
+    try:
+        return load_matrix(path, fmt, skip_header=skip_header)
+    except MemoryError as exc:
+        raise MemoryError(f"loading {path}: {str(exc) or 'no size given'}") from exc
 
 
 def cmd_synth(args) -> int:
@@ -289,6 +293,10 @@ def main(argv=None) -> int:
         return 2
     except (DataError, OSError, UnicodeDecodeError) as exc:
         log.error("data error: %s", exc)
+        return 3
+    except MemoryError as exc:
+        log.error("data error: out of memory in %s: %s", args.command,
+                  str(exc) or "no size given")
         return 3
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         log.error("numerical failure: %s", exc)

@@ -41,6 +41,7 @@ DEFAULT_GT_RANK = 50
 # more than the spread of repeated calls.
 _BLOCK_ELEMENTS = 1 << 20
 _CHUNK_ELEMENTS = 1 << 16
+_FOLD_FLOOR = 2.0 ** -458  # see _fold_is_exact
 _SCORE_BLOCK_ELEMENTS = 1 << 17
 
 
@@ -58,9 +59,14 @@ def encode(model: HashModel, x) -> BinaryCodeMatrix:
             f"encode: input has {x.shape[1] if x.ndim == 2 else '?'} columns, "
             f"model expects {model.input_dim}"
         )
-    if not np.isfinite(x).all():
-        raise DataError("encode: input contains non-finite values")
-    z = model.centering.apply(x)
+    with np.errstate(over="ignore"):
+        z = model.centering.apply(x)
+    # the centered rows are finite exactly when x is and x - mean does not overflow
+    if not np.isfinite(z).all():
+        if not np.isfinite(x).all():
+            raise DataError("encode: input contains non-finite values")
+        raise DataError("encode: subtracting the model's mean from the input "
+                        "overflows float64")
     if not model.preprocessing.is_identity:
         z = z @ model.preprocessing.matrix
     return BinaryCodeMatrix(sgn(z @ model.rotation))
@@ -166,24 +172,48 @@ class GroundTruth:
         return tuple(self.ids[lo:hi] for lo, hi in zip(edges, edges[1:]))
 
 
-def _squared_distance_chunks(a, b, b_norms, product, sums):
+def _squared_distance_chunks(a, b, b_norms, product, sums, fold):
     """|a|^2 + |b|^2 - 2ab per row pair, given b's squared row norms; may dip below 0.
 
-    One np.matmul writes ab for all of a's rows into product; the rows are
-    then finished in place a chunk of about _CHUNK_ELEMENTS values at a
-    time, with sums (at least a chunk's rows) for |a|^2 + |b|^2, as
-    (|a|^2 + |b|^2) - (2 * ab) in that order, so every value has the bits
-    of the plain numpy expression.  Yields (first row, finished chunk).
+    One np.matmul writes -2ab for all of a's rows into product; the rows
+    are then finished in place a chunk of about _CHUNK_ELEMENTS values at
+    a time, with sums (at least a chunk's rows) for |a|^2 + |b|^2, as
+    (|a|^2 + |b|^2) + (-2ab) in that order, so every value has the bits
+    of the plain numpy expression (|a|^2 + |b|^2) - 2 * ab.  Yields
+    (first row, finished chunk).
+
+    With fold (the magnitudes keep it exact, see _fold_is_exact) a GEMM
+    takes -2 on its row operand: -2a @ b.T.  numpy forms a @ a.T by SYRK,
+    which a scaled copy would not take, and a copy of a row block that is
+    not C-contiguous may take another BLAS call; those products, and any
+    without fold, are multiplied by -2 a chunk at a time, which is exact.
     """
     product = product[:a.shape[0]]
-    np.matmul(a, b.T, out=product)
+    fold = fold and a.flags.c_contiguous and not (
+        a.shape == b.shape and a.ctypes.data == b.ctypes.data)
+    np.matmul(-2.0 * a if fold else a, b.T, out=product)
     a_norms = np.sum(a * a, axis=1)
     for lo, hi in _row_blocks(a.shape[0], b.shape[0], _CHUNK_ELEMENTS):
         chunk = product[lo:hi]
-        chunk *= 2.0
+        if not fold:
+            chunk *= -2.0
         np.add.outer(a_norms[lo:hi], b_norms, out=sums[:hi - lo])
-        np.subtract(sums[:hi - lo], chunk, out=chunk)
+        np.add(sums[:hi - lo], chunk, out=chunk)
         yield lo, chunk
+
+
+def _fold_is_exact(*magnitudes) -> bool:
+    """Whether every nonzero value of the arrays is at least _FOLD_FLOOR.
+
+    Then every product and partial sum of a GEMM over them is zero or a
+    nonzero multiple of 2^-1020 (each double >= 2^-458 is a multiple of
+    2^-510), so it stays normal, and scaling an operand by -2 scales each
+    of them exactly: -2a @ b.T has the bits of -2 * (a @ b.T).  Signs of
+    zeros cannot matter: S + (+-0) = S - (+-0) for S >= +0.
+    """
+    if min(m.min(initial=np.inf) for m in magnitudes) >= _FOLD_FLOOR:
+        return True  # no zero either: the masked minimum is not needed
+    return all(np.min(m, where=m > 0, initial=np.inf) >= _FOLD_FLOOR for m in magnitudes)
 
 
 def _square_bound(t: float) -> float:
@@ -219,7 +249,8 @@ def ground_truth(database_features, query_features,
         raise DataError("ground_truth: need at least 2 database points")
     # |a|^2 + |b|^2 - 2ab must not overflow: each term stays below max/4.  A
     # NaN fails that comparison, so it is caught first (np.maximum keeps it)
-    largest = np.maximum(np.abs(db).max(), np.abs(queries).max(initial=0.0))
+    magnitudes = np.abs(db), np.abs(queries)
+    largest = np.maximum(magnitudes[0].max(), magnitudes[1].max(initial=0.0))
     if not np.isfinite(largest):
         raise DataError("ground_truth: features contain non-finite values")
     if largest > np.sqrt(np.finfo(np.float64).max / (4 * max(1, db.shape[1]))):
@@ -231,28 +262,42 @@ def ground_truth(database_features, query_features,
     if r_eff < r:
         log.warning("ground_truth: r=%d clamped to %d (database size %d)",
                     r, r_eff, n)
-    db_norms = np.sum(db * db, axis=1)
     db_blocks = _row_blocks(n, n, _BLOCK_ELEMENTS)
     query_blocks = _row_blocks(queries.shape[0], n, _BLOCK_ELEMENTS)
+    # folding -2 trades a pass over each GEMM's product (rows x n) for one
+    # over its row operand (rows x d), after _fold_is_exact reads every
+    # feature once; a single database block is a SYRK and never folds
+    folded_rows = queries.shape[0] + (n if len(db_blocks) > 1 else 0)
+    fold = (folded_rows * (n - db.shape[1]) > (n + queries.shape[0]) * db.shape[1]
+            and _fold_is_exact(*magnitudes))
+    del magnitudes
+    db_norms = np.sum(db * db, axis=1)
     # reused, they spare the kernel faulting in fresh pages per block
     block_rows = max(hi - lo for lo, hi in db_blocks + query_blocks)
     product = np.empty((block_rows, n))
     sums = np.empty((min(block_rows, max(1, _CHUNK_ELEMENTS // n)), n))
     kth = np.empty(n)
     for lo, hi in db_blocks:
-        for start, inner in _squared_distance_chunks(db[lo:hi], db, db_norms, product, sums):
-            first, rows = lo + start, np.arange(inner.shape[0])
-            inner[rows, first + rows] = np.inf
+        for start, inner in _squared_distance_chunks(db[lo:hi], db, db_norms, product,
+                                                     sums, fold):
+            first = lo + start
+            # inner[i, first + i]: the chunk is contiguous, so its diagonal is
+            # every (n + 1)-th value from first on
+            inner.reshape(-1)[first::n + 1] = np.inf
             # sqrt(clip(.)) is monotone, so it maps the r-th smallest square to
-            # the r-th smallest distance: only the selected values need it
-            inner.partition(r_eff - 1, axis=1)
-            kth[first:first + rows.size] = inner[:, r_eff - 1]
+            # the r-th smallest distance: only the selected values need it.
+            # Squares >= +0 (none is -0.0) sort as their int64 bits do, and
+            # negative ones sort first in either order, so both pick the same
+            # square or a negative one, which clip maps to +0
+            inner.view(np.int64).partition(r_eff - 1, axis=1)
+            kth[first:first + inner.shape[0]] = inner[:, r_eff - 1]
     threshold = float(np.sqrt(np.clip(kth, 0.0, None)).mean())
 
     bound = _square_bound(threshold)
     flat = [np.empty(0, dtype=np.intp)]
     for lo, hi in query_blocks:
-        for start, cross in _squared_distance_chunks(queries[lo:hi], db, db_norms, product, sums):
+        for start, cross in _squared_distance_chunks(queries[lo:hi], db, db_norms, product,
+                                                     sums, fold):
             flat.append((lo + start) * n + np.flatnonzero(cross <= bound))
     # flat index q * n + row of every relevant pair, query after query, so
     # query q's pairs start at the first index >= q * n

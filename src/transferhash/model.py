@@ -17,14 +17,24 @@ PROJECTION_KINDS = ("pca", "cca-left", "cca-right", "lsh", "identity")
 HYPERPARAM_KEYS = ("lambda1", "lambda2", "k_graph", "iters", "seed")
 
 
+def _read_only_copy(values) -> np.ndarray:
+    copy = np.array(values, dtype=np.float64)
+    copy.flags.writeable = False
+    return copy
+
+
 @dataclass(frozen=True, eq=False)
 class CenteringInfo:
-    """Column means removed from the training data; reused for queries."""
+    """Column means removed from the training data; reused for queries.
+
+    Construction keeps a read-only float64 copy of the mean, so writing
+    into the caller's array afterwards changes nothing here.
+    """
 
     mean: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
+        object.__setattr__(self, "mean", _read_only_copy(self.mean))
 
     def apply(self, x):
         return np.asarray(x, dtype=np.float64) - self.mean
@@ -48,10 +58,9 @@ class LinearProjection:
     def __post_init__(self):
         if self.kind not in PROJECTION_KINDS:
             raise ValueError(f"unknown projection kind {self.kind!r}")
-        matrix = np.array(self.matrix, dtype=np.float64)
+        matrix = _read_only_copy(self.matrix)
         if matrix.ndim != 2:
             raise ValueError(f"projection of shape {matrix.shape} is not a 2-D matrix")
-        matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "is_identity",
                            np.array_equal(matrix, np.eye(matrix.shape[0])))
@@ -85,6 +94,8 @@ class HashModel:
     Construction checks the invariants every consumer relies on: at least
     one bit, a mean as long as the projection's input, shapes that chain
     mean -> projection -> rotation -> bits, and finite values throughout.
+    The mean, projection and rotation are read-only copies (the rotation
+    is copied here), so the checks cannot go stale.
     """
 
     method: str
@@ -97,7 +108,7 @@ class HashModel:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        rotation = np.asarray(self.rotation, dtype=np.float64)
+        rotation = _read_only_copy(self.rotation)
         if rotation.ndim != 2:
             raise ValueError(f"rotation of shape {rotation.shape} is not a 2-D matrix")
         object.__setattr__(self, "rotation", rotation)

@@ -4,6 +4,9 @@ The same work runs in two processes, with OPENBLAS_NUM_THREADS=1 and =2, on
 ~833-row splits of the criterion-8 corpus.  Rotations are not compared: the
 Procrustes product X^T A sums over the rows, and its last bits (~1e-15) may
 depend on how many threads share that sum.  Codes, ground truth and MAP are.
+An 833-row database is one block of ground truth (a SYRK), so one more
+ground truth runs on 2,000 rows drawn the same way, whose database blocks
+are GEMMs with -2 folded in.
 """
 
 import json
@@ -19,6 +22,7 @@ import ctypes, glob, hashlib, json, os, sys
 import numpy as np
 from transferhash.bench import fit_model
 from transferhash.data import make_split
+from transferhash import evaluate
 from transferhash.evaluate import encode, evaluate_model, ground_truth
 from transferhash.synth import make_two_view_clusters
 
@@ -57,6 +61,12 @@ for seed in (3, 4, 5):
                                encode(fit.model, queries).packed),
                         repr(report.map)]
     out["splits"].append(cell)
+rows, _, _ = make_two_view_clusters(
+    2500, 64, 40, clusters=5, noise=3.0, seed=0,
+    source_noise=0.1, latent_dim=16, center_spread=5.0)
+gt = ground_truth(rows[:2000], rows[2000:], 50)
+out["blocks"] = len(evaluate._row_blocks(2000, 2000, evaluate._BLOCK_ELEMENTS))
+out["blocked_gt"] = [repr(gt.threshold), digest(gt.ids, gt.bounds)]
 print(json.dumps(out))
 """
 
@@ -79,3 +89,5 @@ def test_codes_ground_truth_and_map_do_not_depend_on_blas_threads():
     one, two = results[1]["splits"], results[2]["splits"]
     assert [cell["rows"] for cell in one] == [833, 833, 833]
     assert one == two
+    assert results[1]["blocks"] > 1
+    assert results[1]["blocked_gt"] == results[2]["blocked_gt"]

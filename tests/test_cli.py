@@ -622,3 +622,30 @@ def test_cli_exit_codes_hold_for_generated_argv(base_argv, tmp_path_factory, arg
         # one row per (method, bits, seed) cell and per mean
         rows = (out / "bench_results.csv").read_text().splitlines()
         assert len(rows) == len(set(rows))
+
+
+def test_out_of_memory_loading_a_matrix_exits_3_and_names_the_file(
+        tmp_path, dataset, monkeypatch, caplog):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(10000000000, 1) and data type float64")
+
+    monkeypatch.setattr("transferhash.cli.load_matrix", no_memory)
+    target = dataset / "target_train.bin"
+    assert run_cli("train", "--method", "itq", "--target", target,
+                   "--bits", 8, "--out", tmp_path / "m.model") == 3
+    assert f"out of memory in train: loading {target}: Unable to allocate 74.5 GiB" \
+        in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "m.model").exists()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB", ""])
+def test_out_of_memory_building_a_dataset_exits_3_and_names_the_command(
+        tmp_path, monkeypatch, caplog, message):
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("transferhash.cli.write_synth_dataset", no_memory)
+    assert run_cli(*synth_args(tmp_path / "data")) == 3
+    assert f"out of memory in synth: {message or 'no size given'}" in caplog.text

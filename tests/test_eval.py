@@ -3,6 +3,7 @@ import math
 import numbers
 import re
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -139,6 +140,37 @@ def test_a_projection_keeps_a_read_only_copy_of_its_matrix():
     with pytest.raises(ValueError, match="read-only"):
         projection.matrix[0, 1] = 5.0
     assert projection.is_identity
+
+
+def test_encode_refuses_finite_rows_whose_centering_overflows():
+    model = simple_model(np.eye(2), np.array([-1e308, 0.0]))
+    x = np.array([[1.0, 2.0], [1e308, 0.0]])  # 1e308 - (-1e308) is inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="mean from the input overflows"):
+            encode(model, x)
+        with pytest.raises(DataError, match="non-finite values"):
+            encode(model, np.array([[np.nan, 0.0]]))
+        assert encode(model, x[:1]).rows == 1
+
+
+def test_a_model_keeps_read_only_copies_of_its_mean_and_rotation():
+    rng = np.random.default_rng(31)
+    mean = rng.standard_normal(4)
+    rotation = np.linalg.qr(rng.standard_normal((4, 4)))[0][:, :3]
+    projection = np.eye(4)
+    model = HashModel("itq", CenteringInfo(mean), LinearProjection(projection),
+                      rotation, 3)
+    x = rng.standard_normal((20, 4))
+    before = encode(model, x).packed.copy()
+    for given in (mean, rotation, projection):  # the caller's arrays are not the model's
+        given[...] = np.nan
+    assert np.array_equal(encode(model, x).packed, before)
+    for array in (model.centering.mean, model.preprocessing.matrix, model.rotation):
+        assert array.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = np.inf
+    assert np.array_equal(encode(model, x).packed, before)
 
 
 def test_encode_peak_memory_is_one_centered_copy_plus_scores_and_codes():
@@ -906,6 +938,69 @@ def test_ground_truth_in_reused_buffers_equals_the_per_block_allocation(
     assert sum(rel.size for rel in expected.relevant) > 0 or n_queries == 0
     for got, want in zip(gt.relevant, expected.relevant):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def features_of_kind(rng, kind, rows, d):
+    """Rows whose products test the folded -2 and the int64-keyed selection."""
+    signs = np.where(rng.random((rows, d)) < 0.5, -1.0, 1.0)
+    if kind == "at-floor":  # every magnitude in [2^-458, 2^-440]: the fold is exact
+        x = signs * np.exp2(rng.uniform(-458, -440, (rows, d)))
+        x[0, 0] = np.copysign(2.0 ** -458, x[0, 0])
+        return x
+    if kind == "straddling":  # 2^-470 .. 2^-440: values below the floor keep -2 out
+        return signs * np.exp2(rng.uniform(-470, -440, (rows, d)))
+    if kind == "subnormal":  # products round in the subnormal range
+        return signs * np.exp2(rng.uniform(-545, -520, (rows, d)))
+    if kind == "large":
+        return rng.standard_normal((rows, d)) * 10.0 ** rng.uniform(100, 150)
+    x = rng.standard_normal((rows, d)) * 4.0  # "duplicates"
+    x[:, ::7] = 0.0
+    x[rng.random(rows) < 0.2] = x[0]
+    return x
+
+
+# (kind, whether -2 folds, seed); with OpenBLAS 0.3.31 seeds 111 and 20 give
+# thresholds that a doubled copy of the database through GEMM would change
+FOLD_CASES = [("at-floor", True, 0), ("straddling", False, 1), ("subnormal", False, 2),
+              ("large", True, 111), ("duplicates", True, 20)]
+
+
+@pytest.mark.parametrize("kind, folds, seed", FOLD_CASES)
+@pytest.mark.parametrize("block", ["one", "7n", "1"])
+@pytest.mark.parametrize("chunk", [None, "3n", "1"])
+def test_ground_truth_with_folded_gemms_and_int64_keys_equals_the_oracle(
+        monkeypatch, kind, folds, seed, block, chunk):
+    # -2 folds into every GEMM only where each nonzero magnitude is at least
+    # 2^-458: subnormal products would round differently once doubled, and
+    # numpy forms one block of the whole database by SYRK, which a doubled
+    # copy would not take (d = 33 makes the two round differently).  Rows
+    # equal to row 0 give it squares below 0, so int64 keys select among
+    # negatives, and every 7th column is zero
+    n, d, r = 300, 33, 20
+    rng = np.random.default_rng(seed)
+    rows = features_of_kind(rng, kind, n + 70, d)
+    db, queries = rows[:n], rows[n:]
+    budget = {"one": n * n, "7n": 7 * n, "1": 1}[block]
+    expected = ground_truth_before_buffers(db, queries, r, budget)
+    monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", budget)
+    if chunk is not None:
+        monkeypatch.setattr(evaluate, "_CHUNK_ELEMENTS", 3 * n if chunk == "3n" else 1)
+    seen, fold_is_exact = [], evaluate._fold_is_exact
+
+    def spy(*magnitudes):
+        seen.append(fold_is_exact(*magnitudes))
+        return seen[-1]
+
+    monkeypatch.setattr(evaluate, "_fold_is_exact", spy)
+    gt = ground_truth(db, queries, r)
+    assert seen == [folds]
+    assert np.float64(gt.threshold).tobytes() == np.float64(expected.threshold).tobytes()
+    assert np.array_equal(gt.ids, expected.ids) and np.array_equal(gt.bounds, expected.bounds)
+    assert gt.ids.size > 0
+    if kind == "duplicates":
+        norms = np.sum(db * db, axis=1)  # row 0's squares as one SYRK block has them
+        squares = norms[0] + norms - 2.0 * (db @ db.T)[0]
+        assert np.sum(squares < 0) >= r and expected.threshold > 0
 
 
 def test_ground_truth_peak_memory_is_one_block_and_one_chunk_buffer(monkeypatch):
