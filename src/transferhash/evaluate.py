@@ -46,12 +46,10 @@ _SCORE_BLOCK_ELEMENTS = 1 << 17
 
 
 def encode(model: HashModel, x) -> BinaryCodeMatrix:
-    """Hash raw (uncentered) rows: sgn(((X - mean) @ projection) @ rotation).
+    """Hash raw (uncentered) rows: sgn((X - mean) @ model.encoder).
 
-    An identity projection is skipped, so those codes are sgn((X - mean) @
-    rotation) from one d x c product.  They are the same bits: Z @ I equals
-    Z but for -0.0 read as +0.0, a +-0 term leaves any sum with a nonzero
-    term unchanged, and sgn maps both zeros to +1.
+    Rows that are not finite, or whose centering or scores overflow
+    float64, raise DataError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
@@ -67,9 +65,11 @@ def encode(model: HashModel, x) -> BinaryCodeMatrix:
             raise DataError("encode: input contains non-finite values")
         raise DataError("encode: subtracting the model's mean from the input "
                         "overflows float64")
-    if not model.preprocessing.is_identity:
-        z = z @ model.preprocessing.matrix
-    return BinaryCodeMatrix(sgn(z @ model.rotation))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = z @ model.encoder  # rebound, so the centered rows are freed
+    if not np.isfinite(z).all():
+        raise DataError("encode: the input's scores overflow float64")
+    return BinaryCodeMatrix(sgn(z))
 
 
 def _row_blocks(n: int, width: int, elements: int) -> list:

@@ -1,8 +1,8 @@
 """Shared model records: centering, linear projections, and the hash model.
 
 A trained HashModel is everything needed to encode a new point:
-subtract the training mean, apply the projection unless it is the
-identity, rotate, and take signs.
+subtract the training mean, multiply by the model's one d x c encoder
+(projection @ rotation, formed at construction), and take signs.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import check_count
 
 METHODS = ("itq", "itq+", "lapitq+", "lsh", "cca-itq")
 PROJECTION_KINDS = ("pca", "cca-left", "cca-right", "lsh", "identity")
@@ -42,18 +44,11 @@ class CenteringInfo:
 
 @dataclass(frozen=True, eq=False)
 class LinearProjection:
-    """A d_in x d_out projection applied before rotation learning.
-
-    Construction keeps a read-only float64 copy of the matrix and reads
-    is_identity off it: True when the matrix is square and equals np.eye.
-    The flag comes from the matrix, never from kind (a model file may hold
-    any matrix under "identity"), and the copy is read-only so the flag
-    cannot go stale.
-    """
+    """A d_in x d_out projection applied before rotation learning, kept as a
+    read-only float64 copy of the given matrix."""
 
     matrix: np.ndarray
     kind: str = "identity"
-    is_identity: bool = field(init=False)
 
     def __post_init__(self):
         if self.kind not in PROJECTION_KINDS:
@@ -62,8 +57,6 @@ class LinearProjection:
         if matrix.ndim != 2:
             raise ValueError(f"projection of shape {matrix.shape} is not a 2-D matrix")
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "is_identity",
-                           np.array_equal(matrix, np.eye(matrix.shape[0])))
 
     @property
     def d_in(self) -> int:
@@ -91,11 +84,11 @@ def default_hyperparams(**overrides):
 class HashModel:
     """A trained encoder: centering, projection, rotation, and code length.
 
-    Construction checks the invariants every consumer relies on: at least
-    one bit, a mean as long as the projection's input, shapes that chain
-    mean -> projection -> rotation -> bits, and finite values throughout.
-    The mean, projection and rotation are read-only copies (the rotation
-    is copied here), so the checks cannot go stale.
+    Construction checks the invariants every consumer relies on: integer
+    bits >= 1, a mean as long as the projection's input, shapes that chain
+    mean -> projection -> rotation -> bits, and finite values throughout,
+    the derived d x c encoder = projection @ rotation included.  All four
+    arrays are read-only (the rotation is copied here), so no check goes stale.
     """
 
     method: str
@@ -104,10 +97,12 @@ class HashModel:
     rotation: np.ndarray
     bits: int
     hyperparams: dict = field(default_factory=default_hyperparams)
+    encoder: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        check_count("bits", self.bits, 1)
         rotation = _read_only_copy(self.rotation)
         if rotation.ndim != 2:
             raise ValueError(f"rotation of shape {rotation.shape} is not a 2-D matrix")
@@ -121,8 +116,6 @@ class HashModel:
             raise ValueError(
                 f"bits={self.bits} but rotation has {rotation.shape[1]} columns"
             )
-        if self.bits < 1:
-            raise ValueError(f"bits={self.bits}: a model needs at least one bit")
         if self.centering.mean.shape != (self.preprocessing.d_in,):
             raise ValueError(
                 f"mean length {self.centering.mean.size} does not match the "
@@ -133,6 +126,12 @@ class HashModel:
                              ("rotation", rotation)):
             if not np.isfinite(values).all():
                 raise ValueError(f"non-finite value in the model's {name}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            encoder = self.preprocessing.matrix @ rotation
+        if not np.isfinite(encoder).all():
+            raise ValueError("the model's projection @ rotation overflows float64")
+        encoder.flags.writeable = False
+        object.__setattr__(self, "encoder", encoder)
 
     @property
     def input_dim(self) -> int:

@@ -313,10 +313,51 @@ def record_payload(blob, tag):
 
 def test_hash_model_needs_a_bit_and_a_mean_as_long_as_the_projection_input():
     identity = LinearProjection.identity(4)
-    with pytest.raises(ValueError, match="at least one bit"):
+    with pytest.raises(ValueError, match=re.escape("bits=0 must be an integer >= 1")):
         HashModel("itq", CenteringInfo(np.zeros(4)), identity, np.zeros((4, 0)), 0)
     with pytest.raises(ValueError, match="mean length"):
         HashModel("itq", CenteringInfo(np.zeros(3)), identity, np.eye(4)[:, :2], 2)
+
+
+@pytest.mark.parametrize("bits", [2.0, np.float64(2.0)])
+def test_hash_model_refuses_bits_that_are_not_an_integer(tmp_path, bits):
+    # 2.0 equals the rotation's 2 columns; it was accepted and save_model then
+    # failed with struct.error
+    with pytest.raises(ValueError, match=re.escape(f"bits={bits} must be an integer >= 1")):
+        HashModel("itq", CenteringInfo(np.zeros(2)), LinearProjection.identity(2),
+                  np.eye(2), bits)
+    model = HashModel("itq", CenteringInfo(np.zeros(2)), LinearProjection.identity(2),
+                      np.eye(2), np.int64(2))
+    save_model(model, tmp_path / "m.model")
+    assert load_model(tmp_path / "m.model").bits == 2
+
+
+def test_a_model_whose_projection_times_rotation_overflows_is_refused(tmp_path):
+    # P @ R = 1.7e308 * 1.4 is past float64's range
+    matrix, rotation = np.array([[1.7e308, 1.7e308]]), np.array([[0.8], [0.6]])
+    with pytest.raises(ValueError, match=re.escape("projection @ rotation overflows")):
+        HashModel("itq", CenteringInfo(np.zeros(1)), LinearProjection(matrix, "pca"),
+                  rotation, 1)
+    model = HashModel("itq", CenteringInfo(np.zeros(1)),
+                      LinearProjection(np.array([[1.0, 1.0]]), "pca"), rotation, 1)
+    save_model(model, tmp_path / "fine.model")
+    blob = (tmp_path / "fine.model").read_bytes()
+    path = tmp_path / "overflow.model"
+    path.write_bytes(with_record(blob, 5, struct.pack("<II", 1, 2) + matrix.tobytes()))
+    with pytest.raises(ParseError, match="projection @ rotation overflows"):
+        load_model(path)
+    assert main(["inspect-model", "--model", str(path)]) == 3
+
+
+def test_encode_command_exits_3_when_the_scores_overflow(tmp_path):
+    model = HashModel("itq", CenteringInfo(np.zeros(2)), LinearProjection.identity(2),
+                      np.array([[0.8, -0.6], [0.6, 0.8]]), 2)
+    save_model(model, tmp_path / "m.model")
+    rows = tmp_path / "rows.csv"
+    save_matrix(np.array([[1.0, 2.0], [1.7e308, 1.7e308]]), rows, "csv")
+    assert main(["encode", "--model", str(tmp_path / "m.model"), "--input", str(rows),
+                 "--format", "csv", "--out", str(tmp_path / "codes.csv")]) == 3
+    assert not (tmp_path / "codes.csv").exists()
 
 
 @pytest.mark.parametrize("shape", [(3,), (3, 3, 2), (), (3, 2, 1)])
@@ -370,7 +411,7 @@ def test_model_file_with_zero_bits_exits_3(tmp_path, matrix_files):
     blob = with_record(blob, 6, struct.pack("<II", 4, 0))  # a 4 x 0 rotation
     path = tmp_path / "zero.model"
     path.write_bytes(blob)
-    with pytest.raises(ParseError, match="at least one bit"):
+    with pytest.raises(ParseError, match=re.escape("bits=0 must be an integer >= 1")):
         load_model(path)
     database, queries = (str(p) for p in paths["csv"])
     assert main(["eval", "--model", str(path), "--database", database, "--queries", queries,

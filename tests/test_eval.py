@@ -12,8 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from transferhash import evaluate
+from transferhash.bench import fit_model
 from transferhash.codes import BinaryCodeMatrix, pack_signs, sgn
-from transferhash.data import zero_center
+from transferhash.data import make_split, zero_center
 from transferhash.errors import DataError
 from transferhash.evaluate import (
     GroundTruth,
@@ -125,21 +126,30 @@ def test_encode_equals_the_projection_then_rotation_bit_for_bit(data):
     x[rng.random((n, d)) < 0.2] = -0.0                     # -0.0 less +0.0 stays -0.0
     x[rng.random(n) < 0.3] = mean                          # rows equal to the mean
     model = HashModel("itq", CenteringInfo(mean), LinearProjection(matrix), rotation, c)
-    assert model.preprocessing.is_identity == (name == "identity")
-    expected = pack_signs(sgn(((x - mean) @ matrix) @ rotation))
-    got = encode(model, x).packed
-    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    z = x - mean
+    scores = (z @ matrix) @ rotation
+    got = encode(model, x)
+    assert got.packed.dtype == np.uint64
+    if name == "identity":  # I @ R is R but for -0.0, which sgn reads as +0.0
+        assert np.array_equal(got.packed, pack_signs(sgn(scores)))
+    else:
+        # z @ (P @ R) and (z @ P) @ R each lie within (d + d_out) * eps / 2 times
+        # |z| @ |P| @ |R| of the exact score (to first order), so a bit may flip
+        # only where |reference score| is at most the sum; the bound is twice it
+        terms = np.abs(z) @ np.abs(matrix) @ np.abs(rotation)
+        bound = 2 * (d + matrix.shape[1]) * np.finfo(np.float64).eps * terms
+        flipped = got.signs != sgn(scores)
+        assert np.all(np.abs(scores[flipped]) <= bound[flipped])
 
 
 def test_a_projection_keeps_a_read_only_copy_of_its_matrix():
     given_matrix = np.eye(3)
     projection = LinearProjection(given_matrix)
-    assert projection.is_identity
     given_matrix[0, 1] = 5.0  # the caller's array is not the projection's
-    assert projection.is_identity and np.array_equal(projection.matrix, np.eye(3))
+    assert np.array_equal(projection.matrix, np.eye(3))
     with pytest.raises(ValueError, match="read-only"):
         projection.matrix[0, 1] = 5.0
-    assert projection.is_identity
+    assert np.array_equal(projection.matrix, np.eye(3))
 
 
 def test_encode_refuses_finite_rows_whose_centering_overflows():
@@ -154,6 +164,32 @@ def test_encode_refuses_finite_rows_whose_centering_overflows():
         assert encode(model, x[:1]).rows == 1
 
 
+def test_encode_refuses_finite_rows_whose_scores_overflow():
+    model = simple_model(np.array([[0.8, -0.6], [0.6, 0.8]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # it warned "overflow encountered in matmul"
+        with pytest.raises(DataError, match="scores overflow"):
+            encode(model, np.array([[1.0, 2.0], [1.7e308, 1.7e308]]))
+        assert encode(model, np.array([[1e308, -1e308]])).rows == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_encode_matches_the_two_products_on_the_criterion_8_corpus(seed):
+    # cca-itq and pca_energy models once encoded with (x - mean) @ P, then @ R
+    target, source, _ = make_two_view_clusters(
+        1250, 64, 40, clusters=5, noise=3.0, seed=0,
+        source_noise=0.1, latent_dim=16, center_spread=5.0)
+    split = make_split(target, source, 0.1, 0.2, seed)
+    for method, bits, pca_energy in (("cca-itq", 32, None), ("itq", 16, 0.9)):
+        model = fit_model(method, split.target_train, split.source_corr,
+                          split.source_extra, bits=bits, iters=20, seed=seed,
+                          pca_energy=pca_energy).model
+        assert model.preprocessing.kind == ("cca-left" if pca_energy is None else "pca")
+        for x in (split.target_train, split.target_test):
+            z = (x - model.centering.mean) @ model.preprocessing.matrix
+            assert np.array_equal(encode(model, x).signs, sgn(z @ model.rotation))
+
+
 def test_a_model_keeps_read_only_copies_of_its_mean_and_rotation():
     rng = np.random.default_rng(31)
     mean = rng.standard_normal(4)
@@ -166,7 +202,8 @@ def test_a_model_keeps_read_only_copies_of_its_mean_and_rotation():
     for given in (mean, rotation, projection):  # the caller's arrays are not the model's
         given[...] = np.nan
     assert np.array_equal(encode(model, x).packed, before)
-    for array in (model.centering.mean, model.preprocessing.matrix, model.rotation):
+    for array in (model.centering.mean, model.preprocessing.matrix, model.rotation,
+                  model.encoder):
         assert array.dtype == np.float64
         with pytest.raises(ValueError, match="read-only"):
             array[0] = np.inf
@@ -174,7 +211,8 @@ def test_a_model_keeps_read_only_copies_of_its_mean_and_rotation():
 
 
 def test_encode_peak_memory_is_one_centered_copy_plus_scores_and_codes():
-    # the identity projection is skipped: no second n x d product is live
+    # one d x c product: no second n x d product is live, and the centered
+    # rows are freed before the codes are built
     n, d, c = 20_000, 64, 32
     rng = np.random.default_rng(30)
     x = rng.standard_normal((n, d))

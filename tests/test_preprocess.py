@@ -5,7 +5,7 @@ import pytest
 
 from transferhash.baselines import cca_itq_fit
 from transferhash.errors import NumericalError
-from transferhash.model import LinearProjection
+from transferhash.model import CenteringInfo, HashModel, LinearProjection
 from transferhash.preprocess import cca_fit, pca_fit, project
 
 
@@ -163,7 +163,8 @@ def test_project_identity_and_selection():
     assert np.array_equal(project(x, LinearProjection.identity(2)), x)
     pick = LinearProjection(np.array([[1.0], [0.0]]), "identity")
     assert np.array_equal(project(x, pick), [[3.0]])
-    assert LinearProjection.identity(2).is_identity and not pick.is_identity
+    model = HashModel("itq", CenteringInfo(np.zeros(2)), pick, np.array([[-1.0]]), 1)
+    assert np.array_equal(model.encoder, [[-1.0], [0.0]])  # applied under kind "identity"
     with pytest.raises(ValueError):
         project(np.ones((2, 3)), pick)
 
