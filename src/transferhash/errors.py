@@ -53,8 +53,10 @@ def check_weight(name: str, value) -> None:
 
 def check_whole(name: str, value, minimum: int) -> int:
     """value as an int; ValueError unless it is a real number with a whole
-    value >= minimum (unlike check_count, whole floats such as 5.0 count)."""
-    if not (isinstance(value, numbers.Integral)
+    value >= minimum (unlike check_count, whole floats such as 5.0 count;
+    as there, a bool does not)."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
             or isinstance(value, numbers.Real) and float(value).is_integer()):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     if value < minimum:

@@ -6,7 +6,10 @@ distance is at most the mean distance-to-rth-neighbor over the database.
 
 Ground truth and scoring work on blocks of rows against the whole
 database: ground truth peaks at about _BLOCK_ELEMENTS + _CHUNK_ELEMENTS
-values, not db x db.
+values, not db x db.  Where BLAS runs one thread, every budget is split
+in two and, given two CPUs, a second thread takes half the blocks (see
+_worker_rule and _map_blocks).  Every result keeps its bits at any worker
+count.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,14 +40,82 @@ DEFAULT_GT_RANK = 50
 # (512 KB, within L2), so the passes after the GEMM do not stream the block
 # through L3 one after another.
 # Scoring's largest temporary is a block's ranking, 8 bytes a value: 1 MB at
-# 2^17.  At 2^21 values the allocator served its temporaries from reused heap
-# or from newly faulted pages depending on what the process freed before, so
-# its speed varied from run to run; from 2^15 to 2^21 no size beat 2^17 by
-# more than the spread of repeated calls.
+# 2^17, split as the ground-truth budgets are.  At 2^21 values the allocator
+# served its temporaries from reused heap or from newly faulted pages
+# depending on what the process freed before, so its speed varied from run to
+# run; from 2^15 to 2^21 no size beat 2^17 by more than the spread of
+# repeated calls.
 _BLOCK_ELEMENTS = 1 << 20
 _CHUNK_ELEMENTS = 1 << 16
 _FOLD_FLOOR = 2.0 ** -458  # see _fold_is_exact
 _SCORE_BLOCK_ELEMENTS = 1 << 17
+_MAX_WORKERS = 2  # the calling thread and the pool's one thread
+
+
+def _worker_rule() -> tuple:
+    """(budget shares, workers): how many ways the ground-truth and scoring
+    block budgets are split, and how many threads share the row blocks.
+
+    BLAS's thread count t is read as OpenBLAS reads it when it loads: the
+    first of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS that is a positive
+    integer, at most the CPUs this process may use; without either, one
+    thread per CPU.  The budgets are split _MAX_WORKERS // t ways, so the
+    blocks, and with them every bit of the results, follow t alone; the
+    workers are as many of those shares as the CPUs left to BLAS's threads
+    can run.  On a 2-CPU host with one BLAS thread: 2 shares and 2 workers;
+    with BLAS's threads unset, 1 and 1.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    blas_threads = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            blas_threads = min(threads, cpus)
+            break
+    shares = max(1, _MAX_WORKERS // blas_threads)
+    return shares, min(shares, cpus // blas_threads)
+
+
+_BUDGET_SHARES, _WORKERS = _worker_rule()  # read once, as BLAS reads its own
+_pool = (None, None)  # (pid of the process that built it, its ThreadPoolExecutor)
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The module's thread pool, built on first use and again in a forked
+    child, whose copy of the parent's pool has no threads behind it."""
+    global _pool
+    pid, pool = _pool
+    if pid != os.getpid():
+        pool = ThreadPoolExecutor(1, thread_name_prefix="transferhash")
+        _pool = (os.getpid(), pool)
+    return pool
+
+
+def _map_blocks(work, blocks: list) -> list:
+    """The lists work(part) returns for contiguous parts of blocks, joined in block order.
+
+    One part per worker: the first runs on the calling thread, the others
+    on the module's pool; with one worker or one block, work runs once,
+    inline, and with no block not at all.  Each call must write only to
+    what its own blocks own, and keep its buffers to itself.
+    """
+    parts = min(_WORKERS, len(blocks))
+    if parts <= 1:
+        return work(blocks) if blocks else []
+    edges = [len(blocks) * i // parts for i in range(parts + 1)]
+    futures = [_executor().submit(work, blocks[lo:hi])
+               for lo, hi in zip(edges[1:], edges[2:])]
+    try:
+        pieces = work(blocks[:edges[1]])
+    finally:
+        wait(futures)  # no worker outlives the call, even when the first part raises
+    for future in futures:
+        pieces += future.result()
+    return pieces
 
 
 def encode(model: HashModel, x) -> BinaryCodeMatrix:
@@ -176,11 +249,10 @@ def _squared_distance_chunks(a, b, b_norms, product, sums, fold):
     """|a|^2 + |b|^2 - 2ab per row pair, given b's squared row norms; may dip below 0.
 
     One np.matmul writes -2ab for all of a's rows into product; the rows
-    are then finished in place a chunk of about _CHUNK_ELEMENTS values at
-    a time, with sums (at least a chunk's rows) for |a|^2 + |b|^2, as
-    (|a|^2 + |b|^2) + (-2ab) in that order, so every value has the bits
-    of the plain numpy expression (|a|^2 + |b|^2) - 2 * ab.  Yields
-    (first row, finished chunk).
+    are then finished in place a chunk of at most sums' rows at a time,
+    with sums for |a|^2 + |b|^2, as (|a|^2 + |b|^2) + (-2ab) in that order,
+    so every value has the bits of the plain numpy expression
+    (|a|^2 + |b|^2) - 2 * ab.  Yields (first row, finished chunk).
 
     With fold (the magnitudes keep it exact, see _fold_is_exact) a GEMM
     takes -2 on its row operand: -2a @ b.T.  numpy forms a @ a.T by SYRK,
@@ -193,7 +265,7 @@ def _squared_distance_chunks(a, b, b_norms, product, sums, fold):
         a.shape == b.shape and a.ctypes.data == b.ctypes.data)
     np.matmul(-2.0 * a if fold else a, b.T, out=product)
     a_norms = np.sum(a * a, axis=1)
-    for lo, hi in _row_blocks(a.shape[0], b.shape[0], _CHUNK_ELEMENTS):
+    for lo, hi in _row_blocks(a.shape[0], b.shape[0], sums.size):
         chunk = product[lo:hi]
         if not fold:
             chunk *= -2.0
@@ -245,6 +317,9 @@ def ground_truth(database_features, query_features,
         raise DataError(
             f"ground_truth: queries of shape {queries.shape} and a database of "
             f"shape {db.shape} are not two matrices of equal width")
+    if db.shape[1] == 0:
+        raise DataError(f"ground_truth: queries of shape {queries.shape} and a database "
+                        f"of shape {db.shape} have no feature columns")
     if db.shape[0] < 2:
         raise DataError("ground_truth: need at least 2 database points")
     # |a|^2 + |b|^2 - 2ab must not overflow: each term stays below max/4.  A
@@ -253,7 +328,7 @@ def ground_truth(database_features, query_features,
     largest = np.maximum(magnitudes[0].max(), magnitudes[1].max(initial=0.0))
     if not np.isfinite(largest):
         raise DataError("ground_truth: features contain non-finite values")
-    if largest > np.sqrt(np.finfo(np.float64).max / (4 * max(1, db.shape[1]))):
+    if largest > np.sqrt(np.finfo(np.float64).max / (4 * db.shape[1])):
         raise DataError(f"ground_truth: a feature value of magnitude {largest:.3g} "
                         f"overflows squared distances")
 
@@ -262,8 +337,13 @@ def ground_truth(database_features, query_features,
     if r_eff < r:
         log.warning("ground_truth: r=%d clamped to %d (database size %d)",
                     r, r_eff, n)
+    # blocks follow the budget's shares, not the worker count, since BLAS
+    # may round a product of more or fewer rows in other bits; a database
+    # that fits one whole block stays one SYRK
     db_blocks = _row_blocks(n, n, _BLOCK_ELEMENTS)
-    query_blocks = _row_blocks(queries.shape[0], n, _BLOCK_ELEMENTS)
+    if len(db_blocks) > 1:
+        db_blocks = _row_blocks(n, n, _BLOCK_ELEMENTS // _BUDGET_SHARES)
+    query_blocks = _row_blocks(queries.shape[0], n, _BLOCK_ELEMENTS // _BUDGET_SHARES)
     # folding -2 trades a pass over each GEMM's product (rows x n) for one
     # over its row operand (rows x d), after _fold_is_exact reads every
     # feature once; a single database block is a SYRK and never folds
@@ -272,36 +352,59 @@ def ground_truth(database_features, query_features,
             and _fold_is_exact(*magnitudes))
     del magnitudes
     db_norms = np.sum(db * db, axis=1)
-    # reused, they spare the kernel faulting in fresh pages per block
-    block_rows = max(hi - lo for lo, hi in db_blocks + query_blocks)
-    product = np.empty((block_rows, n))
-    sums = np.empty((min(block_rows, max(1, _CHUNK_ELEMENTS // n)), n))
+
+    def by_chunks(rows, blocks, finish):
+        """The pieces finish(first row, chunk) returns for every finished
+        chunk of the blocks of rows against the database, in block order.
+
+        Each worker takes a product and a sums buffer of its own, and reuses
+        them from block to block, which spares the kernel faulting in fresh
+        pages per block.  They are allocated here, on the calling thread:
+        allocated on the pool's thread, they raised the peak RSS of a
+        retrieval-large benchmark run by about 2 MB more.
+        """
+        block_rows = max((hi - lo for lo, hi in blocks), default=0)
+        chunk_rows = min(block_rows, max(1, _CHUNK_ELEMENTS // _BUDGET_SHARES // n))
+        buffers = [(np.empty((block_rows, n)), np.empty((chunk_rows, n)))
+                   for _ in range(min(_WORKERS, len(blocks)))]
+
+        def work(part):
+            product, sums = buffers.pop()  # one pop per worker, atomic
+            pieces = []
+            for lo, hi in part:
+                for start, chunk in _squared_distance_chunks(rows[lo:hi], db, db_norms,
+                                                             product, sums, fold):
+                    pieces += finish(lo + start, chunk)
+            return pieces
+        return _map_blocks(work, blocks)
+
     kth = np.empty(n)
-    for lo, hi in db_blocks:
-        for start, inner in _squared_distance_chunks(db[lo:hi], db, db_norms, product,
-                                                     sums, fold):
-            first = lo + start
-            # inner[i, first + i]: the chunk is contiguous, so its diagonal is
-            # every (n + 1)-th value from first on
-            inner.reshape(-1)[first::n + 1] = np.inf
-            # sqrt(clip(.)) is monotone, so it maps the r-th smallest square to
-            # the r-th smallest distance: only the selected values need it.
-            # Squares >= +0 (none is -0.0) sort as their int64 bits do, and
-            # negative ones sort first in either order, so both pick the same
-            # square or a negative one, which clip maps to +0
-            inner.view(np.int64).partition(r_eff - 1, axis=1)
-            kth[first:first + inner.shape[0]] = inner[:, r_eff - 1]
+
+    def select(first, inner):
+        # inner[i, first + i]: the chunk is contiguous, so its diagonal is
+        # every (n + 1)-th value from first on
+        inner.reshape(-1)[first::n + 1] = np.inf
+        # sqrt(clip(.)) is monotone, so it maps the r-th smallest square to
+        # the r-th smallest distance: only the selected values need it.
+        # Squares >= +0 (none is -0.0) sort as their int64 bits do, and
+        # negative ones sort first in either order, so both pick the same
+        # square or a negative one, which clip maps to +0
+        inner.view(np.int64).partition(r_eff - 1, axis=1)
+        kth[first:first + inner.shape[0]] = inner[:, r_eff - 1]
+        return []
+
+    by_chunks(db, db_blocks, select)
     threshold = float(np.sqrt(np.clip(kth, 0.0, None)).mean())
 
     bound = _square_bound(threshold)
-    flat = [np.empty(0, dtype=np.intp)]
-    for lo, hi in query_blocks:
-        for start, cross in _squared_distance_chunks(queries[lo:hi], db, db_norms, product,
-                                                     sums, fold):
-            flat.append((lo + start) * n + np.flatnonzero(cross <= bound))
+
+    def relevant(first, cross):
+        return [first * n + np.flatnonzero(cross <= bound)]
+
     # flat index q * n + row of every relevant pair, query after query, so
     # query q's pairs start at the first index >= q * n
-    flat = np.concatenate(flat)
+    flat = np.concatenate([np.empty(0, dtype=np.intp),
+                           *by_chunks(queries, query_blocks, relevant)])
     return GroundTruth(flat % n, np.searchsorted(flat, np.arange(queries.shape[0] + 1) * n),
                        threshold, r_eff)
 
@@ -395,37 +498,42 @@ def evaluate_codes(db_codes: BinaryCodeMatrix, query_codes: BinaryCodeMatrix,
 
     # queries with an empty relevant set are not ranked
     ids, bounds, evaluated = gt.ids, gt.bounds, np.flatnonzero(sizes)
-    ap_blocks, precision_blocks = [], []
-    for lo, hi in _row_blocks(evaluated.size, n, _SCORE_BLOCK_ELEMENTS):
-        block = evaluated[lo:hi]
-        relevant_mask = np.zeros((block.size, n), dtype=bool)
-        owner = np.repeat(np.arange(block.size), sizes[block])
-        relevant_mask[owner, ids[bounds[block[0]]:bounds[block[-1] + 1]]] = True
-        order = _hamming_order(db_codes.packed, query_codes.packed[block])
-        # one flat gather: far faster than take_along_axis's per-row one
-        order += n * np.arange(block.size)[:, None]
-        hits = np.take(relevant_mask.ravel(), order)
-        # flat index q * n + rank - 1 of every hit: each query's hits in rank
-        # order, query after query (a 1-D nonzero is far faster than a 2-D one)
-        flat = np.flatnonzero(hits)
-        query, position = np.divmod(flat, n)
-        # the mask counts each distinct relevant id once, as the set in
-        # average_precision does
-        found = np.bincount(query, minlength=block.size)
-        first = np.cumsum(found) - found
-        hit = np.arange(flat.size) - first[query]  # j - 1 for the j-th hit
-        terms = np.zeros((block.size, found.max()))
-        terms[query, hit] = (hit + 1) / (position + 1)
-        ap_blocks.append(np.cumsum(terms, axis=1)[:, -1] / found)
-        # a query's hits ranked K or better lie before flat index q * n + K
-        below = np.searchsorted(flat, np.arange(block.size)[:, None] * n + k_values)
-        precision_blocks.append((below - first[:, None]) / k_values)
 
-    per_ap = np.concatenate(ap_blocks).tolist() if ap_blocks else []
+    def score(blocks):
+        pieces = []
+        for lo, hi in blocks:
+            block = evaluated[lo:hi]
+            relevant_mask = np.zeros((block.size, n), dtype=bool)
+            owner = np.repeat(np.arange(block.size), sizes[block])
+            relevant_mask[owner, ids[bounds[block[0]]:bounds[block[-1] + 1]]] = True
+            order = _hamming_order(db_codes.packed, query_codes.packed[block])
+            # one flat gather: far faster than take_along_axis's per-row one
+            order += n * np.arange(block.size)[:, None]
+            hits = np.take(relevant_mask.ravel(), order)
+            # flat index q * n + rank - 1 of every hit: each query's hits in rank
+            # order, query after query (a 1-D nonzero is far faster than a 2-D one)
+            flat = np.flatnonzero(hits)
+            query, position = np.divmod(flat, n)
+            # the mask counts each distinct relevant id once, as the set in
+            # average_precision does
+            found = np.bincount(query, minlength=block.size)
+            first = np.cumsum(found) - found
+            hit = np.arange(flat.size) - first[query]  # j - 1 for the j-th hit
+            terms = np.zeros((block.size, found.max()))
+            terms[query, hit] = (hit + 1) / (position + 1)
+            ap = np.cumsum(terms, axis=1)[:, -1] / found
+            # a query's hits ranked K or better lie before flat index q * n + K
+            below = np.searchsorted(flat, np.arange(block.size)[:, None] * n + k_values)
+            pieces.append((ap, (below - first[:, None]) / k_values))
+        return pieces
+
+    pieces = _map_blocks(score, _row_blocks(evaluated.size, n,
+                                            _SCORE_BLOCK_ELEMENTS // _BUDGET_SHARES))
+    per_ap = np.concatenate([ap for ap, _ in pieces]).tolist() if pieces else []
     mean_ap = sum(per_ap) / len(per_ap) if per_ap else 0.0
     curve = []
     if per_ap:
-        precision = np.concatenate(precision_blocks)
+        precision = np.concatenate([precision for _, precision in pieces])
         for j, k in enumerate(k_values.tolist()):
             # a K listed m times counts each query's precision m times
             values = np.repeat(precision[:, j], ks.count(k)).tolist()

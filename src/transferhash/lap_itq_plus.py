@@ -55,10 +55,10 @@ def source_codes_offline(x_s, c: int, iters: int = DEFAULT_ITERS, seed=0,
 def knn_hamming_graph(codes: BinaryCodeMatrix, k: int):
     """Directed k-nearest-neighbors by Hamming distance, symmetrized by union.
 
-    Rows are ranked a block at a time by the retrieval kernel: ascending
-    distance, ties by ascending index, self excluded.  Returns W, the
-    symmetric 0/1 adjacency without self-loops, as an n x n uint8 CSR array
-    with sorted indices.
+    Rows are ranked a block at a time by the retrieval kernel, the blocks
+    shared among evaluate's workers: ascending distance, ties by ascending
+    index, self excluded.  Returns W, the symmetric 0/1 adjacency without
+    self-loops, as an n x n uint8 CSR array with sorted indices.
     """
     check_count("k", k, 1)
     n, k = codes.rows, int(k)  # numpy integers would overflow in n * k
@@ -66,13 +66,19 @@ def knn_hamming_graph(codes: BinaryCodeMatrix, k: int):
         raise ValueError(f"k={k} out of range for {n} codes")
     packed = codes.packed
     neighbors = np.empty((n, k), dtype=np.intp)
-    for lo, hi in evaluate._row_blocks(n, n, evaluate._SCORE_BLOCK_ELEMENTS):
-        order = evaluate._hamming_order(packed, packed[lo:hi])[:, :k + 1]
-        keep = order != np.arange(lo, hi)[:, None]
-        # self ranks among its distance-0 duplicates by index; where more
-        # than k of them precede it, the (k + 1)-th entry is dropped instead
-        keep[keep.all(axis=1), k] = False
-        neighbors[lo:hi] = order[keep].reshape(hi - lo, k)
+
+    def rank(blocks):
+        for lo, hi in blocks:
+            order = evaluate._hamming_order(packed, packed[lo:hi])[:, :k + 1]
+            keep = order != np.arange(lo, hi)[:, None]
+            # self ranks among its distance-0 duplicates by index; where more
+            # than k of them precede it, the (k + 1)-th entry is dropped instead
+            keep[keep.all(axis=1), k] = False
+            neighbors[lo:hi] = order[keep].reshape(hi - lo, k)
+        return []
+
+    evaluate._map_blocks(rank, evaluate._row_blocks(
+        n, n, evaluate._SCORE_BLOCK_ELEMENTS // evaluate._BUDGET_SHARES))
     directed = _sparse().csr_array(
         (np.ones(n * k, dtype=np.uint8), neighbors.ravel(), np.arange(0, n * k + 1, k)),
         shape=(n, n))

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -144,7 +145,8 @@ def fake_runs(monkeypatch, incorrect=(), failed=None):
         side = "change" if checkout == root else "parent"
         return {"correct": (side, seed) not in incorrect,
                 "failed": failed.get(side, 0), "attempted": 5,
-                "metrics": {name: {"value": 1.0} for name in names}, "environment": {}}
+                "metrics": {name: {"value": 1.0} for name in names}, "environment": {},
+                "load_before": seed + (0.5 if side == "change" else 0.0)}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     return root
@@ -172,3 +174,31 @@ def test_main_exits_1_after_writing_when_the_change_fails(monkeypatch, tmp_path,
             f"{entry['correct']['change']}; failed/attempted parent "
             f"{ops['parent']}/15 change {ops['change']}/15") in printed
     assert ("FAILED" in printed) == bool(code)
+
+
+def test_run_once_takes_the_load_average_before_the_run(monkeypatch):
+    events = []
+
+    def getloadavg():
+        events.append("load")
+        return (1.25, 0.5, 0.25)
+
+    def run(cmd, **kwargs):
+        events.append("run")
+        return subprocess.CompletedProcess(cmd, 0, stdout='env {"nproc": 2}\n{"correct": true}\n',
+                                           stderr="")
+
+    monkeypatch.setattr(bench_pairs.os, "getloadavg", getloadavg)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    result = bench_pairs.run_once(".", "graph-dense", 1, 1.0)
+    assert events == ["load", "run"]
+    assert result == {"correct": True, "environment": {"nproc": 2}, "load_before": 1.25}
+
+
+def test_main_records_the_load_before_each_run_per_side(monkeypatch, tmp_path):
+    root = fake_runs(monkeypatch)
+    out = tmp_path / "x.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--change", root, "--out", str(out),
+                             "--workloads", "graph-dense", "--seeds", "1-3"]) == 0
+    entry = json.loads(out.read_text())["workloads"]["graph-dense"]
+    assert entry["load_before_runs"] == {"parent": [1.0, 2.0, 3.0], "change": [1.5, 2.5, 3.5]}

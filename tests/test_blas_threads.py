@@ -7,6 +7,11 @@ depend on how many threads share that sum.  Codes, ground truth and MAP are.
 An 833-row database is one block of ground truth (a SYRK), so one more
 ground truth runs on 2,000 rows drawn the same way, whose database blocks
 are GEMMs with -2 folded in.
+
+On a 2-CPU host the =1 child shares ground truth's, ranking's and the kNN
+graph's row blocks between 2 workers, and splits the ground-truth block
+budget in two for them; the =2 child runs 1 worker on whole blocks.  So the
+equality checks cover the worker count and those block sizes too.
 """
 
 import json

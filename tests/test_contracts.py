@@ -229,6 +229,8 @@ def test_fit_model_refuses_bits_that_are_not_a_count(bits):
     ("bits", 8, "bits must be a non-empty tuple, got 8"),
     ("methods", "itq", "methods must be a non-empty tuple, got 'itq'"),
     ("ks", (), "ks must be a non-empty tuple, got ()"),
+    ("r_groundtruth", True, "r_groundtruth must be a whole number, got True"),
+    ("ks", (10, True), "K must be a whole number, got True"),
 ])
 def test_run_config_refuses_counts_and_weights_out_of_their_rules(field, value, message):
     # iters, k_graph or ks of 2.5 passed validation, then every bench cell

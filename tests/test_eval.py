@@ -1,7 +1,11 @@
 import logging
 import math
+import multiprocessing
 import numbers
+import os
 import re
+import threading
+import time
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -482,6 +486,7 @@ def test_evaluate_codes_equals_per_query_loop(monkeypatch, data):
     ks = data.draw(st.lists(st.integers(1, n + 3), min_size=1, max_size=4), label="ks")
     block = data.draw(st.integers(1, 3 * n), label="block elements")
     monkeypatch.setattr(evaluate, "_SCORE_BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(evaluate, "_WORKERS", data.draw(st.sampled_from([1, 2]), label="workers"))
 
     gt = GroundTruth.from_sets(relevant, threshold=1.0, r=1)
     report = evaluate_codes(db, queries, gt, ks)
@@ -605,7 +610,7 @@ def test_evaluate_codes_keeps_value_errors():
 
 
 @pytest.mark.parametrize("ks", [(1.5,), (1, 10, 2.5), (float("nan"),), (float("inf"),),
-                                ("5",)])
+                                ("5",), (True,), (5, True)])
 def test_evaluate_codes_rejects_a_k_that_is_not_whole(ks):
     rng = np.random.default_rng(17)
     db_codes, query_codes, gt = codes_and_truth(rng, 30, 4)
@@ -785,6 +790,7 @@ def test_one_ground_truth_scored_repeatedly_equals_the_per_call_oracle(monkeypat
         gt = None
     monkeypatch.setattr(evaluate, "_SCORE_BLOCK_ELEMENTS",
                         data.draw(st.integers(1, 3 * n_truth + 10), label="block elements"))
+    monkeypatch.setattr(evaluate, "_WORKERS", data.draw(st.sampled_from([1, 2]), label="workers"))
     ks = data.draw(st.lists(st.integers(1, n_truth + 3), min_size=1, max_size=3), label="ks")
     highest = max((int(np.max(rel)) for rel in relevant
                    if len(rel) and np.all(np.isfinite(rel))), default=-1)
@@ -886,7 +892,7 @@ def test_ground_truth_rejects_rank_below_one(r):
         ground_truth(db, db[:2], r=r)
 
 
-@pytest.mark.parametrize("r", [2.5, float("nan"), float("inf"), "5"])
+@pytest.mark.parametrize("r", [2.5, float("nan"), float("inf"), "5", True, False])
 def test_ground_truth_rejects_a_rank_that_is_not_whole(r):
     db = np.random.default_rng(0).standard_normal((20, 3))
     with pytest.raises(ValueError, match="r must be a whole number"):
@@ -914,8 +920,10 @@ def test_square_bound_is_the_largest_square_whose_root_is_at_most_t(t):
 
 def ground_truth_before_buffers(database_features, query_features, r, block_elements):
     """ground_truth as it was before its block buffers were reused: verbatim
-    but for its input checks and clamp warning, the block budget, which is
-    an argument here, and its GroundTruth, built by from_sets."""
+    but for its input checks and clamp warning, the block budgets of its
+    two passes, which are an argument here (see block_budgets), and its
+    GroundTruth, built by from_sets."""
+    db_block_elements, query_block_elements = block_elements
     def _squared_distances(a, b, b_norms):
         out = np.add.outer(np.sum(a * a, axis=1), b_norms)
         product = a @ b.T
@@ -935,7 +943,7 @@ def ground_truth_before_buffers(database_features, query_features, r, block_elem
     r_eff = min(r, n - 1)
     db_norms = np.sum(db * db, axis=1)
     kth = np.empty(n)
-    for lo, hi in evaluate._row_blocks(n, n, block_elements):
+    for lo, hi in evaluate._row_blocks(n, n, db_block_elements):
         inner = _squared_distances(db[lo:hi], db, db_norms)
         rows = np.arange(hi - lo)
         inner[rows, lo + rows] = np.inf
@@ -944,10 +952,25 @@ def ground_truth_before_buffers(database_features, query_features, r, block_elem
     threshold = float(_distances(kth).mean())
 
     relevant = []
-    for lo, hi in evaluate._row_blocks(queries.shape[0], n, block_elements):
+    for lo, hi in evaluate._row_blocks(queries.shape[0], n, query_block_elements):
         cross = _distances(_squared_distances(queries[lo:hi], db, db_norms))
         relevant += [np.flatnonzero(row <= threshold) for row in cross]
     return GroundTruth.from_sets(relevant, threshold, r_eff)
+
+
+def block_budgets(n, budget, shares):
+    """The values of each database and each query block that ground_truth
+    multiplies under a block budget split `shares` ways, at any worker
+    count, except that a database fitting one whole block is that one
+    block (a SYRK).  BLAS may round a product of more or fewer rows in
+    other bits, so the oracle must multiply the same blocks."""
+    share = budget // shares
+    return (budget if n * n <= budget else share), share
+
+
+# (budget shares, workers): one BLAS thread per CPU, and one BLAS thread on
+# one CPU and on two
+WORKER_RULES = [(1, 1), (2, 1), (2, 2)]
 
 
 @pytest.mark.parametrize("n, d", [(300, 33), (2000, 64)])
@@ -960,22 +983,26 @@ def test_ground_truth_in_reused_buffers_equals_the_per_block_allocation(
     # same products in the same order, finished in place chunk by chunk, and
     # squares compared against the largest square whose root is <= the
     # threshold: every bit of the result stays.  chunk None keeps the
-    # budget; "3n" splits a 7-row block into chunks of 2, 2 and 3 rows and
-    # 70 queries into chunks of 2 or 3; "1" finishes one row at a time
+    # budget; "3n" finishes a block 3 rows at a time, "1" one row at a
+    # time.  For one split of the budgets, one worker and two give the same
+    # bits
     block = 7 * n if block == "7n" else block
     rng = np.random.default_rng(n + n_queries)
     db = rng.standard_normal((n, d)) * 4.0
     queries = rng.standard_normal((n_queries, d)) * 4.0
-    expected = ground_truth_before_buffers(db, queries, 20, block)
     monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", block)
     if chunk is not None:
         monkeypatch.setattr(evaluate, "_CHUNK_ELEMENTS", 3 * n if chunk == "3n" else 1)
-    gt = ground_truth(db, queries, 20)
-    assert gt.threshold == expected.threshold and gt.r == expected.r
-    assert len(gt.relevant) == len(expected.relevant) == n_queries
-    assert sum(rel.size for rel in expected.relevant) > 0 or n_queries == 0
-    for got, want in zip(gt.relevant, expected.relevant):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for shares, workers in WORKER_RULES:
+        expected = ground_truth_before_buffers(db, queries, 20, block_budgets(n, block, shares))
+        monkeypatch.setattr(evaluate, "_BUDGET_SHARES", shares)
+        monkeypatch.setattr(evaluate, "_WORKERS", workers)
+        gt = ground_truth(db, queries, 20)
+        assert gt.threshold == expected.threshold and gt.r == expected.r
+        assert len(gt.relevant) == len(expected.relevant) == n_queries
+        assert sum(rel.size for rel in expected.relevant) > 0 or n_queries == 0
+        for got, want in zip(gt.relevant, expected.relevant):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def features_of_kind(rng, kind, rows, d):
@@ -1019,7 +1046,6 @@ def test_ground_truth_with_folded_gemms_and_int64_keys_equals_the_oracle(
     rows = features_of_kind(rng, kind, n + 70, d)
     db, queries = rows[:n], rows[n:]
     budget = {"one": n * n, "7n": 7 * n, "1": 1}[block]
-    expected = ground_truth_before_buffers(db, queries, r, budget)
     monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", budget)
     if chunk is not None:
         monkeypatch.setattr(evaluate, "_CHUNK_ELEMENTS", 3 * n if chunk == "3n" else 1)
@@ -1030,11 +1056,16 @@ def test_ground_truth_with_folded_gemms_and_int64_keys_equals_the_oracle(
         return seen[-1]
 
     monkeypatch.setattr(evaluate, "_fold_is_exact", spy)
-    gt = ground_truth(db, queries, r)
-    assert seen == [folds]
-    assert np.float64(gt.threshold).tobytes() == np.float64(expected.threshold).tobytes()
-    assert np.array_equal(gt.ids, expected.ids) and np.array_equal(gt.bounds, expected.bounds)
-    assert gt.ids.size > 0
+    for shares, workers in WORKER_RULES:
+        expected = ground_truth_before_buffers(db, queries, r, block_budgets(n, budget, shares))
+        monkeypatch.setattr(evaluate, "_BUDGET_SHARES", shares)
+        monkeypatch.setattr(evaluate, "_WORKERS", workers)
+        gt = ground_truth(db, queries, r)
+        assert seen.pop() == folds and not seen
+        assert np.float64(gt.threshold).tobytes() == np.float64(expected.threshold).tobytes()
+        assert np.array_equal(gt.ids, expected.ids)
+        assert np.array_equal(gt.bounds, expected.bounds)
+        assert gt.ids.size > 0
     if kind == "duplicates":
         norms = np.sum(db * db, axis=1)  # row 0's squares as one SYRK block has them
         squares = norms[0] + norms - 2.0 * (db @ db.T)[0]
@@ -1042,22 +1073,26 @@ def test_ground_truth_with_folded_gemms_and_int64_keys_equals_the_oracle(
 
 
 def test_ground_truth_peak_memory_is_one_block_and_one_chunk_buffer(monkeypatch):
-    # every database and query block reuses one product buffer of the block
-    # budget and one sums buffer of the chunk budget; what else is live grows
-    # with n * d + n, not with blocks or chunks
+    # each worker's database and query blocks reuse one product buffer of
+    # its share of the block budget and one sums buffer of its share of the
+    # chunk budget; what else is live grows with n * d + n, not with blocks
+    # or chunks.  tracemalloc sees every thread's buffers
     block = 1 << 19
     monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", block)
     rng = np.random.default_rng(21)
     n, d = 3000, 64
     db, queries = rng.standard_normal((n, d)), rng.standard_normal((500, d))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        ground_truth(db, queries, 50)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * (block + evaluate._CHUNK_ELEMENTS + n * d + n)
+    for shares, workers in WORKER_RULES:
+        monkeypatch.setattr(evaluate, "_BUDGET_SHARES", shares)
+        monkeypatch.setattr(evaluate, "_WORKERS", workers)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ground_truth(db, queries, 50)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (block + evaluate._CHUNK_ELEMENTS + n * d + n)
 
 
 @pytest.mark.parametrize("n, block", [(300, 7 * 300), (257, 1 << 21), (40, 40)])
@@ -1068,7 +1103,8 @@ def test_ground_truth_threshold_equals_distances_partitioned_per_block(monkeypat
     db = rng.standard_normal((n, 33)) * 4.0
     r = 20
     kth = []
-    for lo, hi in evaluate._row_blocks(n, n, block):
+    db_budget, _ = block_budgets(n, block, evaluate._BUDGET_SHARES)
+    for lo, hi in evaluate._row_blocks(n, n, db_budget):
         a = db[lo:hi]
         sq = np.sum(a * a, axis=1)[:, None] + np.sum(db * db, axis=1)[None, :] - 2.0 * (a @ db.T)
         inner = np.sqrt(np.clip(sq, 0.0, None))
@@ -1076,3 +1112,98 @@ def test_ground_truth_threshold_equals_distances_partitioned_per_block(monkeypat
         kth.append(np.partition(inner, r - 1, axis=1)[:, r - 1])
     monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", block)
     assert ground_truth(db, db[:5], r).threshold == float(np.concatenate(kth).mean())
+
+
+def test_ground_truth_refuses_features_without_columns():
+    # the overflow guard's max over no values raised numpy's ValueError
+    with pytest.raises(DataError, match=re.escape(
+            "queries of shape (2, 0) and a database of shape (5, 0) have no feature columns")):
+        ground_truth(np.zeros((5, 0)), np.zeros((2, 0)), 1)
+
+
+@pytest.mark.parametrize("env, cpus, rule", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, (2, 2)),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, (2, 1)),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8, (2, 2)),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, (1, 1)),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 8, (1, 1)),
+    ({"OMP_NUM_THREADS": "1"}, 2, (2, 2)),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, (1, 1)),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, (2, 2)),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2, (2, 2)),
+    ({"OPENBLAS_NUM_THREADS": "4"}, 1, (2, 1)),  # BLAS runs at most one thread per CPU
+    ({}, 2, (1, 1)),  # BLAS already runs a thread on every CPU
+    ({}, 1, (2, 1)),
+])
+def test_worker_rule_divides_the_cpus_by_blas_threads(monkeypatch, env, cpus, rule):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert evaluate._worker_rule() == rule
+
+
+@pytest.mark.parametrize("workers, blocks", [(1, 5), (2, 5), (2, 1), (2, 0)])
+def test_map_blocks_joins_the_parts_in_block_order(monkeypatch, workers, blocks):
+    monkeypatch.setattr(evaluate, "_WORKERS", workers)
+    calls = []
+
+    def work(part):
+        calls.append((threading.get_ident(), part))
+        return [lo * 10 for lo, _ in part]
+
+    pieces = evaluate._map_blocks(work, [(i, i + 1) for i in range(blocks)])
+    assert pieces == [10 * i for i in range(blocks)]
+    assert len(calls) == min(workers, blocks)
+    assert len({ident for ident, _ in calls}) == len(calls)
+    assert threading.get_ident() in {ident for ident, _ in calls} or not calls
+
+
+def test_map_blocks_waits_for_every_part_when_one_raises(monkeypatch):
+    monkeypatch.setattr(evaluate, "_WORKERS", 2)
+    finished = []
+
+    def work(part):
+        if part[0] == (0, 1):
+            raise RuntimeError("first part")
+        time.sleep(0.2)
+        finished.append(part)
+        return []
+
+    with pytest.raises(RuntimeError, match="first part"):
+        evaluate._map_blocks(work, [(0, 1), (1, 2)])
+    assert finished == [[(1, 2)]]
+
+
+def _child_threshold(db, queries, conn):
+    conn.send(np.float64(ground_truth(db, queries, 20).threshold).tobytes())
+    conn.close()
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_child_forked_after_a_pooled_call_builds_its_own_pool(monkeypatch):
+    # the child inherits the parent's pool but not its thread: blocks queued
+    # there would never run, and the child would hang
+    monkeypatch.setattr(evaluate, "_BUDGET_SHARES", 2)
+    monkeypatch.setattr(evaluate, "_WORKERS", 2)
+    monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", 7 * 300)
+    rng = np.random.default_rng(23)
+    db, queries = rng.standard_normal((300, 16)), rng.standard_normal((40, 16))
+    expected = np.float64(ground_truth(db, queries, 20).threshold).tobytes()
+    assert evaluate._pool[0] == os.getpid()
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_child_threshold, args=(db, queries, send))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the forked child did not finish its ground truth"
+        assert receive.recv() == expected
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0

@@ -155,6 +155,7 @@ def test_knn_graph_and_laplacian_match_dense_reference(monkeypatch, data):
     k = data.draw(st.integers(1, n - 1), label="k")
     rows_per_block = data.draw(st.integers(1, n), label="rows per block")
     monkeypatch.setattr(evaluate, "_SCORE_BLOCK_ELEMENTS", rows_per_block * n)
+    monkeypatch.setattr(evaluate, "_WORKERS", data.draw(st.sampled_from([1, 2]), label="workers"))
 
     graph = knn_hamming_graph(BinaryCodeMatrix(signs), k)
     lap = laplacian(graph)

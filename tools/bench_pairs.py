@@ -30,7 +30,8 @@ ten and its median moved by more than the parent's quartile spread.  A
 usage error (exit 2) before the first run.
 
 Each workload's "correct" flags and failed/attempted operation counts are
-printed for both sides.  After writing the file the exit code is 1 when
+printed for both sides.  The record also keeps the host's 1-minute load
+average just before each run (os.getloadavg), per side in seed order.  After writing the file the exit code is 1 when
 any change run printed "correct": false or the change failed more
 operations than the parent on some workload, and 0 otherwise.
 """
@@ -73,9 +74,11 @@ def short_commit(checkout: str) -> str | None:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run: its last JSON line, with the environment it printed."""
+    """One perfbench run: its last JSON line, with the environment it printed
+    and the host's 1-minute load average just before it started."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    load = os.getloadavg()[0]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
@@ -84,6 +87,7 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     env = [line[4:] for line in lines if line.startswith("env ")]
     result["environment"] = json.loads(env[0]) if env else {}
+    result["load_before"] = load
     return result
 
 
@@ -211,6 +215,9 @@ def main(argv=None) -> int:
                 "attempted_parent": sum(r["attempted"] for r in runs["parent"]),
                 "attempted_change": sum(r["attempted"] for r in runs["change"]),
             },
+            # a gain that needs a free CPU shows only on a host without other load
+            "load_before_runs": {side: [r["load_before"] for r in runs[side]]
+                                 for side in runs},
             "metrics": {},
         }
         for metric in metrics:
